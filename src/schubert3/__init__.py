@@ -1,6 +1,6 @@
 """Exact Schubert calculus for points, planes and lines in projective 3-space."""
 
-from .chern_segre import TotalClass, invert_total_class, product_total_class
+from .chern_segre import TotalClass
 from .coincidence import (
     BitangentDerivation,
     BlowupRing,
@@ -17,7 +17,6 @@ from .coincidence import (
     surface_excess_class,
     tangent_count,
 )
-from .cli import main, run_cli
 from .dsl import ParseError, evaluate, parse, to_source
 from .graded_ring import (
     GeneratorSpec,

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence, Union
 
 from .graded_ring import PolyRing, RingElement
 
-__all__ = ["TotalClass", "invert_total_class", "product_total_class"]
+__all__ = ["TotalClass"]
 
 
 class TotalClass:
@@ -108,11 +108,6 @@ class TotalClass:
 
     __hash__ = None
 
-    def rebound(self, bound: int) -> "TotalClass":
-        """Same class under a new truncation; higher components are zero."""
-        comps = {d: e for d, e in self._comps.items() if d <= bound}
-        return TotalClass(self.ring, comps, bound)
-
     def __str__(self) -> str:
         parts = ["1"] + [f"({self._comps[d]})" for d in sorted(self._comps)]
         return " + ".join(parts)
@@ -120,18 +115,3 @@ class TotalClass:
     def __repr__(self) -> str:
         return f"TotalClass({self}, bound={self.bound})"
 
-
-def invert_total_class(c: TotalClass, bound: int | None = None) -> TotalClass:
-    """Multiplicative inverse truncated at `bound` (default: c's own bound)."""
-    if bound is None:
-        return c.invert()
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    return c.rebound(bound).invert()
-
-
-def product_total_class(a: TotalClass, b: TotalClass, bound: int | None = None) -> TotalClass:
-    """Graded convolution truncated at `bound` (default: the common bound)."""
-    if bound is not None:
-        a, b = a.rebound(bound), b.rebound(bound)
-    return a * b

@@ -16,6 +16,7 @@ from typing import Callable
 
 from . import coincidence, oracle, spaces
 from .dsl import ParseError
+from .graded_ring import format_signed_sum, monomial_source
 
 __all__ = ["build_parser", "main", "run_cli"]
 
@@ -23,20 +24,9 @@ _SURFACE_VARS = ("x", "y", "z", "w")
 
 
 def _surface_source(f: oracle.SurfaceForm) -> str:
-    parts: list[str] = []
-    for mono in sorted(f.terms):
-        c = f.terms[mono]
-        body = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(_SURFACE_VARS, mono)
-            if e
-        )
-        piece = body if abs(c) == 1 else f"{abs(c)}*{body}"
-        if not parts:
-            parts.append(piece if c > 0 else "-" + piece)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + piece)
-    return " ".join(parts)
+    return format_signed_sum(
+        (f.terms[mono], monomial_source(_SURFACE_VARS, mono)) for mono in sorted(f.terms)
+    )
 
 
 def _coord_json(value):
@@ -351,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tan.add_argument("--json", action="store_true")
     p_tan.set_defaults(handler=_cmd_tangent_count)
 
-    p_bit = sub.add_parser("bitangent-count", help="bitangents of a degree-n surface from a point")
+    p_bit = sub.add_parser(
+        "bitangent-count", help="bitangents of a general plane section of a degree-n surface"
+    )
     p_bit.add_argument("n", type=int)
     p_bit.add_argument("--trace", action="store_true")
     p_bit.add_argument("--json", action="store_true")

@@ -12,8 +12,9 @@ every normal form is canonical for a fixed generator order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+from .linalg import int_echelon, reduce_mod_echelon, rref
 
 __all__ = [
     "GeneratorSpec",
@@ -46,68 +47,6 @@ class GeneratorSpec:
             raise ValueError(f"bad generator name {self.name!r}")
         if self.degree < 1:
             raise ValueError(f"generator {self.name!r}: degree must be a positive integer")
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _int_echelon(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, list[int]]]:
-    """Integer row echelon form with positive pivots (no unit normalization).
-
-    Returns a list of (pivot column, row) with strictly increasing pivot
-    columns.  The input rows are consumed as spans; the result spans the same
-    integer row lattice.
-    """
-    work = [list(r) for r in rows if any(r)]
-    result: list[tuple[int, list[int]]] = []
-    for col in range(ncols):
-        src = [r for r in work if r[col]]
-        if not src:
-            continue
-        piv = src[0]
-        for r in src[1:]:
-            a, b = piv[col], r[col]
-            if b % a == 0:
-                q = b // a
-                for j in range(col, ncols):
-                    r[j] -= q * piv[j]
-            else:
-                g, x, y = _xgcd(a, b)
-                aa, bb = a // g, b // g
-                for j in range(col, ncols):
-                    pj, rj = piv[j], r[j]
-                    piv[j] = x * pj + y * rj
-                    r[j] = aa * rj - bb * pj
-        work = [r for r in work if r is not piv and any(r)]
-        if piv[col] < 0:
-            piv[:] = [-v for v in piv]
-        result.append((col, piv))
-    return result
-
-
-def _reduce_mod_echelon(vec: list[int], echelon: Sequence[tuple[int, list[int]]]) -> list[int]:
-    """Subtract integer multiples of echelon rows; remainder may be nonzero."""
-    n = len(vec)
-    out = list(vec)
-    for col, row in echelon:
-        c = out[col]
-        if c and c % row[col] == 0:
-            q = c // row[col]
-            for j in range(col, n):
-                out[j] -= q * row[j]
-    return out
 
 
 class PolyRing:
@@ -313,46 +252,52 @@ class RingElement:
 
 def format_terms(ring: PolyRing, terms: Mapping[Monomial, int]) -> str:
     """Render a term dict with explicit signs, sorted by (degree, lex order)."""
-    if not terms:
-        return "0"
     monos = sorted(
         terms,
         key=lambda m: (ring.monomial_degree(m), tuple(-e for e in m)),
     )
+    names = [g.name for g in ring.generators]
+    return format_signed_sum((terms[m], monomial_source(names, m)) for m in monos)
+
+
+def monomial_source(names: Sequence[str], mono: Monomial) -> str:
+    """Product of named powers such as "x*y^2"; "1" for the empty product."""
+    factors = []
+    for name, e in zip(names, mono):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors) or "1"
+
+
+def format_signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Render ordered (coefficient, body) pairs as "a - 2*b + c"; "0" when empty.
+
+    A body of "1" stands for the unit, and unit coefficients are dropped.
+    The expression grammar applies an exponent to a negated base, so a bare
+    "-t^2" would read back as (-t)^2: a leading negative term whose first
+    factor carries an exponent is parenthesized.  Later terms follow a
+    binary minus and need no guard.
+    """
     parts: list[str] = []
-    for m in monos:
-        c = terms[m]
-        factors = []
-        for spec, e in zip(ring.generators, m):
-            if e == 1:
-                factors.append(spec.name)
-            elif e > 1:
-                factors.append(f"{spec.name}^{e}")
-        body = "*".join(factors)
+    for c, body in terms:
         mag = abs(c)
-        if not body:
+        if body == "1":
             piece = str(mag)
         elif mag == 1:
             piece = body
         else:
             piece = f"{mag}*{body}"
-        if not parts:
-            parts.append(piece if c > 0 else "-" + _guard_unary(piece))
-        else:
+        if parts:
             parts.append(("+ " if c > 0 else "- ") + piece)
-    return " ".join(parts)
-
-
-def _guard_unary(piece: str) -> str:
-    """Parenthesize when a leading '-' would bind tighter than the '^'.
-
-    The expression grammar applies an exponent to a negated base, so a
-    bare "-t^2" would read back as (-t)^2; only a first factor carrying
-    an exponent needs the guard.
-    """
-    if "^" in piece.split("*", 1)[0]:
-        return f"({piece})"
-    return piece
+        elif c > 0:
+            parts.append(piece)
+        elif "^" in piece.split("*", 1)[0]:
+            parts.append(f"-({piece})")
+        else:
+            parts.append("-" + piece)
+    return " ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -440,17 +385,7 @@ class GradedRingPresentation(PolyRing):
 
     def _build_degree(self, d: int) -> None:
         monos = self.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(monos)}
-        rows: list[list[int]] = []
-        for rel in self.relations:
-            rel_deg = self.monomial_degree(next(iter(rel)))
-            for mult in self.monomials_of_degree(d - rel_deg):
-                vec = [0] * len(monos)
-                for m, c in rel.items():
-                    prod = tuple(a + b for a, b in zip(mult, m))
-                    vec[index[prod]] += c
-                rows.append(vec)
-        echelon = _int_echelon(rows, len(monos))
+        index, echelon = _relation_echelon(self, self.relations, d)
         for col, row in echelon:
             if row[col] != 1:
                 raise TorsionError(
@@ -458,13 +393,6 @@ class GradedRingPresentation(PolyRing):
                     f"{format_terms(self, {monos[col]: 1})}; graded piece has torsion "
                     "or no unit monomial basis"
                 )
-        # clear entries above later pivots so reduction is a single pass
-        for i, (col, row) in enumerate(echelon):
-            for col2, row2 in echelon[i + 1 :]:
-                c = row[col2]
-                if c:
-                    for j in range(col2, len(monos)):
-                        row[j] -= c * row2[j]
         pivot_cols = {col for col, _ in echelon}
         basis = tuple(m for i, m in enumerate(monos) if i not in pivot_cols)
         self._mono_index[d] = index
@@ -472,6 +400,8 @@ class GradedRingPresentation(PolyRing):
         self._bases[d] = GradedBasis(d, basis)
 
     def _reduce(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
+        # Unit pivots in increasing columns, each row zero left of its pivot:
+        # one pass in pivot order clears every pivot column.
         out: dict[Monomial, int] = {}
         by_deg: dict[int, dict[Monomial, int]] = {}
         for m, c in terms.items():
@@ -542,6 +472,27 @@ def substitute(
     return out
 
 
+def _relation_echelon(
+    ring: PolyRing, relations: Sequence[Mapping[Monomial, int]], d: int
+) -> tuple[dict[Monomial, int], list[tuple[int, list[int]]]]:
+    """Monomial index of degree d and the integer echelon of the ideal's slice.
+
+    The slice is spanned by every monomial multiple of a homogeneous relation
+    that lands in degree d.
+    """
+    monos = ring.monomials_of_degree(d)
+    index = {m: i for i, m in enumerate(monos)}
+    rows: list[list[int]] = []
+    for rel in relations:
+        rel_deg = ring.monomial_degree(next(iter(rel)))
+        for mult in ring.monomials_of_degree(d - rel_deg):
+            vec = [0] * len(monos)
+            for m, c in rel.items():
+                vec[index[tuple(a + b for a, b in zip(mult, m))]] += c
+            rows.append(vec)
+    return index, int_echelon(rows, len(monos))
+
+
 def in_ideal_span(e: RingElement, relations: Sequence[RingElement]) -> bool:
     """Exact membership of e in the ideal generated by homogeneous relations.
 
@@ -556,23 +507,13 @@ def in_ideal_span(e: RingElement, relations: Sequence[RingElement]) -> bool:
             raise ValueError("relations must live in the same ring as the element")
         if not r.is_homogeneous() or r.is_zero():
             raise ValueError("relations must be nonzero homogeneous elements")
-        rels.append(r)
+        rels.append(r.terms)
     for d, comp in e.homogeneous_components().items():
-        monos = ring.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for r in rels:
-            rdeg = r.degree()
-            for mult in ring.monomials_of_degree(d - rdeg):
-                vec = [0] * len(monos)
-                for m, c in r.terms.items():
-                    vec[index[tuple(a + b for a, b in zip(mult, m))]] += c
-                rows.append(vec)
-        echelon = _int_echelon(rows, len(monos))
-        vec = [0] * len(monos)
+        index, echelon = _relation_echelon(ring, rels, d)
+        vec = [0] * len(index)
         for m, c in comp.terms.items():
             vec[index[m]] = c
-        if any(_reduce_mod_echelon(vec, echelon)):
+        if any(reduce_mod_echelon(vec, echelon)):
             return False
     return True
 
@@ -586,38 +527,14 @@ def solve_integer_combination(
     integral.  Rows must be linearly independent.
     """
     m = len(rows)
-    n = len(vec)
-    # transpose: columns are the row vectors, solve A x = vec with Fractions
-    a = [[Fraction(rows[j][i]) for j in range(m)] for i in range(n)]
-    b = [Fraction(v) for v in vec]
-    row_i = 0
-    pivots: list[tuple[int, int]] = []
-    for col in range(m):
-        piv = None
-        for r in range(row_i, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row_i], a[piv] = a[piv], a[row_i]
-        b[row_i], b[piv] = b[piv], b[row_i]
-        inv = 1 / a[row_i][col]
-        a[row_i] = [v * inv for v in a[row_i]]
-        b[row_i] *= inv
-        for r in range(n):
-            if r != row_i and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row_i])]
-                b[r] -= f * b[row_i]
-        pivots.append((row_i, col))
-        row_i += 1
-    x = [Fraction(0)] * m
-    for r, col in pivots:
-        x[col] = b[r]
-    for r in range(len(pivots), n):
-        if b[r]:
-            return None
-    if any(v.denominator != 1 for v in x):
+    # columns of the augmented system are the given rows, then vec
+    augmented = [[row[i] for row in rows] + [v] for i, v in enumerate(vec)]
+    reduced, pivots = rref(augmented, m + 1)
+    if pivots and pivots[-1] == m:
         return None
-    return [int(v) for v in x]
+    x = [0] * m
+    for row, col in zip(reduced, pivots):
+        if row[m].denominator != 1:
+            return None
+        x[col] = int(row[m])
+    return x

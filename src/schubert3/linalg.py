@@ -1,0 +1,132 @@
+"""Exact elimination over the integers and the rationals.
+
+Two algorithms live here on purpose.  The graded rings compute normal forms
+with an integer lattice echelon (extended-gcd row operations, no division),
+while the geometry oracle works with a Gauss-Jordan reduction over Q; keeping
+them distinct means a symbolic count and its oracle check never share an
+elimination routine.  The fraction-free determinant is Bareiss (1968).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Sequence, Union
+
+__all__ = [
+    "bareiss_det",
+    "int_echelon",
+    "reduce_mod_echelon",
+    "rref",
+]
+
+
+def rref(
+    rows: Sequence[Sequence[Union[int, Fraction]]], ncols: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q.
+
+    Returns (rows, pivot columns): one row per pivot, each with a 1 at its
+    pivot column and zeros in every other pivot column.  Zero rows are
+    dropped, so the number of pivots is the rank.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        lead = mat[r][col]
+        mat[r] = [x / lead for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def int_echelon(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, list[int]]]:
+    """Integer row echelon form with positive pivots (no unit normalization).
+
+    Returns a list of (pivot column, row) with strictly increasing pivot
+    columns; every row is zero left of its pivot.  The input rows are
+    consumed as spans; the result spans the same integer row lattice.
+    """
+    work = [list(r) for r in rows if any(r)]
+    result: list[tuple[int, list[int]]] = []
+    for col in range(ncols):
+        src = [r for r in work if r[col]]
+        if not src:
+            continue
+        piv = src[0]
+        for r in src[1:]:
+            a, b = piv[col], r[col]
+            if b % a == 0:
+                q = b // a
+                for j in range(col, ncols):
+                    r[j] -= q * piv[j]
+            else:
+                g, x, y = _xgcd(a, b)
+                aa, bb = a // g, b // g
+                for j in range(col, ncols):
+                    pj, rj = piv[j], r[j]
+                    piv[j] = x * pj + y * rj
+                    r[j] = aa * rj - bb * pj
+        work = [r for r in work if r is not piv and any(r)]
+        if piv[col] < 0:
+            piv[:] = [-v for v in piv]
+        result.append((col, piv))
+    return result
+
+
+def reduce_mod_echelon(vec: list[int], echelon: Sequence[tuple[int, list[int]]]) -> list[int]:
+    """Subtract integer multiples of echelon rows; remainder may be nonzero."""
+    n = len(vec)
+    out = list(vec)
+    for col, row in echelon:
+        c = out[col]
+        if c and c % row[col] == 0:
+            q = c // row[col]
+            for j in range(col, n):
+                out[j] -= q * row[j]
+    return out
+
+
+def bareiss_det(matrix: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

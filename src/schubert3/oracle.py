@@ -18,6 +18,7 @@ import random
 from typing import Iterable, Mapping, Sequence, Union
 
 from .graded_ring import PolyRing, substitute
+from .linalg import bareiss_det, rref
 
 __all__ = [
     "DegeneratePencil",
@@ -309,24 +310,7 @@ class SolutionSet:
 
 def _rational_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Canonical integer basis of the right kernel, one vector per free column."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        lead = mat[r][col]
-        mat[r] = [x / lead for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
+    mat, pivots = rref(rows, ncols)
     basis = []
     for j in range(ncols):
         if j in pivots:
@@ -496,12 +480,8 @@ def _plane_frame(
     kernel = _rational_kernel([dual], 4)
     for i in range(len(kernel)):
         for j in range(i + 1, len(kernel)):
-            rows = [
-                [Fraction(x) for x in v],
-                [Fraction(x) for x in kernel[i]],
-                [Fraction(x) for x in kernel[j]],
-            ]
-            if len(_rational_kernel(rows, 4)) == 1:
+            _, pivots = rref([v, kernel[i], kernel[j]], 4)
+            if len(pivots) == 3:
                 return v, kernel[i], kernel[j]
     raise ValueError("could not complete the vertex to a basis of the plane")
 
@@ -524,27 +504,6 @@ def _pencil_coefficients(
     return {k: c for k, c in out.items() if c}
 
 
-def _bareiss_det(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _sylvester_det_at(coeffs: dict[tuple[int, int], int], n: int, lam0: int) -> int:
     """Resultant of the section form and its s-derivative at one lam value."""
     p = [0] * (n + 1)
@@ -557,7 +516,7 @@ def _sylvester_det_at(coeffs: dict[tuple[int, int], int], n: int, lam0: int) -> 
         matrix.append([0] * i + p + [0] * (size - i - n - 1))
     for i in range(n):
         matrix.append([0] * i + dp + [0] * (size - i - n))
-    return _bareiss_det(matrix)
+    return bareiss_det(matrix)
 
 
 def pencil_discriminant(

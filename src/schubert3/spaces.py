@@ -25,6 +25,7 @@ from .graded_ring import (
     GradedRingPresentation,
     PolyRing,
     RingElement,
+    format_signed_sum,
     present_ring,
     solve_integer_combination,
 )
@@ -63,24 +64,7 @@ class SchubertCombination:
     entries: tuple[tuple[int, str], ...]
 
     def __str__(self) -> str:
-        if not self.entries:
-            return "0"
-        parts: list[str] = []
-        for c, label in self.entries:
-            mag = abs(c)
-            if label == "1":
-                piece = str(mag)
-            elif mag == 1:
-                piece = label
-            else:
-                piece = f"{mag}*{label}"
-            if not parts:
-                if c < 0 and "^" in piece.split("*", 1)[0]:
-                    piece = f"({piece})"
-                parts.append(piece if c > 0 else "-" + piece)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + piece)
-        return " ".join(parts)
+        return format_signed_sum(self.entries)
 
 
 class SchubertSpace:
@@ -115,6 +99,8 @@ class SchubertSpace:
             self.render_basis[d] = tuple(
                 (lbl, dsl.evaluate(dsl.parse(lbl), self)) for lbl in labels
             )
+        # rows of the integer inverse of each degree's render basis matrix
+        self._render_inverse: dict[int, list[list[int]]] = {}
         self._validate_render_basis()
 
     def __repr__(self) -> str:
@@ -135,12 +121,16 @@ class SchubertSpace:
                 if e.is_zero() or e.degree() != d:
                     raise ValueError(f"{self.name}: render class {lbl!r} is not of degree {d}")
             rows = [self._degree_vector(e, d) for _, e in entries]
+            inverse = []
             for i in range(rank):
                 unit = [1 if j == i else 0 for j in range(rank)]
-                if solve_integer_combination(rows, unit) is None:
+                x = solve_integer_combination(rows, unit)
+                if x is None:
                     raise ValueError(
                         f"{self.name}: degree-{d} render basis is not a unimodular basis"
                     )
+                inverse.append(x)
+            self._render_inverse[d] = inverse
 
     def symbol_class(self, name: str) -> RingElement:
         """The class a symbol stands for; unknown names list the vocabulary."""
@@ -167,10 +157,10 @@ class SchubertSpace:
             raise ValueError("element is not homogeneous; express each component")
         d = e.degree()
         entries = self.render_basis[d]
-        rows = [self._degree_vector(el, d) for _, el in entries]
-        coeffs = solve_integer_combination(rows, self._degree_vector(e, d))
-        if coeffs is None:
-            raise AssertionError("validated unimodular basis failed to express an element")
+        # x . basis = v is solved by x = v . inverse, exactly and over Z
+        vec = self._degree_vector(e, d)
+        inverse = self._render_inverse[d]
+        coeffs = [sum(v * row[j] for v, row in zip(vec, inverse)) for j in range(len(entries))]
         return SchubertCombination(
             self.name,
             d,
@@ -179,17 +169,12 @@ class SchubertSpace:
 
 
 def render_in_classes(sp: SchubertSpace, e: RingElement) -> str:
-    """Render any element as named classes, components joined by degree."""
-    if e.is_zero():
-        return "0"
-    pieces = [
-        str(sp.express_in_schubert_basis(comp))
-        for _, comp in sorted(e.homogeneous_components().items())
-    ]
-    out = pieces[0]
-    for s in pieces[1:]:
-        out += " - " + s[1:] if s.startswith("-") else " + " + s
-    return out
+    """Render any element as named classes, components in increasing degree."""
+    return format_signed_sum(
+        entry
+        for comp in e.homogeneous_components().values()
+        for entry in sp.express_in_schubert_basis(comp).entries
+    )
 
 
 def _dual_segre_components(free: PolyRing, degrees: tuple[int, ...]) -> list[RingElement]:

@@ -1,10 +1,15 @@
 """Exit codes, output formats and determinism of the command line interface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schubert3
 from schubert3.cli import run_cli
 from schubert3.oracle import PlueckerLine, lines_meeting_four, random_four_lines
 
@@ -238,6 +243,37 @@ def test_oracle_pencil(capsys):
     assert payload["surface"]
     code, again, _ = run(capsys, "oracle", "pencil", "--degree", "2", "--seed", "1")
     assert again == out
+
+
+def test_oracle_pencil_surface_source(capsys):
+    code, out, _ = run(capsys, "oracle", "pencil", "--degree", "2", "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["surface"] == (
+        "7*w^2 + 6*z*w + z^2 + 6*y*w - 6*y*z + 4*y^2 - 8*x*w - x*z - 5*x*y + x^2"
+    )
+
+
+def _python(*args):
+    paths = [str(Path(schubert3.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_module_entry_point():
+    done = _python("-m", "schubert3", "eval", "--space", "G", "g^4")
+    assert done.returncode == 0
+    assert done.stdout == "2*G = 2\n"
+    assert done.stderr == ""
+
+
+def test_library_import_leaves_out_the_cli():
+    done = _python("-c", "import sys, schubert3; print('argparse' in sys.modules)")
+    assert done.returncode == 0
+    assert done.stdout == "False\n"
 
 
 def test_selftest_passes(capsys):

@@ -10,6 +10,7 @@ from schubert3.graded_ring import substitute
 from schubert3.spaces import (
     FORMULAS,
     SPACE_NAMES,
+    SchubertSpace,
     evaluate_expression,
     pushforward_PS_to_G,
     render_in_classes,
@@ -164,6 +165,26 @@ def test_render_in_classes_joins_components():
     assert render_in_classes(G, e) == "g - g_s"
     assert render_in_classes(G, eva("G", "1 + g^2")) == "1 + g_p + g_e"
     assert render_in_classes(G, G.ring.zero()) == "0"
+
+
+def test_render_guards_only_a_leading_negative_power():
+    PS = space("PS")
+    # a later term follows a binary minus, which the exponent cannot capture
+    assert render_in_classes(PS, eva("PS", "g - p^2")) == "g - p^2"
+    assert render_in_classes(PS, eva("PS", "-(p^2) - p^3")) == "-(p^2) - p^3"
+    # a leading unary minus would read back as (-p)^2 without the parentheses
+    assert render_in_classes(PS, eva("PS", "-(p^2)")) == "-(p^2)"
+    assert str(eva("P3", "-(t^2)")) == "-(t^2)"
+    for text in ("g - p^2", "-(p^2) - p^3", "1 - p*g + p^3"):
+        e = eva("PS", text)
+        assert eva("PS", render_in_classes(PS, e)) == e
+
+
+def test_render_basis_must_be_unimodular():
+    G = space("G")
+    labels = [["1"], ["2*g"], ["g_p", "g_e"], ["g_s"], ["G"]]
+    with pytest.raises(ValueError, match="not a unimodular basis"):
+        SchubertSpace("G", G.ring, dict(G.symbols), labels)
 
 
 # ---------------------------------------------------------------------------
