@@ -5,19 +5,20 @@ discriminant is not a perfect square): points and lines carry canonical
 integer coordinates, incidence is the polarized Pluecker pairing, and the
 four-lines problem is solved by exact kernel computation plus one binary
 quadratic.  Tangency counting for pencils goes through resultants of exact
-binary forms, so a vanishing discriminant is a certified double root, not
-a numerical coincidence.
+integer binary forms, so a vanishing discriminant is a certified double
+root, not a numerical coincidence: one nonzero Sylvester determinant on a
+single line of the pencil certifies the count n(n-1).  Nothing here uses
+the symbolic rings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 import random
 from typing import Iterable, Mapping, Sequence, Union
 
-from .graded_ring import PolyRing, substitute
 from .linalg import bareiss_det, rref
 
 __all__ = [
@@ -458,11 +459,7 @@ class SurfaceForm:
 
 
 class DegeneratePencil(ValueError):
-    """The tangency discriminant degenerated; the configuration is special."""
-
-
-_SURFACE_RING = PolyRing([("x", 1), ("y", 1), ("z", 1), ("w", 1)])
-_PENCIL_RING = PolyRing([("s", 1), ("u", 1), ("lam", 1)])
+    """The tangency discriminant vanishes identically; the configuration is special."""
 
 
 def _plane_frame(
@@ -486,85 +483,118 @@ def _plane_frame(
     raise ValueError("could not complete the vertex to a basis of the plane")
 
 
+BinaryTerms = dict[tuple[int, int], int]
+
+
+def _add_product(
+    acc: BinaryTerms, p: BinaryTerms, q: BinaryTerms, scale: int = 1
+) -> BinaryTerms:
+    """acc += scale * p * q for forms in s, u, t keyed by (s-exponent, t-exponent)."""
+    for (ps, pt), a in p.items():
+        a *= scale
+        for (qs, qt), b in q.items():
+            key = (ps + qs, pt + qt)
+            acc[key] = acc.get(key, 0) + a * b
+    return acc
+
+
 def _pencil_coefficients(
     f: SurfaceForm,
     v: Sequence[int],
     w1: Sequence[int],
     w2: Sequence[int],
-) -> dict[tuple[int, int], int]:
-    """Restriction f(s*V + u*(W1 + lam*W2)) as {(s-exponent, lam-exponent): coeff}."""
-    s, u, lam = _PENCIL_RING.gens()
-    images = {}
-    for idx, name in enumerate(("x", "y", "z", "w")):
-        images[name] = int(v[idx]) * s + int(w1[idx]) * u + int(w2[idx]) * (u * lam)
-    big = substitute(_SURFACE_RING.element(f.terms), _PENCIL_RING, images)
-    out: dict[tuple[int, int], int] = {}
-    for (es, eu, el), coeff in big.terms.items():
-        out[(es, el)] = out.get((es, el), 0) + coeff
+) -> BinaryTerms:
+    """Restriction f(s*V + u*W1 + t*W2) as {(s-exponent, t-exponent): coeff}.
+
+    The restriction is homogeneous of degree n, so the u-exponent is implied;
+    with t = u*lam it is the section on the line through V and W1 + lam*W2.
+    """
+    n = f.degree
+    powers = []
+    for i in range(4):
+        terms = (((1, 0), v[i]), ((0, 0), w1[i]), ((0, 1), w2[i]))
+        linear = {k: c for k, c in terms if c}
+        row = [{(0, 0): 1}]
+        for _ in range(n):
+            row.append(_add_product({}, row[-1], linear))
+        powers.append(row)
+    out: BinaryTerms = {}
+    for (a, b, c, d), coeff in f.terms.items():
+        ab = _add_product({}, powers[0][a], powers[1][b], coeff)
+        abc = _add_product({}, ab, powers[2][c])
+        _add_product(out, abc, powers[3][d])
     return {k: c for k, c in out.items() if c}
 
 
-def _sylvester_det_at(coeffs: dict[tuple[int, int], int], n: int, lam0: int) -> int:
-    """Resultant of the section form and its s-derivative at one lam value."""
-    p = [0] * (n + 1)
-    for (es, el), c in coeffs.items():
-        p[n - es] += c * lam0 ** el
+def _sylvester_det(p: Sequence[int]) -> int:
+    """Resultant of the binary form sum p[i] s^(n-i) u^i and its s-derivative."""
+    n = len(p) - 1
     dp = [(n - i) * p[i] for i in range(n)]
     size = 2 * n - 1
     matrix = []
     for i in range(n - 1):
-        matrix.append([0] * i + p + [0] * (size - i - n - 1))
+        matrix.append([0] * i + list(p) + [0] * (size - i - n - 1))
     for i in range(n):
         matrix.append([0] * i + dp + [0] * (size - i - n))
     return bareiss_det(matrix)
+
+
+def _sylvester_det_at(coeffs: BinaryTerms, n: int, lam0: int) -> int:
+    """Tangency discriminant at one finite lam: the line through V and W1 + lam0*W2."""
+    p = [0] * (n + 1)
+    for (es, et), c in coeffs.items():
+        p[n - es] += c * lam0 ** et
+    return _sylvester_det(p)
+
+
+def _section_coefficients(
+    f: SurfaceForm,
+    plane: Sequence[Rational],
+    vertex: Union[ProjectivePoint, Sequence[Rational]],
+) -> BinaryTerms:
+    """Restriction of f to the pencil, after checking the pencil's preconditions."""
+    v, w1, w2 = _plane_frame(plane, vertex)
+    coeffs = _pencil_coefficients(f, v, w1, w2)
+    if not coeffs:
+        raise ValueError("the plane section of the surface is identically zero")
+    if coeffs.get((f.degree, 0), 0) == 0:
+        raise ValueError("the vertex lies on the section curve")
+    return coeffs
 
 
 def pencil_discriminant(
     f: SurfaceForm,
     plane: Sequence[Rational],
     vertex: Union[ProjectivePoint, Sequence[Rational]],
-) -> tuple[Fraction, ...]:
-    """Ascending coefficients of the tangency discriminant of a pencil.
+) -> tuple[int, ...]:
+    """Ascending integer coefficients of the tangency discriminant of a pencil.
 
     Lines in the plane through the vertex are parameterized by lam; the
     surface restricts to each line as a binary form in s whose resultant
-    with its own derivative detects tangency.  The result is a polynomial
-    in lam computed exactly by evaluation and interpolation.
+    with its own derivative detects tangency.  The discriminant D(lam) has
+    integer coefficients and degree at most n(n-1).  It is sampled at
+    lam = 0..n(n-1) and interpolated exactly by forward differences: the
+    k-th difference at 0 is k! times the k-th Newton coefficient, so the
+    division is exact.
     """
-    v, w1, w2 = _plane_frame(plane, vertex)
     n = f.degree
-    coeffs = _pencil_coefficients(f, v, w1, w2)
-    if not coeffs:
-        raise ValueError("the plane section of the surface is identically zero")
-    if coeffs.get((n, 0), 0) == 0:
-        raise ValueError("the vertex lies on the section curve")
-    npts = n * (2 * n - 1) + 1
-    xs = list(range(npts))
-    ys = [_sylvester_det_at(coeffs, n, x) for x in xs]
-    poly = _interpolate(xs, ys)
+    coeffs = _section_coefficients(f, plane, vertex)
+    diffs = [_sylvester_det_at(coeffs, n, x) for x in range(n * (n - 1) + 1)]
+    newton = []
+    for k in range(len(diffs)):
+        newton.append(diffs[0] // factorial(k))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    # D = sum_k newton[k] * lam (lam - 1) ... (lam - k + 1), expanded by Horner
+    poly: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        shifted = [0] + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= k * c
+        shifted[0] += newton[k]
+        poly = shifted
     while poly and poly[-1] == 0:
         poly.pop()
     return tuple(poly)
-
-
-def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[Fraction]:
-    """Lagrange interpolation over the rationals; ascending coefficients."""
-    result = [Fraction(0)] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        numer = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            shifted = [Fraction(0)] + numer
-            numer = [s - xj * c for s, c in zip(shifted, numer + [Fraction(0)])]
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(numer):
-            result[k] += scale * c
-    return result
 
 
 def pencil_tangency_count(
@@ -574,19 +604,21 @@ def pencil_tangency_count(
 ) -> int:
     """Tangent lines to the plane section among lines through the vertex.
 
-    Counts complex roots of the tangency discriminant with multiplicity,
-    which is its degree n(n-1) once the leading coefficient is checked
-    nonzero; a dropped degree raises DegeneratePencil instead of returning
-    a short count.
+    Counts tangent lines with multiplicity as the roots of the tangency
+    discriminant D, of degree at most n(n-1) in the pencil parameter lam.
+    Homogenized to degree n(n-1), D has exactly n(n-1) roots whenever it
+    is not identically zero, which a single nonzero value D(lam) certifies.
+    D vanishes identically exactly when it vanishes at lam = 0..n(n-1);
+    then DegeneratePencil is raised.
     """
-    expected = f.degree * (f.degree - 1)
-    disc = pencil_discriminant(f, plane, vertex)
-    if len(disc) - 1 != expected:
-        raise DegeneratePencil(
-            f"discriminant degree {len(disc) - 1} instead of {expected}; "
-            "the pencil is not generic"
-        )
-    return expected
+    n = f.degree
+    expected = n * (n - 1)
+    coeffs = _section_coefficients(f, plane, vertex)
+    if any(_sylvester_det_at(coeffs, n, lam) for lam in range(expected + 1)):
+        return expected
+    raise DegeneratePencil(
+        "the tangency discriminant vanishes identically; the pencil is not generic"
+    )
 
 
 def random_projective_point(rng: random.Random, bound: int = 10) -> ProjectivePoint:
@@ -611,8 +643,20 @@ def random_four_lines(rng: random.Random, bound: int = 10) -> tuple[PlueckerLine
             return lines
 
 
+def _surface_monomials(degree: int) -> list[tuple[int, int, int, int]]:
+    """Exponent vectors of the given degree in x, y, z, w, descending lex order."""
+    return [
+        (a, b, c, degree - a - b - c)
+        for a in range(degree, -1, -1)
+        for b in range(degree - a, -1, -1)
+        for c in range(degree - a - b, -1, -1)
+    ]
+
+
 def random_surface_form(rng: random.Random, degree: int, bound: int = 10) -> SurfaceForm:
-    monos = _SURFACE_RING.monomials_of_degree(degree)
+    if degree < 1:
+        raise ValueError(f"a surface needs degree at least 1, not {degree}")
+    monos = _surface_monomials(degree)
     while True:
         coeffs = {m: rng.randint(-bound, bound) for m in monos}
         if any(coeffs.values()):

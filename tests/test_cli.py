@@ -253,13 +253,23 @@ def test_oracle_pencil_surface_source(capsys):
     )
 
 
-def _python(*args):
+def test_oracle_pencil_counts_a_tangent_at_infinity(capsys):
+    # one tangent is the pencil's lam = infinity line, so the discriminant
+    # has degree n(n-1) - 1; it is still not identically zero
+    for degree, seed in ((2, 507), (3, 900)):
+        argv = ("oracle", "pencil", "--degree", str(degree), "--seed", str(seed))
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["count"] == degree * (degree - 1)
+
+
+def _python(*args, timeout=120):
     paths = [str(Path(schubert3.__file__).resolve().parent.parent)]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -282,3 +292,10 @@ def test_selftest_passes(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 10
     assert all(line.startswith("ok ") for line in lines)
+
+
+def test_oracle_pencil_rejects_nonpositive_degree():
+    done = _python("-m", "schubert3", "oracle", "pencil", "--degree", "-1", timeout=30)
+    assert done.returncode == 2
+    assert "degree at least 1" in done.stderr
+    assert "Traceback" not in done.stderr

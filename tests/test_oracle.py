@@ -6,12 +6,15 @@ tetrahedron and quadric-ruling configurations have known answers, and the
 discriminant degree reproduces the tangency counts of plane sections.
 """
 
+import ast
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 import random
 
 import pytest
 
+from schubert3 import oracle
 from schubert3.oracle import (
     DegeneratePencil,
     PlueckerLine,
@@ -281,7 +284,15 @@ def test_pencil_cubic_discriminant_squarefree():
     rng = random.Random(11)
     f, plane, vertex = random_pencil_instance(rng, 3)
     disc = list(pencil_discriminant(f, plane, vertex))
-    assert len(disc) - 1 == 6
+    assert disc == [
+        216234004257936,
+        -833196112770816,
+        795229315926840,
+        -315135285353264,
+        51917072031400,
+        -1173036342864,
+        -392780864584,
+    ]
     derivative = [i * c for i, c in enumerate(disc)][1:]
     assert len(poly_gcd(disc, derivative)) <= 1
 
@@ -292,6 +303,60 @@ def test_pencil_random_instances():
         for _ in range(5):
             f, plane, vertex = random_pencil_instance(rng, degree)
             assert pencil_tangency_count(f, plane, vertex) == degree * (degree - 1)
+
+
+def test_pencil_discriminant_top_coefficient_is_one_determinant():
+    rng = random.Random(17)
+    for degree in range(1, 7):
+        for _ in range(3):
+            f, plane, vertex = random_pencil_instance(rng, degree)
+            disc = pencil_discriminant(f, plane, vertex)
+            assert all(type(c) is int for c in disc)
+            v, w1, w2 = oracle._plane_frame(plane, vertex)
+            coeffs = oracle._pencil_coefficients(f, v, w1, w2)
+            top = oracle._sylvester_det(
+                [coeffs.get((degree - i, i), 0) for i in range(degree + 1)]
+            )
+            expected = degree * (degree - 1)
+            assert (disc[expected] if len(disc) > expected else 0) == top
+            assert len(disc) - 1 <= expected
+            # D is sampled only at lam = 0..n(n-1); values outside that
+            # range check the degree bound the interpolation relies on
+            for lam in (-2, -1, *range(expected + 1, degree * (2 * degree - 1) + 1)):
+                value = sum(c * lam**i for i, c in enumerate(disc))
+                assert value == oracle._sylvester_det_at(coeffs, degree, lam)
+
+
+def test_pencil_tangent_on_the_first_line():
+    # D(0) = 0 here: a tangent lies on the lam = 0 line, so the count
+    # must go on to further values of D instead of refusing the pencil
+    for degree, seed in ((2, 3080), (3, 2828)):
+        f, plane, vertex = random_pencil_instance(random.Random(seed), degree)
+        disc = pencil_discriminant(f, plane, vertex)
+        assert disc[0] == 0 and len(disc) - 1 == degree * (degree - 1)
+        assert pencil_tangency_count(f, plane, vertex) == degree * (degree - 1)
+
+
+def test_pencil_degree_twelve():
+    f, plane, vertex = random_pencil_instance(random.Random(12), 12)
+    assert pencil_tangency_count(f, plane, vertex) == 132
+
+
+def test_generators_reject_nonpositive_degree():
+    with pytest.raises(ValueError, match="degree at least 1"):
+        random_surface_form(random.Random(0), -1)
+    with pytest.raises(ValueError, match="degree at least 1"):
+        random_pencil_instance(random.Random(0), 0)
+
+
+def test_oracle_imports_no_symbolic_ring():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    relative = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert relative == {"linalg"}
 
 
 def test_pencil_preconditions():
