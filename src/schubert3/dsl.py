@@ -8,7 +8,8 @@ Grammar, with insignificant whitespace:
     base   := int | ident | '-' base | '(' expr ')'
 
 Multiplication is always spelled '*'; juxtaposition is a syntax error.
-Exponents are literal non-negative integers.  Note that '-' lives at the
+Exponents are literal non-negative integers up to MAX_EXPONENT, and
+expressions nest at most MAX_DEPTH levels deep.  Note that '-' lives at the
 base level, so "-g^2" parses as (-g)^2 and squaring-then-negating must be
 written "-(g^2)".
 """
@@ -23,6 +24,8 @@ __all__ = [
     "EvaluationError",
     "Expr",
     "IntLit",
+    "MAX_DEPTH",
+    "MAX_EXPONENT",
     "Mul",
     "Neg",
     "ParseError",
@@ -96,6 +99,17 @@ Expr = Union[IntLit, Sym, Neg, Add, Sub, Mul, Pow]
 
 _OPS = set("+-*^()")
 
+# Deepest expression `parse` accepts.  A number or a name has depth 1, and
+# every unary minus, binary operator, power and pair of parentheses adds one
+# level above its deepest operand, so a flat chain g+g+...+g of k terms has
+# depth k.  The parser, `evaluate` and `to_source` recurse a few frames per
+# level, and this bound keeps them well inside Python's recursion limit.
+MAX_DEPTH = 100
+
+# Largest exponent `parse` accepts.  A power is evaluated by repeated ring
+# multiplication, so the exponent bounds the work of a single '^'.
+MAX_EXPONENT = 1000
+
 
 def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     i = 0
@@ -132,6 +146,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.groups = 0  # parentheses and unary minus signs open at the cursor
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -148,29 +163,41 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {shown!r}", at)
         self.advance()
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def too_deep(self, at: int) -> ParseError:
+        return ParseError(f"expression nested more than {MAX_DEPTH} levels deep", at)
+
+    # Each method returns (node, depth of the node's subtree); a subtree inside
+    # `groups` open groups sits that many levels deeper in the whole tree.
+    def expr(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, at = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term()
+                rhs, rdepth = self.term()
                 node = Add(node, rhs) if value == "+" else Sub(node, rhs)
+                depth = (depth if depth > rdepth else rdepth) + 1
+                if self.groups + depth > MAX_DEPTH:
+                    raise self.too_deep(at)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, at = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                node = Mul(node, self.factor())
+                rhs, rdepth = self.factor()
+                node = Mul(node, rhs)
+                depth = (depth if depth > rdepth else rdepth) + 1
+                if self.groups + depth > MAX_DEPTH:
+                    raise self.too_deep(at)
             else:
-                return node
+                return node, depth
 
-    def factor(self) -> Expr:
-        node = self.base()
+    def factor(self) -> tuple[Expr, int]:
+        node, depth = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
@@ -181,29 +208,42 @@ class _Parser:
                     f"exponent must be a non-negative integer literal, found {shown!r}",
                     at,
                 )
+            # compare lengths first: int() refuses strings of over 4300 digits
+            digits = value.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent {value} exceeds the limit {MAX_EXPONENT}", at)
             self.advance()
-            node = Pow(node, int(value))
-        return node
+            node = Pow(node, int(digits))
+            depth += 1
+            if self.groups + depth > MAX_DEPTH:
+                raise self.too_deep(at)
+        return node, depth
 
-    def base(self) -> Expr:
+    def base(self) -> tuple[Expr, int]:
         kind, value, at = self.advance()
         if kind == "int":
-            return IntLit(int(value))
+            return IntLit(int(value)), 1
         if kind == "ident":
-            return Sym(value)
-        if kind == "op" and value == "-":
-            return Neg(self.base())
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return Sym(value), 1
+        if kind == "op" and value in "-(":
+            self.groups += 1
+            if self.groups >= MAX_DEPTH:
+                raise self.too_deep(at)
+            if value == "-":
+                node, depth = self.base()
+                node = Neg(node)
+            else:
+                node, depth = self.expr()
+                self.expect_op(")")
+            self.groups -= 1
+            return node, depth + 1
         shown = value if kind != "end" else "end of input"
         raise ParseError(f"expected a value, found {shown!r}", at)
 
 
 def parse(text: str) -> Expr:
     parser = _Parser(text)
-    node = parser.expr()
+    node, _ = parser.expr()
     kind, value, at = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected {value!r} after complete expression", at)

@@ -534,7 +534,7 @@ def solve_integer_combination(
         return None
     x = [0] * m
     for row, col in zip(reduced, pivots):
-        if row[m].denominator != 1:
+        if row[m] % row[col]:
             return None
-        x[col] = int(row[m])
+        x[col] = row[m] // row[col]
     return x

@@ -1,16 +1,18 @@
-"""Exact elimination over the integers and the rationals.
+"""Exact elimination over the integers.
 
-Two algorithms live here on purpose.  The graded rings compute normal forms
-with an integer lattice echelon (extended-gcd row operations, no division),
-while the geometry oracle works with a Gauss-Jordan reduction over Q; keeping
-them distinct means a symbolic count and its oracle check never share an
-elimination routine.  The fraction-free determinant is Bareiss (1968).
+Two eliminations live here on purpose.  The graded rings compute normal
+forms with an integer lattice echelon (extended-gcd row operations, which
+keep the row lattice over Z), while the geometry oracle works with a
+fraction-free Gauss-Jordan reduction that keeps only the row space over Q;
+keeping them distinct means a symbolic count and its oracle check never
+share an elimination routine.  Every entry stays an int.  The
+fraction-free determinant is Bareiss (1968).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import gcd
+from typing import Iterable, Sequence
 
 __all__ = [
     "bareiss_det",
@@ -20,33 +22,46 @@ __all__ = [
 ]
 
 
-def rref(
-    rows: Sequence[Sequence[Union[int, Fraction]]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q.
+def rref(rows: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form over Z.
 
-    Returns (rows, pivot columns): one row per pivot, each with a 1 at its
-    pivot column and zeros in every other pivot column.  Zero rows are
-    dropped, so the number of pivots is the rank.
+    Returns (rows, pivot columns): one primitive integer row per pivot, with
+    a positive entry at its pivot column and zeros in every other pivot
+    column.  Dividing each row by its pivot entry gives the reduced row
+    echelon form over Q.  Zero rows are dropped, so the number of pivots is
+    the rank.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
         if r == len(mat):
             break
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        lead = mat[r][col]
-        mat[r] = [x / lead for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = _primitive(mat[r])
+        if prow[col] < 0:
+            prow = [-x for x in prow]
+        mat[r] = prow
+        lead = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                g = gcd(lead, f)
+                a, b = lead // g, f // g
+                mat[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(col)
     return mat[: len(pivots)], pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """Divide an integer row by the gcd of its entries."""
+    content = gcd(*row)
+    if content > 1:
+        return [x // content for x in row]
+    return row
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -43,25 +43,31 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
+def _rational(x) -> Rational:
+    """Exact value of x: an int when it is integral, otherwise a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class QNum:
     """Exact number a + b*sqrt(d) in a quadratic extension of the rationals.
 
     d may be negative; nothing here takes real parts.  Arithmetic mixes
     freely with ints and Fractions, and two QNums can combine only when
-    their radicands agree.
+    their radicands agree.  a and b are ints whenever they are integral.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rational, b: Rational = 0, d: int = 0) -> None:
-        a, b = Fraction(a), Fraction(b)
+        a, b = _rational(a), _rational(b)
         if b == 0:
             d = 0
         if d == 0:
-            b = Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", int(d))
+            b = 0
+        self.a, self.b, self.d = a, b, int(d)
 
     def _coerce(self, other) -> "QNum | None":
         if isinstance(other, QNum):
@@ -96,6 +102,8 @@ class QNum:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QNum(self.a * other, self.b * other, self.d)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -138,35 +146,32 @@ class QNum:
         return f"QNum({self.a!r}, {self.b!r}, {self.d!r})"
 
 
-def _canonical_int_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
+def _scaled_to_ints(vec: Sequence[Rational]) -> list[int]:
+    """Multiply a vector of ints and Fractions by the lcm of its denominators."""
+    denom = lcm(*(x.denominator for x in vec))
+    if denom == 1:
+        return [x.numerator for x in vec]
+    return [x.numerator * (denom // x.denominator) for x in vec]
+
+
+def _canonical_int_vector(vec: Sequence[Rational]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first sign positive."""
-    denom = 1
-    for x in vec:
-        denom = lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    ints = [v // content for v in ints]
-    first = next(v for v in ints if v)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    ints = _scaled_to_ints(vec)
+    content = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        content = -content
+    return tuple(v // content for v in ints)
 
 
 def _canonical_qnum_vector(vec: Sequence[QNum]) -> tuple[QNum, ...]:
-    denom = 1
-    for x in vec:
-        denom = lcm(denom, x.a.denominator, x.b.denominator)
-    scaled = [x * denom for x in vec]
-    content = 0
-    for x in scaled:
-        content = gcd(content, int(x.a), int(x.b))
-    scaled = [x * Fraction(1, content) for x in scaled]
-    first = next(x for x in scaled if x)
-    if first.a < 0 or (first.a == 0 and first.b < 0):
-        scaled = [-x for x in scaled]
-    return tuple(scaled)
+    """Scale so all a and b are coprime integers, first nonzero (a, b) positive."""
+    ints = _scaled_to_ints([x.a for x in vec] + [x.b for x in vec])
+    pairs = list(zip(ints[: len(vec)], ints[len(vec) :]))
+    content = gcd(*ints)
+    # (a, b) < (0, 0) exactly when a < 0, or a == 0 and b < 0
+    if next(p for p in pairs if p != (0, 0)) < (0, 0):
+        content = -content
+    return tuple(QNum(a // content, b // content, x.d) for (a, b), x in zip(pairs, vec))
 
 
 class ProjectivePoint:
@@ -175,7 +180,7 @@ class ProjectivePoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[Rational]) -> None:
-        vec = [Fraction(x) for x in coords]
+        vec = [_rational(x) for x in coords]
         if len(vec) != 4:
             raise ValueError("a projective point has 4 homogeneous coordinates")
         if not any(vec):
@@ -220,10 +225,10 @@ class PlueckerLine:
                 [x if isinstance(x, QNum) else QNum(x) for x in raw]
             )
         else:
-            frac = [Fraction(x.a if isinstance(x, QNum) else x) for x in raw]
-            if not any(frac):
+            exact = [x.a if isinstance(x, QNum) else _rational(x) for x in raw]
+            if not any(exact):
                 raise ValueError("Pluecker coordinates must not all vanish")
-            vec = _canonical_int_vector(frac)
+            vec = _canonical_int_vector(exact)
         object.__setattr__(self, "coords", tuple(vec))
         q = self.quadric_value()
         if q != 0:
@@ -312,14 +317,16 @@ class SolutionSet:
 def _rational_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Canonical integer basis of the right kernel, one vector per free column."""
     mat, pivots = rref(rows, ncols)
+    # scaling by the lcm of the pivot entries keeps the kernel vectors integral
+    common = lcm(*(row[pc] for row, pc in zip(mat, pivots)))
     basis = []
     for j in range(ncols):
         if j in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+        v = [0] * ncols
+        v[j] = common
         for row, pc in zip(mat, pivots):
-            v[pc] = -row[j]
+            v[pc] = -row[j] * (common // row[pc])
         basis.append(_canonical_int_vector(v))
     return basis
 
@@ -412,14 +419,14 @@ class SurfaceForm:
     __slots__ = ("degree", "terms")
 
     def __init__(self, coeffs: Mapping[tuple[int, int, int, int], Rational]) -> None:
-        clean: dict[tuple[int, int, int, int], Fraction] = {}
+        clean: dict[tuple[int, int, int, int], Rational] = {}
         for mono, value in coeffs.items():
-            mono = tuple(int(e) for e in mono)
-            if len(mono) != 4 or any(e < 0 for e in mono):
+            mono = tuple(map(int, mono))
+            if len(mono) != 4 or min(mono) < 0:
                 raise ValueError(f"bad monomial exponents {mono!r}")
-            value = Fraction(value)
+            value = _rational(value)
             if value:
-                clean[mono] = clean.get(mono, Fraction(0)) + value
+                clean[mono] = clean.get(mono, 0) + value
         clean = {m: c for m, c in clean.items() if c}
         if not clean:
             raise ValueError("a surface form must be nonzero")
@@ -438,15 +445,15 @@ class SurfaceForm:
         raise AttributeError("SurfaceForm is immutable")
 
     def value(self, point: Union[ProjectivePoint, Sequence[Rational]]):
-        coords = point.coords if isinstance(point, ProjectivePoint) else point
-        coords = [Fraction(x) for x in coords]
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            term = Fraction(c)
-            for x, e in zip(coords, mono):
-                term *= x ** e
-            total += term
-        return total
+        if isinstance(point, ProjectivePoint):
+            coords = point.coords
+        else:
+            coords = [_rational(x) for x in point]
+        x, y, z, w = coords
+        total = 0
+        for (a, b, c, d), coeff in self.terms.items():
+            total += coeff * x**a * y**b * z**c * w**d
+        return _rational(total)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SurfaceForm) and self.terms == other.terms
@@ -466,7 +473,7 @@ def _plane_frame(
     plane: Sequence[Rational], vertex: Union[ProjectivePoint, Sequence[Rational]]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Integer basis (V, W1, W2) of a plane through the given vertex."""
-    dual = [Fraction(x) for x in plane]
+    dual = [_rational(x) for x in plane]
     if len(dual) != 4 or not any(dual):
         raise ValueError("a plane needs 4 dual coordinates, not all zero")
     dual = _canonical_int_vector(dual)
@@ -671,7 +678,7 @@ def random_pencil_instance(
         plane = [rng.randint(-5, 5) for _ in range(4)]
         if not any(plane):
             continue
-        basis = _rational_kernel([_canonical_int_vector([Fraction(x) for x in plane])], 4)
+        basis = _rational_kernel([_canonical_int_vector(plane)], 4)
         weights = [rng.randint(-3, 3) for _ in basis]
         coords = [sum(w * b[i] for w, b in zip(weights, basis)) for i in range(4)]
         if not any(coords):

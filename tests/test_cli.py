@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import schubert3
+from schubert3 import dsl
 from schubert3.cli import run_cli
 from schubert3.oracle import PlueckerLine, lines_meeting_four, random_four_lines
 
@@ -165,6 +166,51 @@ def test_oracle_four_lines_seeded(capsys):
     assert second == first
 
 
+SEED_3_ROOT = "sqrt(10712505869649678740735904633)"
+SEED_3_OUTPUT = {
+    "seed": 3,
+    "lines": [
+        [35, 22, 24, -100, 134, 23],
+        [24, 11, 26, 43, -4, -38],
+        [33, 75, 11, 112, -44, -36],
+        [10, 36, 3, 78, -10, -140],
+    ],
+    "infinite": False,
+    "solutions": [
+        {
+            "coords": [
+                f"908527281658966837959 + 14351851*{SEED_3_ROOT}",
+                f"615004201222636933578 + 14229752*{SEED_3_ROOT}",
+                f"79204850832945300723 + 4770471*{SEED_3_ROOT}",
+                f"5260376269421886712827 - 13580221*{SEED_3_ROOT}",
+                f"-2527626467975098158825 - 4818853*{SEED_3_ROOT}",
+                "-5078538895892011778124",
+            ],
+            "multiplicity": 1,
+        },
+        {
+            "coords": [
+                f"908527281658966837959 - 14351851*{SEED_3_ROOT}",
+                f"615004201222636933578 - 14229752*{SEED_3_ROOT}",
+                f"79204850832945300723 - 4770471*{SEED_3_ROOT}",
+                f"5260376269421886712827 + 13580221*{SEED_3_ROOT}",
+                f"-2527626467975098158825 + 4818853*{SEED_3_ROOT}",
+                "-5078538895892011778124",
+            ],
+            "multiplicity": 1,
+        },
+    ],
+    "total_multiplicity": 2,
+}
+
+
+def test_oracle_four_lines_output_is_pinned(capsys):
+    """Byte-exact output on an instance with long irrational coordinates."""
+    code, out, _ = run(capsys, "oracle", "four-lines", "--seed", "3")
+    assert code == 0
+    assert out == json.dumps(SEED_3_OUTPUT) + "\n"
+
+
 def test_oracle_four_lines_matches_library(capsys):
     lines = random_four_lines(random.Random(42))
     result = lines_meeting_four(*lines)
@@ -299,3 +345,26 @@ def test_oracle_pencil_rejects_nonpositive_degree():
     assert done.returncode == 2
     assert "degree at least 1" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(" * 5000 + "g" + ")" * 5000,
+        "-" * 3000 + "g",
+        "+".join(["g"] * 3000),
+    ],
+    ids=["parentheses", "unary-minus", "flat-sum"],
+)
+def test_eval_rejects_deep_expressions(expr):
+    done = _python("-m", "schubert3", "eval", "--space", "G", "--", expr, timeout=30)
+    assert done.returncode == 2
+    assert "nested more than" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_eval_rejects_huge_exponent(capsys):
+    code, out, err = run(capsys, "eval", "--space", "G", "--", f"2^{dsl.MAX_EXPONENT + 1}")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit" in err

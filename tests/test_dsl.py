@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schubert3.dsl import (
+    MAX_DEPTH,
+    MAX_EXPONENT,
     Add,
     EvaluationError,
     IntLit,
@@ -62,6 +64,35 @@ def test_parse_errors_carry_positions():
         parse("g^2^3")
     with pytest.raises(ParseError):
         parse("g +")
+
+
+def test_parse_depth_limit():
+    """Parentheses, unary minus and binary operators each add one level."""
+    at_limit = [
+        "(" * (MAX_DEPTH - 1) + "g" + ")" * (MAX_DEPTH - 1),
+        "-" * (MAX_DEPTH - 1) + "g",
+        "+".join(["g"] * MAX_DEPTH),
+        "*".join(["g"] * MAX_DEPTH),
+        "(" * (MAX_DEPTH - 3) + "g^2+g" + ")" * (MAX_DEPTH - 3),
+    ]
+    for text in at_limit:
+        parse(text)
+    for text in at_limit:
+        deeper = text.replace("g", "(g)", 1)
+        with pytest.raises(ParseError, match="nested more than"):
+            parse(deeper)
+    with pytest.raises(ParseError) as err:
+        parse("+".join(["g"] * (MAX_DEPTH + 1)))
+    assert err.value.position == 2 * MAX_DEPTH - 1
+
+
+def test_parse_exponent_limit():
+    assert parse(f"g^{MAX_EXPONENT}") == Pow(Sym("g"), MAX_EXPONENT)
+    with pytest.raises(ParseError, match="exceeds the limit") as err:
+        parse(f"g^{MAX_EXPONENT + 1}")
+    assert err.value.position == 2
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse("g^" + "9" * 5000)
 
 
 def test_printer_frozen():

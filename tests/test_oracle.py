@@ -15,6 +15,7 @@ import random
 import pytest
 
 from schubert3 import oracle
+from schubert3.linalg import rref
 from schubert3.oracle import (
     DegeneratePencil,
     PlueckerLine,
@@ -161,6 +162,30 @@ def test_qnum_arithmetic():
     assert str(QNum(Fraction(1, 2), Fraction(-1, 3), 2)) == "1/2 - 1/3*sqrt(2)"
     with pytest.raises(ValueError):
         QNum(0, 1, 2) * QNum(0, 1, 3)
+    # integral parts stay ints; only genuine fractions become Fraction
+    assert type(QNum(Fraction(4, 2)).a) is int
+    half = QNum(Fraction(4, 2), Fraction(6, 3), 7) * Fraction(1, 2)
+    assert (type(half.a), type(half.b)) == (int, int)
+    assert half == QNum(1, 1, 7)
+    assert type(QNum("1/2").a) is Fraction
+    assert repr(QNum(3, -1, 5)) == "QNum(3, -1, 5)"
+
+
+def test_rational_kernel_annihilates_its_rows():
+    rng = random.Random(8)
+    for _ in range(200):
+        ncols = rng.randint(2, 7)
+        rows = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(rng.randint(1, ncols))]
+        if rng.random() < 0.3:
+            rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
+        kernel = oracle._rational_kernel(rows, ncols)
+        _, pivots = rref(rows, ncols)
+        assert len(kernel) == ncols - len(pivots)
+        if kernel:
+            assert len(rref(kernel, ncols)[1]) == len(kernel)
+        for v in kernel:
+            assert all(type(x) is int for x in v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
 
 def test_four_lines_tetrahedron():
@@ -256,6 +281,9 @@ def test_surface_form_canonicalization():
     g = SurfaceForm({(1, 0, 0, 0): -2, (0, 1, 0, 0): 4})
     assert g.terms == {(0, 1, 0, 0): 2, (1, 0, 0, 0): -1}
     assert f.value([1, 1, 0, 0]) == 4
+    assert f.value([Fraction(1, 2), 0, 0, 0]) == Fraction(1, 4)
+    assert all(type(c) is int for c in f.terms.values())
+    assert type(f.value(ProjectivePoint([1, -2, 3, 5]))) is int
     with pytest.raises(ValueError):
         SurfaceForm({(1, 0, 0, 0): 0})
     with pytest.raises(ValueError):
