@@ -26,7 +26,6 @@ from .graded_ring import (
     RingElement,
     TorsionError,
     in_ideal_span,
-    present_ring,
     substitute,
 )
 from .oracle import (

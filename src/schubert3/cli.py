@@ -1,8 +1,9 @@
 """Command line front end: evaluation, identity checks, counts and oracles.
 
 Every subcommand is exact; randomized ones take a seed and are fully
-reproducible.  Exit codes: 0 on success, 1 when a verification fails,
-2 on usage or input errors.
+reproducible.  `selftest` runs the checks of `schubert3.checks`, the same
+ones the acceptance tests call, and defines none of its own.  Exit codes:
+0 on success, 1 when a verification fails, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Callable
 
-from . import coincidence, oracle, spaces
+from . import checks, coincidence, oracle, spaces
 from .dsl import ParseError
 from .graded_ring import format_signed_sum, monomial_source
 
@@ -76,11 +76,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_formulas(args: argparse.Namespace) -> int:
-    checks = spaces.verify_formula_suite(args.space)
-    label_width = max(len(c.label) for c in checks)
-    space_width = max(len(c.space) for c in checks)
+    results = spaces.verify_formula_suite(args.space)
+    label_width = max(len(c.label) for c in results)
+    space_width = max(len(c.space) for c in results)
     failures = 0
-    for c in checks:
+    for c in results:
         status = "ok" if c.holds else "FAIL"
         print(
             f"{c.label:>{label_width}}  {c.space:<{space_width}}  "
@@ -89,8 +89,19 @@ def _cmd_verify_formulas(args: argparse.Namespace) -> int:
         if not c.holds:
             failures += 1
     if failures:
-        print(f"{failures} of {len(checks)} identities failed")
+        print(f"{failures} of {len(results)} identities failed")
         return 1
+    return 0
+
+
+def _print_count(args: argparse.Namespace, count: int, trace: tuple[str, ...], shown: int) -> int:
+    """Print a count with the first `shown` trace lines, all of them under --trace."""
+    if args.json:
+        print(json.dumps({"n": args.n, "count": count, "trace": list(trace)}))
+        return 0
+    print(count)
+    for line in trace if args.trace else trace[:shown]:
+        print(line)
     return 0
 
 
@@ -99,42 +110,18 @@ def _cmd_tangent_count(args: argparse.Namespace) -> int:
     excess = coincidence.surface_excess_class(n)
     pullback = coincidence.phi_pullback(spaces.space("G").symbols["g_s"])
     count = coincidence.tangent_count(n)
-    trace = [
+    trace = (
         f"excess = {excess}",
         f"pullback of g_s = {pullback}",
         f"integrand = {excess * pullback}",
         f"exceptional integral = {count}",
-    ]
-    if args.json:
-        print(json.dumps({"n": n, "count": count, "trace": trace}))
-        return 0
-    print(count)
-    if args.trace:
-        for line in trace:
-            print(line)
-    return 0
+    )
+    return _print_count(args, count, trace, 0)
 
 
 def _cmd_bitangent_count(args: argparse.Namespace) -> int:
     derivation = coincidence.bitangent_derivation(args.n)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": derivation.n,
-                    "count": derivation.count,
-                    "trace": list(derivation.trace),
-                }
-            )
-        )
-        return 0
-    print(derivation.count)
-    for line in derivation.steps:
-        print(line)
-    if args.trace:
-        for line in derivation.interpretation:
-            print(line)
-    return 0
+    return _print_count(args, derivation.count, derivation.trace, len(derivation.steps))
 
 
 def _cmd_oracle_four_lines(args: argparse.Namespace) -> int:
@@ -174,134 +161,9 @@ def _cmd_oracle_pencil(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_formula_suite() -> None:
-    checks = spaces.verify_formula_suite()
-    assert len(checks) == 27, f"expected 27 identities, found {len(checks)}"
-    bad = [c for c in checks if not c.holds]
-    assert not bad, f"failed identities: {[(c.label, c.lhs) for c in bad]}"
-
-
-def _check_graded_ranks() -> None:
-    for name, expected in (("G", (1, 1, 2, 1, 1)), ("PS", (1, 2, 3, 3, 2, 1))):
-        sp = spaces.space(name)
-        got = tuple(
-            len(sp.ring.graded_basis(d).monomials) for d in range(sp.dim + 1)
-        )
-        assert got == expected, f"{name} ranks {got} != {expected}"
-
-
-def _check_duality_pairing() -> None:
-    G = spaces.space("G")
-    s = G.symbols
-    pairs = [([G.ring.one()], [s["G"]]), ([s["g"]], [s["g_s"]]), ([s["g_p"], s["g_e"]], [s["g_p"], s["g_e"]])]
-    for left, right in pairs:
-        matrix = [[G.evaluate_top(a * b) for b in right] for a in left]
-        size = len(left)
-        identity = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        assert matrix == identity, f"pairing matrix {matrix} is not the identity"
-
-
-def _check_push_table() -> None:
-    table = coincidence.segre_push_table()
-    ring = table.value(2).ring
-    t = ring.gen("t")
-    expected = {2: ring.one(), 3: 4 * t, 4: 10 * t * t, 5: 20 * t ** 3}
-    for k, want in expected.items():
-        assert table.value(k) == want, f"push table at {k}"
-    assert table.value(1).is_zero() and table.value(9).is_zero()
-
-
-def _check_counts() -> None:
-    for n in range(1, 5):
-        assert coincidence.tangent_count(n) == n * (n - 1)
-    got = [coincidence.bitangent_derivation(n).count for n in range(1, 5)]
-    assert got == [4, 0, 0, 28], got
-
-
-def _check_four_lines_goldens() -> None:
-    pt = oracle.ProjectivePoint
-    corners = [pt([1, 0, 0, 0]), pt([0, 1, 0, 0]), pt([0, 0, 1, 0]), pt([0, 0, 0, 1])]
-    p, q, r, s = corners
-    edges = [oracle.plucker_from_points(*pair) for pair in ((p, q), (q, r), (r, s), (s, p))]
-    result = oracle.lines_meeting_four(*edges)
-    diag = {oracle.plucker_from_points(p, r), oracle.plucker_from_points(q, s)}
-    assert not result.infinite and {ln for ln, _ in result.solutions} == diag
-
-    def ruling(a, b):
-        return oracle.plucker_from_points(pt([a, 0, b, 0]), pt([0, a, 0, b]))
-
-    family = oracle.lines_meeting_four(ruling(1, 0), ruling(0, 1), ruling(1, 1), ruling(1, 2))
-    assert family.infinite
-
-    tangent = oracle.plucker_from_points(pt([1, 1, 2, 2]), pt([0, 1, -2, 0]))
-    touched = oracle.lines_meeting_four(ruling(1, 0), ruling(0, 1), ruling(1, 1), tangent)
-    double = oracle.plucker_from_points(pt([1, 1, 0, 0]), pt([0, 0, 1, 1]))
-    assert touched.solutions == ((double, 2),)
-
-
-def _check_four_lines_random() -> None:
-    rng = random.Random(2026)
-    finite = 0
-    while finite < 20:
-        result = oracle.lines_meeting_four(*oracle.random_four_lines(rng))
-        if result.infinite:
-            continue
-        finite += 1
-        assert result.total_multiplicity == 2
-
-
-def _check_pencil_counts() -> None:
-    rng = random.Random(17)
-    for degree in (1, 2, 3):
-        for _ in range(3):
-            f, plane, vertex = oracle.random_pencil_instance(rng, degree)
-            got = oracle.pencil_tangency_count(f, plane, vertex)
-            assert got == degree * (degree - 1), (degree, got)
-
-
-def _check_pushforward_consistency() -> None:
-    PS, G = spaces.space("PS"), spaces.space("G")
-    rng = random.Random(99)
-    monomials = PS.ring.graded_basis(5).monomials
-    for _ in range(50):
-        terms = {m: rng.randrange(-9, 10) for m in monomials}
-        x = PS.ring.element(terms)
-        assert PS.evaluate_top(x) == G.evaluate_top(spaces.pushforward_PS_to_G(x))
-
-
-def _check_roundtrip() -> None:
-    from . import dsl
-
-    rng = random.Random(5)
-    for name in spaces.SPACE_NAMES:
-        sp = spaces.space(name)
-        names = sorted(sp.symbols)
-        for _ in range(12):
-            picks = [rng.choice(names) for _ in range(3)]
-            source = f"{picks[0]}*{picks[1]} + {picks[2]}^2 - {picks[0]}"
-            first = dsl.evaluate(dsl.parse(source), sp)
-            rendered = spaces.render_in_classes(sp, first)
-            again = dsl.evaluate(dsl.parse(rendered), sp)
-            assert again == first, f"{name}: {source} -> {rendered}"
-
-
-_SELFTEST_CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
-    ("formula suite (27 identities)", _check_formula_suite),
-    ("graded ranks of G and PS", _check_graded_ranks),
-    ("duality pairing on G", _check_duality_pairing),
-    ("exceptional pushforward table", _check_push_table),
-    ("tangent and bitangent counts", _check_counts),
-    ("four-lines golden configurations", _check_four_lines_goldens),
-    ("four-lines random conservation", _check_four_lines_random),
-    ("pencil tangency counts", _check_pencil_counts),
-    ("pushforward consistency", _check_pushforward_consistency),
-    ("expression round-trips", _check_roundtrip),
-)
-
-
 def _cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
-    for name, check in _SELFTEST_CHECKS:
+    for name, check in checks.CHECKS:
         try:
             check()
         except Exception as exc:
@@ -310,7 +172,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         else:
             print(f"ok {name}")
     if failures:
-        print(f"{failures} of {len(_SELFTEST_CHECKS)} checks failed")
+        print(f"{failures} of {len(checks.CHECKS)} checks failed")
         return 1
     return 0
 

@@ -240,8 +240,6 @@ def tangent_count(n: int) -> int:
     on the exceptional divisor against the excess class of the surface
     pair.  The result is n(n-1), the class of a plane section.
     """
-    if n < 1:
-        raise ValueError("surface degree must be at least 1")
     g_s = spaces.space("G").symbol_class("g_s")
     return eval_exceptional(surface_excess_class(n) * phi_pullback(g_s))
 
@@ -278,6 +276,24 @@ class _SymbolScope:
         self.symbols = {spec.name: ring.gen(spec.name) for spec in ring.generators}
 
 
+def _parse(source: str, scope) -> RingElement:
+    return dsl.evaluate(dsl.parse(source), scope)
+
+
+@lru_cache(maxsize=None)
+def _config_scope() -> _SymbolScope:
+    """The configuration ring as a scope, with the flag-space p read as p1."""
+    scope = _SymbolScope("bitangency-configurations", _config_ring())
+    scope.symbols["p"] = scope.symbols["p1"]
+    return scope
+
+
+_ENTRY_SOURCES = (
+    ("G", "n*(n-1)*(n-2)*(n-3)"),
+    ("p1*p3*g_e", "n^2*(n-2)*(n-3)"),
+)
+
+
 class InterpretationTable:
     """Counts of fully constrained bitangency configurations.
 
@@ -288,13 +304,9 @@ class InterpretationTable:
     """
 
     def __init__(self) -> None:
-        ring = PolyRing([("n", 1)])
-        n = ring.gen("n")
-        self.ring = ring
-        self.entries = {
-            "G": n * (n - 1) * (n - 2) * (n - 3),
-            "p1*p3*g_e": n * n * (n - 2) * (n - 3),
-        }
+        self.ring = PolyRing([("n", 1)])
+        self.scope = _SymbolScope("surface-degree", self.ring)
+        self.entries = {name: _parse(src, self.scope) for name, src in _ENTRY_SOURCES}
 
     def interpret(self, e: RingElement) -> RingElement:
         """Replace every condition monomial by its count polynomial in n."""
@@ -377,10 +389,33 @@ _STEP_SOURCES = (
 )
 _MID_SOURCE = "4*p1*p3*g_e - 4*p1*g_s + G"
 _DOUBLED_SOURCE = "n^4 - 2*n^3 - 9*n^2 + 18*n"
-_ENTRY_SOURCES = (
-    ("G", "n*(n-1)*(n-2)*(n-3)"),
-    ("p1*p3*g_e", "n^2*(n-2)*(n-3)"),
+
+# (space, lhs, rhs): the line-space rules push the doubled product into the
+# plane pencil, the flag-space rule trades g_s for point conditions.
+_RULES = (
+    ("G", "g*g_e", "g_s"),
+    ("G", "g_e^2", "G"),
+    ("G", "g_p*g_e", "0"),
+    ("PS", "p*g_s", "G + p^3*g"),
 )
+
+
+@lru_cache(maxsize=None)
+def _proven_rules(space_name: str) -> tuple[tuple[Monomial, RingElement], ...]:
+    """The rules of one space as (pattern, image) pairs of the configuration ring.
+
+    Each rule is proven in its own space before it is parsed in the
+    configuration ring, where nothing would catch a false one.
+    """
+    sp, scope = spaces.space(space_name), _config_scope()
+    rules = []
+    for name, lhs, rhs in _RULES:
+        if name == space_name:
+            if _parse(lhs, sp) != _parse(rhs, sp):
+                raise AssertionError(f"rewrite rule {lhs} -> {rhs} does not hold in {name}")
+            (pattern,) = _parse(lhs, scope).terms
+            rules.append((pattern, _parse(rhs, scope)))
+    return tuple(rules)
 
 
 def bitangent_derivation(n: int) -> BitangentDerivation:
@@ -389,49 +424,31 @@ def bitangent_derivation(n: int) -> BitangentDerivation:
     Mechanizes the classical chain: double the bitangency coincidence as
     (p1 + p2 - g)*(p3 + p4 - g), symmetrize, push into the plane pencil by
     multiplying with g_e, interpret each fully constrained monomial as a
-    configuration count, and halve.  Every printed identity is re-parsed
-    and compared against the computed class before it is trusted; the
-    closed form is n(n-2)(n-3)(n+3)/2.
+    configuration count, and halve.  The doubled product and the
+    interpretation entries are parsed from the sources the trace prints.
+    The rewrite rules are source triples too, each proven in the line space
+    G or the flag space PS before it is applied.  Every other printed step
+    is compared against the class computed from the one before; the closed
+    form is n(n-2)(n-3)(n+3)/2.
     """
     if n < 1:
         raise ValueError("surface degree must be at least 1")
-    ring = _config_ring()
-    scope = _SymbolScope("bitangency-configurations", ring)
-    expect = [dsl.evaluate(dsl.parse(src), scope) for src in _STEP_SOURCES]
-    p1, p2, p3, p4, g, g_e, g_p, g_s, G = ring.gens()
+    scope = _config_scope()
+    expect = [_parse(src, scope) for src in _STEP_SOURCES]
 
-    product = (p1 + p2 - g) * (p3 + p4 - g)
-    if product != expect[0]:
-        raise AssertionError("doubled coincidence product drifted from its printed form")
-    doubled = _collapse_pairs(product)
+    doubled = _collapse_pairs(expect[0])
     if doubled != expect[1]:
         raise AssertionError("symmetrized product drifted from its printed form")
-
-    def mono_of(e: RingElement) -> Monomial:
-        (m,) = e.terms
-        return m
-
-    mid = _rewrite(
-        doubled * g_e,
-        [
-            (mono_of(g * g_e), g_s),
-            (mono_of(g_e * g_e), G),
-            (mono_of(g_p * g_e), ring.zero()),
-        ],
-    )
-    if mid != dsl.evaluate(dsl.parse(_MID_SOURCE), scope):
+    mid = _rewrite(doubled * scope.symbols["g_e"], _proven_rules("G"))
+    if mid != _parse(_MID_SOURCE, scope):
         raise AssertionError("pencil push drifted from the expected intermediate")
-    final = _rewrite(mid, [(mono_of(p1 * g_s), G + p1 ** 3 * g)])
+    final = _rewrite(mid, _proven_rules("PS"))
     if final != expect[2]:
         raise AssertionError("point-condition form drifted from its printed form")
 
     table = InterpretationTable()
-    nscope = _SymbolScope("surface-degree", table.ring)
-    for name, src in _ENTRY_SOURCES:
-        if table.entries[name] != dsl.evaluate(dsl.parse(src), nscope):
-            raise AssertionError("interpretation entry drifted from its printed form")
     doubled_poly = table.interpret(final)
-    if doubled_poly != dsl.evaluate(dsl.parse(_DOUBLED_SOURCE), nscope):
+    if doubled_poly != _parse(_DOUBLED_SOURCE, table.scope):
         raise AssertionError("collected count polynomial drifted from its printed form")
 
     doubled_value = sum(c * n ** k for (k,), c in doubled_poly.terms.items())
@@ -445,8 +462,7 @@ def bitangent_derivation(n: int) -> BitangentDerivation:
         f"2*eps22*g_e = {_STEP_SOURCES[2]}",
     )
     interpretation = (
-        f"{_ENTRY_SOURCES[0][0]} -> {_ENTRY_SOURCES[0][1]}",
-        f"{_ENTRY_SOURCES[1][0]} -> {_ENTRY_SOURCES[1][1]}",
+        *(f"{name} -> {src}" for name, src in _ENTRY_SOURCES),
         "p1^3*g -> 0",
         f"2*count = {_DOUBLED_SOURCE}",
         f"count = {count}",

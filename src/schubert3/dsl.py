@@ -8,10 +8,10 @@ Grammar, with insignificant whitespace:
     base   := int | ident | '-' base | '(' expr ')'
 
 Multiplication is always spelled '*'; juxtaposition is a syntax error.
-Exponents are literal non-negative integers up to MAX_EXPONENT, and
-expressions nest at most MAX_DEPTH levels deep.  Note that '-' lives at the
-base level, so "-g^2" parses as (-g)^2 and squaring-then-negating must be
-written "-(g^2)".
+Exponents are literal non-negative integers up to MAX_EXPONENT, integer
+literals have at most MAX_LITERAL_DIGITS digits, and expressions nest at
+most MAX_DEPTH levels deep.  Note that '-' lives at the base level, so
+"-g^2" parses as (-g)^2 and squaring-then-negating must be written "-(g^2)".
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "IntLit",
     "MAX_DEPTH",
     "MAX_EXPONENT",
+    "MAX_LITERAL_DIGITS",
     "Mul",
     "Neg",
     "ParseError",
@@ -110,6 +111,10 @@ MAX_DEPTH = 100
 # multiplication, so the exponent bounds the work of a single '^'.
 MAX_EXPONENT = 1000
 
+# Most digits of an integer literal or exponent, leading zeros not counted: well
+# below the 4300 digits past which int() fails without naming stage or input.
+MAX_LITERAL_DIGITS = 1000
+
 
 def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     i = 0
@@ -163,6 +168,12 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {shown!r}", at)
         self.advance()
 
+    def literal(self, value: str, at: int) -> int:
+        digits = value.lstrip("0") or "0"
+        if len(digits) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"literal of {len(digits)} digits exceeds the limit {MAX_LITERAL_DIGITS}", at)
+        return int(digits)
+
     def too_deep(self, at: int) -> ParseError:
         return ParseError(f"expression nested more than {MAX_DEPTH} levels deep", at)
 
@@ -208,12 +219,11 @@ class _Parser:
                     f"exponent must be a non-negative integer literal, found {shown!r}",
                     at,
                 )
-            # compare lengths first: int() refuses strings of over 4300 digits
-            digits = value.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            exp = self.literal(value, at)
+            if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {value} exceeds the limit {MAX_EXPONENT}", at)
             self.advance()
-            node = Pow(node, int(digits))
+            node = Pow(node, exp)
             depth += 1
             if self.groups + depth > MAX_DEPTH:
                 raise self.too_deep(at)
@@ -222,7 +232,7 @@ class _Parser:
     def base(self) -> tuple[Expr, int]:
         kind, value, at = self.advance()
         if kind == "int":
-            return IntLit(int(value)), 1
+            return IntLit(self.literal(value, at)), 1
         if kind == "ident":
             return Sym(value), 1
         if kind == "op" and value in "-(":

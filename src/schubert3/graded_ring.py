@@ -25,7 +25,6 @@ __all__ = [
     "RingElement",
     "TorsionError",
     "in_ideal_span",
-    "present_ring",
     "substitute",
 ]
 
@@ -437,16 +436,6 @@ class GradedRingPresentation(PolyRing):
         if e.ring is not self:
             raise ValueError("element belongs to a different ring")
         return self._top_unit * e.terms.get(self._top_monomial, 0)
-
-
-def present_ring(
-    generators: Iterable[Union[GeneratorSpec, tuple[str, int]]],
-    relations: Sequence[Union[RingElement, Mapping[Monomial, int]]],
-    top_degree: int,
-    top_class: Union[RingElement, Monomial],
-) -> GradedRingPresentation:
-    """Build a graded quotient ring; see GradedRingPresentation."""
-    return GradedRingPresentation(generators, relations, top_degree, top_class)
 
 
 def substitute(

@@ -26,7 +26,6 @@ from .graded_ring import (
     PolyRing,
     RingElement,
     format_signed_sum,
-    present_ring,
     solve_integer_combination,
 )
 
@@ -134,12 +133,7 @@ class SchubertSpace:
 
     def symbol_class(self, name: str) -> RingElement:
         """The class a symbol stands for; unknown names list the vocabulary."""
-        if name not in self.symbols:
-            raise ValueError(
-                f"unknown symbol {name!r} in {self.name}; "
-                f"available: {', '.join(sorted(self.symbols))}"
-            )
-        return self.symbols[name]
+        return dsl.evaluate(dsl.Sym(name), self)
 
     def evaluate_top(self, e: RingElement) -> int:
         """Geometric integral of the top-degree component."""
@@ -186,7 +180,7 @@ def _dual_segre_components(free: PolyRing, degrees: tuple[int, ...]) -> list[Rin
 def _build_point_space(dual: bool) -> SchubertSpace:
     gen = "e" if dual else "t"
     free = PolyRing([(gen, 1)])
-    ring = present_ring([(gen, 1)], [free.gen(gen) ** 4], 3, (3,))
+    ring = GradedRingPresentation([(gen, 1)], [free.gen(gen) ** 4], 3, (3,))
     v = ring.gen(gen)
     if dual:
         # e: planes through a point, e_g: planes through a line, E: fixed plane
@@ -199,20 +193,18 @@ def _build_point_space(dual: bool) -> SchubertSpace:
     return SchubertSpace("P3", ring, symbols, labels)
 
 
+def _line_classes(ring: GradedRingPresentation) -> dict[str, RingElement]:
+    """The named line conditions of G, also carried by PS, in c1 and c2."""
+    c1, c2 = ring.gen("c1"), ring.gen("c2")
+    return {"g": -c1, "g_p": c1**2 - c2, "g_e": c2, "g_s": -c1 * c2, "G": c2**2}
+
+
 def _build_line_space() -> SchubertSpace:
     free = PolyRing([("c1", 1), ("c2", 2)])
     relations = _dual_segre_components(free, (3, 4))
-    ring = present_ring(free.generators, relations, 4, (0, 2))
-    c1, c2 = ring.gen("c1"), ring.gen("c2")
-    symbols = {
-        "g": -c1,
-        "g_p": c1**2 - c2,
-        "g_e": c2,
-        "g_s": -c1 * c2,
-        "G": c2**2,
-    }
+    ring = GradedRingPresentation(free.generators, relations, 4, (0, 2))
     labels = [["1"], ["g"], ["g_p", "g_e"], ["g_s"], ["G"]]
-    return SchubertSpace("G", ring, symbols, labels)
+    return SchubertSpace("G", ring, _line_classes(ring), labels)
 
 
 def _build_flag_space() -> SchubertSpace:
@@ -220,17 +212,9 @@ def _build_flag_space() -> SchubertSpace:
     t, c1, c2 = free.gens()
     relations = _dual_segre_components(free, (3, 4))
     relations.append(t**2 - t * c1 + c2)
-    ring = present_ring(free.generators, relations, 5, (1, 0, 2))
-    t, c1, c2 = ring.gens()
-    symbols = {
-        "p": -t,
-        "p_g": t**2,
-        "g": -c1,
-        "g_p": c1**2 - c2,
-        "g_e": c2,
-        "g_s": -c1 * c2,
-        "G": c2**2,
-    }
+    ring = GradedRingPresentation(free.generators, relations, 5, (1, 0, 2))
+    t = ring.gen("t")
+    symbols = {"p": -t, "p_g": t**2, **_line_classes(ring)}
     labels = [
         ["1"],
         ["p", "g"],
@@ -355,9 +339,7 @@ def verify_formula_suite(
         instance = target
         name = target.name
     elif target is not None:
-        if target not in SPACE_NAMES:
-            raise ValueError(f"unknown space {target!r}; available: {', '.join(SPACE_NAMES)}")
-        name = target
+        name = space(target).name
     checks: list[FormulaCheck] = []
     for f in FORMULAS:
         if name is not None and f.space != name:

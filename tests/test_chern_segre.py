@@ -120,11 +120,11 @@ def test_product_components_frozen():
 
 
 def test_product_in_quotient_ring_truncates():
-    from schubert3.graded_ring import present_ring
+    from schubert3.graded_ring import GradedRingPresentation
 
     free = PolyRing([("c1", 1), ("c2", 2)])
     f1, f2 = free.gens()
-    G = present_ring(
+    G = GradedRingPresentation(
         free.generators,
         [2 * f1 * f2 - f1**3, f1**4 - 3 * f1**2 * f2 + f2**2],
         4,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import schubert3
-from schubert3 import dsl
+from schubert3 import checks, dsl, spaces
 from schubert3.cli import run_cli
 from schubert3.oracle import PlueckerLine, lines_meeting_four, random_four_lines
 
@@ -327,17 +327,57 @@ def test_module_entry_point():
 
 
 def test_library_import_leaves_out_the_cli():
-    done = _python("-c", "import sys, schubert3; print('argparse' in sys.modules)")
+    done = _python(
+        "-c",
+        "import sys, schubert3; print('argparse' in sys.modules, 'schubert3.checks' in sys.modules)",
+    )
     assert done.returncode == 0
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
+
+
+SELFTEST_NAMES = [
+    "formula suite (27 identities)",
+    "graded ranks of G and PS",
+    "duality pairing on G",
+    "exceptional pushforward table",
+    "tangent and bitangent counts",
+    "four-lines golden configurations",
+    "four-lines random conservation",
+    "pencil tangency counts",
+    "pushforward consistency",
+    "expression round-trips",
+]
 
 
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 10
-    assert all(line.startswith("ok ") for line in lines)
+    assert out.splitlines() == [f"ok {name}" for name in SELFTEST_NAMES]
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("pairing matrix drifted")
+
+    entries = list(checks.CHECKS)
+    entries[2] = (entries[2][0], broken)
+    monkeypatch.setattr(checks, "CHECKS", tuple(entries))
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    expected = [f"ok {name}" for name in SELFTEST_NAMES]
+    expected[2] = "FAIL duality pairing on G: pairing matrix drifted"
+    assert out.splitlines() == expected + ["1 of 10 checks failed"]
+
+
+def test_verify_formulas_reports_a_false_identity(capsys, monkeypatch):
+    spaces.space("G")  # built before the false identity joins the table
+    false = spaces.Formula("F", "G", (("g^2", "g_p"),))
+    monkeypatch.setattr(spaces, "FORMULAS", spaces.FORMULAS + (false,))
+    code, out, _ = run(capsys, "verify-formulas", "--space", "G")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-2] == " F  G  g^2 = g_p  FAIL"
+    assert lines[-1] == "1 of 14 identities failed"
 
 
 def test_oracle_pencil_rejects_nonpositive_degree():
@@ -361,6 +401,15 @@ def test_eval_rejects_deep_expressions(expr):
     assert done.returncode == 2
     assert "nested more than" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_eval_rejects_long_literal(capsys):
+    literal = "7" * (dsl.MAX_LITERAL_DIGITS + 1)
+    code, out, err = run(capsys, "eval", "--space", "G", "--", f"{literal}*g")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:")
+    assert "at position 0" in err
 
 
 def test_eval_rejects_huge_exponent(capsys):

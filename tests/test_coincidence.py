@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from schubert3 import linalg, spaces
+from schubert3 import coincidence, linalg, spaces
 from schubert3.chern_segre import TotalClass
 from schubert3.coincidence import (
     InterpretationTable,
@@ -380,3 +380,18 @@ def test_bitangent_trace_frozen():
     )
     assert derivation.trace == derivation.steps + derivation.interpretation
     assert bitangent_derivation(7).interpretation[-1] == "count = 700"
+
+
+def test_bitangent_rewrite_rules_are_proven(monkeypatch):
+    rules = list(coincidence._RULES)
+    assert rules[0] == ("G", "g*g_e", "g_s")
+    rules[0] = ("G", "g*g_e", "2*g_s")
+    monkeypatch.setattr(coincidence, "_RULES", tuple(rules))
+    coincidence._proven_rules.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"g\*g_e -> 2\*g_s does not hold in G"):
+            bitangent_derivation(4)
+    finally:
+        monkeypatch.undo()
+        coincidence._proven_rules.cache_clear()
+    assert bitangent_derivation(4).count == 28

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from schubert3.dsl import (
     MAX_DEPTH,
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     Add,
     EvaluationError,
     IntLit,
@@ -93,6 +94,17 @@ def test_parse_exponent_limit():
     assert err.value.position == 2
     with pytest.raises(ParseError, match="exceeds the limit"):
         parse("g^" + "9" * 5000)
+
+
+def test_parse_literal_limit():
+    at_limit = "9" * MAX_LITERAL_DIGITS
+    assert parse(at_limit) == IntLit(int(at_limit))
+    assert parse("000" + at_limit) == IntLit(int(at_limit))
+    with pytest.raises(ParseError, match="exceeds the limit") as err:
+        parse("g + " + at_limit + "9")
+    assert err.value.position == 4
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse("9" * 5000)
 
 
 def test_printer_frozen():

@@ -14,11 +14,11 @@ import pytest
 
 from schubert3.graded_ring import (
     GeneratorSpec,
+    GradedRingPresentation,
     PolyRing,
     RingElement,
     TorsionError,
     in_ideal_span,
-    present_ring,
     solve_integer_combination,
     substitute,
 )
@@ -91,13 +91,13 @@ def oracle_corank(degrees, relations, d):
 def make_point_space():
     free = PolyRing([("t", 1)])
     t = free.gen("t")
-    return present_ring([("t", 1)], [t**4], 3, (3,))
+    return GradedRingPresentation([("t", 1)], [t**4], 3, (3,))
 
 
 def make_plane_space():
     free = PolyRing([("e", 1)])
     e = free.gen("e")
-    return present_ring([("e", 1)], [e**4], 3, (3,))
+    return GradedRingPresentation([("e", 1)], [e**4], 3, (3,))
 
 
 def make_line_space():
@@ -105,7 +105,7 @@ def make_line_space():
     c1, c2 = free.gens()
     y3 = 2 * c1 * c2 - c1**3
     y4 = c1**4 - 3 * c1**2 * c2 + c2**2
-    return present_ring(free.generators, [y3, y4], 4, (0, 2))
+    return GradedRingPresentation(free.generators, [y3, y4], 4, (0, 2))
 
 
 def make_flag_space():
@@ -114,7 +114,7 @@ def make_flag_space():
     y3 = 2 * c1 * c2 - c1**3
     y4 = c1**4 - 3 * c1**2 * c2 + c2**2
     incidence = t**2 - t * c1 + c2
-    return present_ring(free.generators, [y3, y4, incidence], 5, (1, 0, 2))
+    return GradedRingPresentation(free.generators, [y3, y4, incidence], 5, (1, 0, 2))
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +338,7 @@ def test_torsion_pivot_detected():
     free = PolyRing([("t", 1)])
     t = free.gen("t")
     with pytest.raises(TorsionError):
-        present_ring([("t", 1)], [2 * t**2], 1, (1,))
+        GradedRingPresentation([("t", 1)], [2 * t**2], 1, (1,))
 
 
 def test_sign_flipped_degree_four_relation_gives_torsion():
@@ -349,21 +349,21 @@ def test_sign_flipped_degree_four_relation_gives_torsion():
     y3 = 2 * c1 * c2 - c1**3
     bad = c1**4 + 3 * c1**2 * c2 - c2**2
     with pytest.raises(TorsionError, match="pivot 5"):
-        present_ring(free.generators, [y3, bad], 4, (0, 2))
+        GradedRingPresentation(free.generators, [y3, bad], 4, (0, 2))
 
 
 def test_non_homogeneous_relation_rejected():
     free = PolyRing([("c1", 1), ("c2", 2)])
     c1, c2 = free.gens()
     with pytest.raises(ValueError, match="homogeneous"):
-        present_ring(free.generators, [c1 + c2], 4, (0, 2))
+        GradedRingPresentation(free.generators, [c1 + c2], 4, (0, 2))
 
 
 def test_nonvanishing_above_top_rejected():
     free = PolyRing([("t", 1)])
     t = free.gen("t")
     with pytest.raises(ValueError, match="vanish"):
-        present_ring([("t", 1)], [t**5], 3, (3,))
+        GradedRingPresentation([("t", 1)], [t**5], 3, (3,))
 
 
 def test_top_rank_must_be_one():
@@ -371,7 +371,7 @@ def test_top_rank_must_be_one():
     u, v = free.gens()
     rels = [u**3, v**3, u**2 * v, u * v**2]
     with pytest.raises(ValueError, match="rank 3"):
-        present_ring(free.generators, rels, 2, (2, 0))
+        GradedRingPresentation(free.generators, rels, 2, (2, 0))
 
 
 def test_top_class_must_generate():
@@ -379,7 +379,7 @@ def test_top_class_must_generate():
     u, v = free.gens()
     rels = [v**2, u**2 - 2 * u * v]
     with pytest.raises(ValueError, match="generate"):
-        present_ring(free.generators, rels, 2, (2, 0))
+        GradedRingPresentation(free.generators, rels, 2, (2, 0))
 
 
 def test_generator_spec_validation():
