@@ -22,6 +22,11 @@ __all__ = ["build_parser", "main", "run_cli"]
 
 _SURFACE_VARS = ("x", "y", "z", "w")
 
+# Highest surface degree `oracle pencil` accepts.  At degree 40 a count takes
+# from half a second to several seconds, depending on the seed, and the cost
+# grows faster than n^5, so the limit keeps every run bounded.
+MAX_PENCIL_DEGREE = 40
+
 
 def _surface_source(f: oracle.SurfaceForm) -> str:
     return format_signed_sum(
@@ -146,6 +151,10 @@ def _cmd_oracle_four_lines(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_pencil(args: argparse.Namespace) -> int:
+    if args.degree > MAX_PENCIL_DEGREE:
+        raise ValueError(
+            f"--degree {args.degree} exceeds the oracle pencil limit of {MAX_PENCIL_DEGREE}"
+        )
     seed = args.seed if args.seed is not None else 0
     f, plane, vertex = oracle.random_pencil_instance(random.Random(seed), args.degree)
     count = oracle.pencil_tangency_count(f, plane, vertex)
@@ -221,7 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_four.set_defaults(handler=_cmd_oracle_four_lines)
 
     p_pencil = oracle_sub.add_parser("pencil", help="count tangents in a random pencil")
-    p_pencil.add_argument("--degree", type=int, required=True)
+    p_pencil.add_argument(
+        "--degree",
+        type=int,
+        required=True,
+        help=f"surface degree, 1 to {MAX_PENCIL_DEGREE}",
+    )
     p_pencil.add_argument("--seed", type=int, default=None)
     p_pencil.set_defaults(handler=_cmd_oracle_pencil)
 

@@ -4,20 +4,23 @@ Everything runs over the rationals (or a quadratic extension when a
 discriminant is not a perfect square): points and lines carry canonical
 integer coordinates, incidence is the polarized Pluecker pairing, and the
 four-lines problem is solved by exact kernel computation plus one binary
-quadratic.  Tangency counting for pencils goes through resultants of exact
-integer binary forms, so a vanishing discriminant is a certified double
-root, not a numerical coincidence: one nonzero Sylvester determinant on a
-single line of the pencil certifies the count n(n-1).  Nothing here uses
-the symbolic rings.
+quadratic.  Tangency counting for pencils restricts the surface to one
+line of the pencil at a time, by exact evaluation at n + 1 integer points
+and interpolation, and takes the resultant of that integer binary form
+with its derivative: a vanishing discriminant is a certified double root,
+not a numerical coincidence, and one nonzero Sylvester determinant
+certifies the count n(n-1).  Nothing here uses the symbolic rings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, isqrt, lcm
+from operator import mul
 import random
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .linalg import bareiss_det, rref
 
@@ -490,47 +493,49 @@ def _plane_frame(
     raise ValueError("could not complete the vertex to a basis of the plane")
 
 
-BinaryTerms = dict[tuple[int, int], int]
+def _differences(values: Sequence[int]) -> list[int]:
+    """Forward differences at 0: entry k is the k-th difference of values at 0."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
 
 
-def _add_product(
-    acc: BinaryTerms, p: BinaryTerms, q: BinaryTerms, scale: int = 1
-) -> BinaryTerms:
-    """acc += scale * p * q for forms in s, u, t keyed by (s-exponent, t-exponent)."""
-    for (ps, pt), a in p.items():
-        a *= scale
-        for (qs, qt), b in q.items():
-            key = (ps + qs, pt + qt)
-            acc[key] = acc.get(key, 0) + a * b
-    return acc
+def _interpolate(values: Sequence[int]) -> list[int]:
+    """Ascending coefficients of the polynomial taking values[x] at x = 0, 1, ...
+
+    The k-th difference at 0 is k! times the k-th Newton coefficient, so
+    the division is exact when the values come from an integer polynomial.
+    """
+    newton = [d // factorial(k) for k, d in enumerate(_differences(values))]
+    # sum_k newton[k] * x (x - 1) ... (x - k + 1), expanded by Horner
+    poly: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        shifted = [0] + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= k * c
+        shifted[0] += newton[k]
+        poly = shifted
+    return poly
 
 
-def _pencil_coefficients(
-    f: SurfaceForm,
-    v: Sequence[int],
-    w1: Sequence[int],
-    w2: Sequence[int],
-) -> BinaryTerms:
-    """Restriction f(s*V + u*W1 + t*W2) as {(s-exponent, t-exponent): coeff}.
+def _line_section(f: SurfaceForm, v: Sequence[int], w: Sequence[int]) -> list[int]:
+    """Coefficients p of the section f(s*V + u*W) = sum p[i] s^(n-i) u^i.
 
-    The restriction is homogeneous of degree n, so the u-exponent is implied;
-    with t = u*lam it is the section on the line through V and W1 + lam*W2.
+    f is evaluated at the integer points s*V + W, s = 0..n, with one table
+    of coordinate powers per point; exact interpolation gives p, p[0] = f(V).
     """
     n = f.degree
-    powers = []
-    for i in range(4):
-        terms = (((1, 0), v[i]), ((0, 0), w1[i]), ((0, 1), w2[i]))
-        linear = {k: c for k, c in terms if c}
-        row = [{(0, 0): 1}]
-        for _ in range(n):
-            row.append(_add_product({}, row[-1], linear))
-        powers.append(row)
-    out: BinaryTerms = {}
-    for (a, b, c, d), coeff in f.terms.items():
-        ab = _add_product({}, powers[0][a], powers[1][b], coeff)
-        abc = _add_product({}, ab, powers[2][c])
-        _add_product(out, abc, powers[3][d])
-    return {k: c for k, c in out.items() if c}
+    values = []
+    for s in range(n + 1):
+        px, py, pz, pw = (
+            list(accumulate([s * a + b] * n, mul, initial=1)) for a, b in zip(v, w)
+        )
+        values.append(
+            sum(c * px[i] * py[j] * pz[k] * pw[l] for (i, j, k, l), c in f.terms.items())
+        )
+    return _interpolate(values)[::-1]
 
 
 def _sylvester_det(p: Sequence[int]) -> int:
@@ -546,27 +551,27 @@ def _sylvester_det(p: Sequence[int]) -> int:
     return bareiss_det(matrix)
 
 
-def _sylvester_det_at(coeffs: BinaryTerms, n: int, lam0: int) -> int:
-    """Tangency discriminant at one finite lam: the line through V and W1 + lam0*W2."""
-    p = [0] * (n + 1)
-    for (es, et), c in coeffs.items():
-        p[n - es] += c * lam0 ** et
-    return _sylvester_det(p)
-
-
-def _section_coefficients(
+def _pencil_sections(
     f: SurfaceForm,
     plane: Sequence[Rational],
     vertex: Union[ProjectivePoint, Sequence[Rational]],
-) -> BinaryTerms:
-    """Restriction of f to the pencil, after checking the pencil's preconditions."""
+    count: int,
+) -> Iterator[list[int]]:
+    """Sections of f on the lines through V and W1 + lam*W2, lam = 0..count-1."""
     v, w1, w2 = _plane_frame(plane, vertex)
-    coeffs = _pencil_coefficients(f, v, w1, w2)
-    if not coeffs:
-        raise ValueError("the plane section of the surface is identically zero")
-    if coeffs.get((f.degree, 0), 0) == 0:
-        raise ValueError("the vertex lies on the section curve")
-    return coeffs
+
+    def section(lam: int) -> list[int]:
+        return _line_section(f, v, [a + lam * b for a, b in zip(w1, w2)])
+
+    for lam in range(count):
+        p = section(lam)
+        if p[0] == 0:
+            # every section leads with f(V); the restriction to the plane has
+            # degree at most n in lam, so n + 1 zero sections make it zero
+            if not any(any(section(k)) for k in range(f.degree + 1)):
+                raise ValueError("the plane section of the surface is identically zero")
+            raise ValueError("the vertex lies on the section curve")
+        yield p
 
 
 def pencil_discriminant(
@@ -579,26 +584,20 @@ def pencil_discriminant(
     Lines in the plane through the vertex are parameterized by lam; the
     surface restricts to each line as a binary form in s whose resultant
     with its own derivative detects tangency.  The discriminant D(lam) has
-    integer coefficients and degree at most n(n-1).  It is sampled at
-    lam = 0..n(n-1) and interpolated exactly by forward differences: the
-    k-th difference at 0 is k! times the k-th Newton coefficient, so the
-    division is exact.
+    integer coefficients and degree at most n(n-1).  Each section
+    coefficient has degree at most n in lam: sections on the lines lam = 0..n
+    start its difference table, which carries it on to lam = n(n-1) by
+    additions alone.  D is sampled there and interpolated exactly.
     """
     n = f.degree
-    coeffs = _section_coefficients(f, plane, vertex)
-    diffs = [_sylvester_det_at(coeffs, n, x) for x in range(n * (n - 1) + 1)]
-    newton = []
-    for k in range(len(diffs)):
-        newton.append(diffs[0] // factorial(k))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    # D = sum_k newton[k] * lam (lam - 1) ... (lam - k + 1), expanded by Horner
-    poly: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):
-        shifted = [0] + poly
-        for i, c in enumerate(poly):
-            shifted[i] -= k * c
-        shifted[0] += newton[k]
-        poly = shifted
+    tables = [_differences(c) for c in zip(*_pencil_sections(f, plane, vertex, n + 1))]
+    values = []
+    for _ in range(n * (n - 1) + 1):
+        values.append(_sylvester_det([t[0] for t in tables]))
+        for t in tables:
+            for k in range(n):
+                t[k] += t[k + 1]
+    poly = _interpolate(values)
     while poly and poly[-1] == 0:
         poly.pop()
     return tuple(poly)
@@ -615,13 +614,13 @@ def pencil_tangency_count(
     discriminant D, of degree at most n(n-1) in the pencil parameter lam.
     Homogenized to degree n(n-1), D has exactly n(n-1) roots whenever it
     is not identically zero, which a single nonzero value D(lam) certifies.
-    D vanishes identically exactly when it vanishes at lam = 0..n(n-1);
-    then DegeneratePencil is raised.
+    The surface is restricted to the lines lam = 0, 1, ... one at a time
+    until one section's Sylvester determinant D(lam) is nonzero.  D
+    vanishes identically exactly when it vanishes at lam = 0..n(n-1); then
+    DegeneratePencil is raised.
     """
-    n = f.degree
-    expected = n * (n - 1)
-    coeffs = _section_coefficients(f, plane, vertex)
-    if any(_sylvester_det_at(coeffs, n, lam) for lam in range(expected + 1)):
+    expected = f.degree * (f.degree - 1)
+    if any(map(_sylvester_det, _pencil_sections(f, plane, vertex, expected + 1))):
         return expected
     raise DegeneratePencil(
         "the tangency discriminant vanishes identically; the pencil is not generic"

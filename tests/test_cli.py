@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import schubert3
-from schubert3 import checks, dsl, spaces
+from schubert3 import checks, cli, dsl, spaces
 from schubert3.cli import run_cli
 from schubert3.oracle import PlueckerLine, lines_meeting_four, random_four_lines
 
@@ -307,6 +307,18 @@ def test_oracle_pencil_counts_a_tangent_at_infinity(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert json.loads(out)["count"] == degree * (degree - 1)
+
+
+def test_oracle_pencil_degree_limit(capsys):
+    assert cli.MAX_PENCIL_DEGREE == 40
+    code, out, err = run(capsys, "oracle", "pencil", "--degree", "40")
+    assert code == 0, err
+    assert json.loads(out)["count"] == 1560
+    code, out, err = run(capsys, "oracle", "pencil", "--degree", "41")
+    assert code == 2
+    assert out == ""
+    assert "limit of 40" in err
+    assert "Traceback" not in err
 
 
 def _python(*args, timeout=120):

@@ -395,3 +395,17 @@ def test_bitangent_rewrite_rules_are_proven(monkeypatch):
         monkeypatch.undo()
         coincidence._proven_rules.cache_clear()
     assert bitangent_derivation(4).count == 28
+
+
+def test_phi_certificate_rejects_a_perturbed_image(monkeypatch):
+    t1, t2, eps = blowup_ring().gens()
+    perturbed = {"c1": eps - t1 - t2, "c2": t1 * t2}
+    monkeypatch.setattr(coincidence, "_phi_images", lambda: perturbed)
+    coincidence._phi_certificate.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="total-space integral"):
+            coincidence._phi_certificate()
+    finally:
+        monkeypatch.undo()
+        coincidence._phi_certificate.cache_clear()
+    assert coincidence._phi_certificate()

@@ -8,6 +8,7 @@ discriminant degree reproduces the tangency counts of plane sections.
 
 import ast
 from fractions import Fraction
+import hashlib
 from itertools import permutations
 from pathlib import Path
 import random
@@ -341,18 +342,58 @@ def test_pencil_discriminant_top_coefficient_is_one_determinant():
             disc = pencil_discriminant(f, plane, vertex)
             assert all(type(c) is int for c in disc)
             v, w1, w2 = oracle._plane_frame(plane, vertex)
-            coeffs = oracle._pencil_coefficients(f, v, w1, w2)
-            top = oracle._sylvester_det(
-                [coeffs.get((degree - i, i), 0) for i in range(degree + 1)]
-            )
+
+            def direct(w):
+                return oracle._sylvester_det(oracle._line_section(f, v, w))
+
+            # the top coefficient is the determinant on the lam = infinity line
             expected = degree * (degree - 1)
-            assert (disc[expected] if len(disc) > expected else 0) == top
+            assert (disc[expected] if len(disc) > expected else 0) == direct(w2)
             assert len(disc) - 1 <= expected
             # D is sampled only at lam = 0..n(n-1); values outside that
             # range check the degree bound the interpolation relies on
             for lam in (-2, -1, *range(expected + 1, degree * (2 * degree - 1) + 1)):
                 value = sum(c * lam**i for i, c in enumerate(disc))
-                assert value == oracle._sylvester_det_at(coeffs, degree, lam)
+                assert value == direct([a + lam * b for a, b in zip(w1, w2)])
+
+
+def test_line_section_matches_surface_values():
+    rng = random.Random(29)
+    pairs = ((1, 0), (0, 1), (2, -3), (-1, 4), (-2, -5))
+    for degree in range(1, 9):
+        f, plane, vertex = random_pencil_instance(rng, degree)
+        v, w1, w2 = oracle._plane_frame(plane, vertex)
+        for w in (w1, w2, [a - 3 * b for a, b in zip(w1, w2)]):
+            section = oracle._line_section(f, v, w)
+            assert len(section) == degree + 1
+            assert all(type(c) is int for c in section)
+            for s, u in pairs:
+                value = sum(c * s ** (degree - i) * u**i for i, c in enumerate(section))
+                assert value == f.value([s * a + u * b for a, b in zip(v, w)])
+
+
+def test_pencil_discriminant_is_pinned():
+    f, plane, vertex = random_pencil_instance(random.Random(4), 4)
+    assert pencil_discriminant(f, plane, vertex) == (
+        3158978318120287281635328,
+        -1230274035105778222350336,
+        2281178557380963456552960,
+        -54222280522678573522993152,
+        -15426435917683490393581056,
+        76219515932467214553412608,
+        185117288387340727173300480,
+        37134292268636366965035264,
+        -139726085040026720270279712,
+        -141169042243158608575173888,
+        -46256605924910510327178240,
+        -8532202353664922832347136,
+        -316142496466935098927616,
+    )
+    f, plane, vertex = random_pencil_instance(random.Random(8), 8)
+    digest = hashlib.sha256(repr(pencil_discriminant(f, plane, vertex)).encode())
+    assert digest.hexdigest() == (
+        "962266dcf0718b81220fae00bfb3a4e0d21f520dd9b8039eb46bf9b3397ab29a"
+    )
 
 
 def test_pencil_tangent_on_the_first_line():
@@ -368,6 +409,11 @@ def test_pencil_tangent_on_the_first_line():
 def test_pencil_degree_twelve():
     f, plane, vertex = random_pencil_instance(random.Random(12), 12)
     assert pencil_tangency_count(f, plane, vertex) == 132
+
+
+def test_pencil_degree_thirty_two():
+    f, plane, vertex = random_pencil_instance(random.Random(32), 32)
+    assert pencil_tangency_count(f, plane, vertex) == 992
 
 
 def test_generators_reject_nonpositive_degree():
