@@ -4,19 +4,23 @@ Every subcommand is exact; randomized ones take a seed and are fully
 reproducible.  `selftest` runs the checks of `schubert3.checks`, the same
 ones the acceptance tests call, and defines none of its own.  Exit codes:
 0 on success, 1 when a verification fails, 2 on usage or input errors.
+
+Each handler imports what only it uses (the oracle, the blow-up calculus,
+the checks, json), so a process loads just the modules its subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import checks, coincidence, oracle, spaces
+from . import spaces
 from .dsl import ParseError
 from .graded_ring import format_signed_sum, monomial_source
+
+if TYPE_CHECKING:
+    from . import oracle
 
 __all__ = ["build_parser", "main", "run_cli"]
 
@@ -52,6 +56,10 @@ def _solution_payload(result: oracle.SolutionSet) -> dict:
 
 
 def _parse_line_entry(entry) -> oracle.PlueckerLine:
+    from fractions import Fraction
+
+    from . import oracle
+
     if not isinstance(entry, list) or len(entry) != 6:
         raise ValueError(
             "each line must be a 6-entry array [p01, p02, p03, p23, p31, p12]"
@@ -62,6 +70,8 @@ def _parse_line_entry(entry) -> oracle.PlueckerLine:
 def _cmd_eval(args: argparse.Namespace) -> int:
     result = spaces.evaluate_expression(args.space, args.expr)
     if args.json:
+        import json
+
         payload = {
             "space": result.space,
             "input": result.input,
@@ -102,6 +112,8 @@ def _cmd_verify_formulas(args: argparse.Namespace) -> int:
 def _print_count(args: argparse.Namespace, count: int, trace: tuple[str, ...], shown: int) -> int:
     """Print a count with the first `shown` trace lines, all of them under --trace."""
     if args.json:
+        import json
+
         print(json.dumps({"n": args.n, "count": count, "trace": list(trace)}))
         return 0
     print(count)
@@ -111,6 +123,8 @@ def _print_count(args: argparse.Namespace, count: int, trace: tuple[str, ...], s
 
 
 def _cmd_tangent_count(args: argparse.Namespace) -> int:
+    from . import coincidence
+
     n = args.n
     excess = coincidence.surface_excess_class(n)
     pullback = coincidence.phi_pullback(spaces.space("G").symbols["g_s"])
@@ -125,11 +139,18 @@ def _cmd_tangent_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_bitangent_count(args: argparse.Namespace) -> int:
+    from . import coincidence
+
     derivation = coincidence.bitangent_derivation(args.n)
     return _print_count(args, derivation.count, derivation.trace, len(derivation.steps))
 
 
 def _cmd_oracle_four_lines(args: argparse.Namespace) -> int:
+    import json
+    import random
+
+    from . import oracle
+
     payload: dict = {}
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as handle:
@@ -151,6 +172,11 @@ def _cmd_oracle_four_lines(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_pencil(args: argparse.Namespace) -> int:
+    import json
+    import random
+
+    from . import oracle
+
     if args.degree > MAX_PENCIL_DEGREE:
         raise ValueError(
             f"--degree {args.degree} exceeds the oracle pencil limit of {MAX_PENCIL_DEGREE}"
@@ -171,6 +197,8 @@ def _cmd_oracle_pencil(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from . import checks
+
     failures = 0
     for name, check in checks.CHECKS:
         try:

@@ -22,9 +22,8 @@ n(n-2)(n-3)(n+3)/2 bitangent lines, 28 for a quartic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import dsl, spaces
 from .chern_segre import TotalClass
@@ -327,14 +326,14 @@ def _rewrite(e: RingElement, rules: Sequence[tuple[Monomial, RingElement]]) -> R
     while changed:
         changed = False
         for pattern, image in rules:
-            out = ring.zero()
-            for mono, coeff in e.terms.items():
-                if all(m >= p for m, p in zip(mono, pattern)):
-                    rest = tuple(m - p for m, p in zip(mono, pattern))
-                    out = out + coeff * image * ring.monomial(rest)
-                    changed = True
-                else:
-                    out = out + ring.monomial(mono, coeff)
+            hits = [mono for mono in e.terms if all(m >= p for m, p in zip(mono, pattern))]
+            if not hits:
+                continue
+            changed = True
+            out = ring.element({m: c for m, c in e.terms.items() if m not in hits})
+            for mono in hits:
+                rest = tuple(m - p for m, p in zip(mono, pattern))
+                out = out + e.terms[mono] * image * ring.monomial(rest)
             e = out
     return e
 
@@ -342,13 +341,12 @@ def _rewrite(e: RingElement, rules: Sequence[tuple[Monomial, RingElement]]) -> R
 def _collapse_pairs(e: RingElement) -> RingElement:
     """Symmetrize the cross terms of the doubled coincidence product.
 
-    One point from each tangency pair is as good as (p1, p3), a single
-    point against the chord condition is as good as p1, and the squared
-    chord condition expands into the two degree-2 line conditions.
+    One point from each tangency pair is as good as (p1, p3), and a single
+    point against the chord condition is as good as p1.  The squared chord
+    condition g^2 is kept; formula 9 of G expands it.
     """
     ring = e.ring
     p1, p3, g = ring.gen("p1"), ring.gen("p3"), ring.gen("g")
-    g_e, g_p = ring.gen("g_e"), ring.gen("g_p")
     out = ring.zero()
     for mono, coeff in e.terms.items():
         e1, e2, e3, e4, eg = mono[:5]
@@ -359,14 +357,13 @@ def _collapse_pairs(e: RingElement) -> RingElement:
         elif eg == 1:
             out = out + coeff * g * p1
         elif eg == 2:
-            out = out + coeff * (g_e + g_p)
+            out = out + coeff * g * g
         else:
             raise ValueError(f"unexpected monomial in coincidence product: {mono}")
     return out
 
 
-@dataclass(frozen=True)
-class BitangentDerivation:
+class BitangentDerivation(NamedTuple):
     """Checked derivation of the bitangent count for a degree-n section."""
 
     n: int
@@ -388,11 +385,13 @@ _MID_SOURCE = "4*p1*p3*g_e - 4*p1*g_s + G"
 _DOUBLED_SOURCE = "n^4 - 2*n^3 - 9*n^2 + 18*n"
 
 # (space, lhs, rhs): the line-space rules push the doubled product into the
-# plane pencil, the flag-space rule trades g_s for point conditions.
+# plane pencil, formula 9 among them expands the squared chord condition, and
+# the flag-space rule trades g_s for point conditions.
 _RULES = (
     ("G", "g*g_e", "g_s"),
     ("G", "g_e^2", "G"),
     ("G", "g_p*g_e", "0"),
+    ("G", "g^2", "g_p + g_e"),
     ("PS", "p*g_s", "G + p^3*g"),
 )
 
@@ -433,7 +432,7 @@ def bitangent_derivation(n: int) -> BitangentDerivation:
     scope = _config_scope()
     expect = [_parse(src, scope) for src in _STEP_SOURCES]
 
-    doubled = _collapse_pairs(expect[0])
+    doubled = _rewrite(_collapse_pairs(expect[0]), _proven_rules("G"))
     if doubled != expect[1]:
         raise AssertionError("symmetrized product drifted from its printed form")
     mid = _rewrite(doubled * scope.symbols["g_e"], _proven_rules("G"))

@@ -9,21 +9,25 @@ Grammar, with insignificant whitespace:
 
 Multiplication is always spelled '*'; juxtaposition is a syntax error.
 Exponents are literal non-negative integers up to MAX_EXPONENT, integer
-literals have at most MAX_LITERAL_DIGITS digits, and expressions nest at
-most MAX_DEPTH levels deep.  Note that '-' lives at the base level, so
+literals have at most MAX_LITERAL_DIGITS digits, expressions nest at most
+MAX_DEPTH levels deep, and evaluation refuses any product whose coefficients
+could pass MAX_COEFFICIENT_BITS.  Note that '-' lives at the base level, so
 "-g^2" parses as (-g)^2 and squaring-then-negating must be written "-(g^2)".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Union
+
+from .graded_ring import power
 
 __all__ = [
     "Add",
     "EvaluationError",
     "Expr",
     "IntLit",
+    "MAX_COEFFICIENT_BITS",
     "MAX_DEPTH",
     "MAX_EXPONENT",
     "MAX_LITERAL_DIGITS",
@@ -49,51 +53,60 @@ class EvaluationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node:
+    """Expression nodes are immutable tuples of their fields.
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
+    Add, Sub and Mul have the same fields, so a node equals only a node of
+    its own type; equal nodes hash alike.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+
+class IntLit(_Node, namedtuple("IntLit", "value")):
+    __slots__ = ()
+
+    def __new__(cls, value: int) -> "IntLit":
+        if value < 0:
             raise ValueError("literals are non-negative; wrap Neg around IntLit")
+        return tuple.__new__(cls, (value,))
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Sym(_Node, namedtuple("Sym", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    op: "Expr"
+class Neg(_Node, namedtuple("Neg", "op")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Add(_Node, namedtuple("Add", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Node, namedtuple("Sub", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Node, namedtuple("Mul", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exp: int
+class Pow(_Node, namedtuple("Pow", "base exp")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.exp < 0:
+    def __new__(cls, base: "Expr", exp: int) -> "Pow":
+        if exp < 0:
             raise ValueError("exponent must be a non-negative integer")
+        return tuple.__new__(cls, (base, exp))
 
 
 Expr = Union[IntLit, Sym, Neg, Add, Sub, Mul, Pow]
@@ -107,13 +120,21 @@ _OPS = set("+-*^()")
 # level, and this bound keeps them well inside Python's recursion limit.
 MAX_DEPTH = 100
 
-# Largest exponent `parse` accepts.  A power is evaluated by repeated ring
-# multiplication, so the exponent bounds the work of a single '^'.
+# Largest exponent `parse` accepts.  A power is evaluated by square-and-multiply,
+# at most 2*log2(exponent) ring products, each held to MAX_COEFFICIENT_BITS.
 MAX_EXPONENT = 1000
 
 # Most digits of an integer literal or exponent, leading zeros not counted: well
 # below the 4300 digits past which int() fails without naming stage or input.
 MAX_LITERAL_DIGITS = 1000
+
+# Most bits a coefficient may reach in `evaluate`.  Each product, every step of
+# a power included, is refused before it is computed when the bit lengths of its
+# factors' largest coefficients add up past this limit, so no integer much longer
+# is ever built: a product adds a few bits for its number of terms, and sums add
+# at most a bit per level of MAX_DEPTH.  Every value stays far below the 4300
+# digits, about 14,284 bits, past which it could not be printed.
+MAX_COEFFICIENT_BITS = 10_000
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
@@ -300,7 +321,8 @@ def evaluate(node: Expr, space):
     """Evaluate an expression to a ring element of `space`.
 
     The space must expose `ring` and a `symbols` mapping from names to ring
-    elements; unknown names report the available vocabulary.
+    elements; unknown names report the available vocabulary, and a product
+    or power past MAX_COEFFICIENT_BITS raises EvaluationError.
     """
     symbols = space.symbols
     if isinstance(node, IntLit):
@@ -319,7 +341,26 @@ def evaluate(node: Expr, space):
     if isinstance(node, Sub):
         return evaluate(node.left, space) - evaluate(node.right, space)
     if isinstance(node, Mul):
-        return evaluate(node.left, space) * evaluate(node.right, space)
+        return _checked_product(node)(evaluate(node.left, space), evaluate(node.right, space))
     if isinstance(node, Pow):
-        return evaluate(node.base, space) ** node.exp
+        return power(evaluate(node.base, space), node.exp, _checked_product(node))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _coefficient_bits(e) -> int:
+    return max(map(int.bit_length, e.terms.values()), default=0)
+
+
+def _checked_product(node: Expr):
+    """Multiplication for `node` that refuses factors past MAX_COEFFICIENT_BITS."""
+
+    def product(a, b):
+        a_bits, b_bits = _coefficient_bits(a), _coefficient_bits(b)
+        if a_bits + b_bits > MAX_COEFFICIENT_BITS:
+            raise EvaluationError(
+                f"evaluation of {to_source(node)} stopped: factors with {a_bits}- and "
+                f"{b_bits}-bit coefficients pass the limit of {MAX_COEFFICIENT_BITS} bits"
+            )
+        return a * b
+
+    return product

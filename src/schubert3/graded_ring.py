@@ -11,8 +11,9 @@ every normal form is canonical for a fixed generator order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from collections import namedtuple
+from operator import mul
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .linalg import int_echelon, reduce_mod_echelon, rref
 
@@ -25,6 +26,7 @@ __all__ = [
     "RingElement",
     "TorsionError",
     "in_ideal_span",
+    "power",
     "substitute",
 ]
 
@@ -36,16 +38,15 @@ class TorsionError(ValueError):
     """A graded piece is not integrally spanned by monomials with unit pivots."""
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    name: str
-    degree: int
+class GeneratorSpec(namedtuple("GeneratorSpec", "name degree")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name or not (self.name[0].isalpha()):
-            raise ValueError(f"bad generator name {self.name!r}")
-        if self.degree < 1:
-            raise ValueError(f"generator {self.name!r}: degree must be a positive integer")
+    def __new__(cls, name: str, degree: int) -> "GeneratorSpec":
+        if not name or not (name[0].isalpha()):
+            raise ValueError(f"bad generator name {name!r}")
+        if degree < 1:
+            raise ValueError(f"generator {name!r}: degree must be a positive integer")
+        return tuple.__new__(cls, (name, degree))
 
 
 class PolyRing:
@@ -195,12 +196,7 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = RingElement(self.ring, {(0,) * self.ring.ngens: 1})
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -270,6 +266,24 @@ def monomial_source(names: Sequence[str], mono: Monomial) -> str:
     return "*".join(factors) or "1"
 
 
+def power(x: RingElement, n: int, product=mul) -> RingElement:
+    """x**n by square-and-multiply: at most 2*log2(n) calls of `product`.
+
+    `product` multiplies two elements; a caller can pass one that checks
+    its factors first.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else product(out, x)
+        n >>= 1
+        if n:
+            x = product(x, x)
+    return x.ring.one() if out is None else out
+
+
 def format_signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     """Render ordered (coefficient, body) pairs as "a - 2*b + c"; "0" when empty.
 
@@ -299,8 +313,7 @@ def format_signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class GradedBasis:
+class GradedBasis(NamedTuple):
     degree: int
     monomials: tuple[Monomial, ...]
 

@@ -14,7 +14,7 @@ certifies the count n(n-1).  Nothing here uses the symbolic rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, isqrt, lcm
@@ -291,18 +291,19 @@ def incidence_form(l1: PlueckerLine, l2: PlueckerLine):
     )
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(namedtuple("SolutionSet", "infinite solutions")):
     """Solutions of an incidence problem: a finite weighted list or a family."""
 
-    infinite: bool
-    solutions: tuple[tuple[PlueckerLine, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.infinite and self.solutions:
+    def __new__(
+        cls, infinite: bool, solutions: tuple[tuple[PlueckerLine, int], ...] = ()
+    ) -> "SolutionSet":
+        if infinite and solutions:
             raise ValueError("an infinite family carries no solution list")
-        if any(mult < 1 for _, mult in self.solutions):
+        if any(mult < 1 for _, mult in solutions):
             raise ValueError("multiplicities must be positive")
+        return tuple.__new__(cls, (infinite, solutions))
 
     @classmethod
     def infinite_family(cls) -> "SolutionSet":

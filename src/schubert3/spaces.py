@@ -15,9 +15,8 @@ from the monomial one), so any element can be rendered geometrically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import dsl
 from .chern_segre import TotalClass
@@ -54,8 +53,7 @@ _EXPECTED_RANKS = {
 }
 
 
-@dataclass(frozen=True)
-class SchubertCombination:
+class SchubertCombination(NamedTuple):
     """Integer combination of named classes of one degree; degree None for 0."""
 
     space: str
@@ -268,8 +266,7 @@ def pushforward_PS_to_G(e: RingElement) -> RingElement:
     return space("G").ring.element(out)
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(NamedTuple):
     label: str
     space: str
     equations: tuple[tuple[str, str], ...]
@@ -315,8 +312,7 @@ FORMULAS: tuple[Formula, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FormulaCheck:
+class FormulaCheck(NamedTuple):
     label: str
     space: str
     lhs: str
@@ -352,8 +348,7 @@ def verify_formula_suite(
     return checks
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Evaluated expression with its renderings and optional integral."""
 
     space: str

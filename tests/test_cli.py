@@ -1,13 +1,18 @@
 """Exit codes, output formats and determinism of the command line interface."""
 
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schubert3
 from schubert3 import checks, cli, dsl, spaces
@@ -347,6 +352,54 @@ def test_library_import_leaves_out_the_cli():
     assert done.stdout == "False False\n"
 
 
+def test_package_import_loads_no_submodule():
+    done = _python(
+        "-c",
+        "import sys, schubert3; print(sorted(m for m in sys.modules if m.startswith('schubert3.')))",
+    )
+    assert done.returncode == 0
+    assert done.stdout == "[]\n"
+
+
+def test_package_exports_resolve_on_demand():
+    done = _python(
+        "-c",
+        "from schubert3 import evaluate_expression; import schubert3; "
+        "print(evaluate_expression('G', 'g^4').top); "
+        "print(all(getattr(schubert3, name) is not None for name in schubert3.__all__)); "
+        "print(sorted(set(schubert3.__all__) - set(dir(schubert3))))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2\nTrue\n[]\n"
+    assert "evaluate_expression" in schubert3.__all__ and "SolutionSet" in schubert3.__all__
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        schubert3.missing
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--space", "G", "g^4"], ["verify-formulas"]], ids=["eval", "verify-formulas"]
+)
+def test_symbolic_commands_load_only_the_rings(argv):
+    done = _python(
+        "-c",
+        "import sys; from schubert3.cli import run_cli; "
+        f"code = run_cli({argv!r}); "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('schubert3')))",
+    )
+    assert done.returncode == 0, done.stderr
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert loaded == [
+        "schubert3",
+        "schubert3.chern_segre",
+        "schubert3.cli",
+        "schubert3.dsl",
+        "schubert3.graded_ring",
+        "schubert3.linalg",
+        "schubert3.spaces",
+    ]
+
+
 SELFTEST_NAMES = [
     "formula suite (27 identities)",
     "graded ranks of G and PS",
@@ -429,3 +482,56 @@ def test_eval_rejects_huge_exponent(capsys):
     assert code == 2
     assert out == ""
     assert "exceeds the limit" in err
+
+
+def _power_of_two(k):
+    """Source of 2^k as a product of powers within MAX_EXPONENT: a (k+1)-bit integer."""
+    return "(" + "*".join(["2^1000"] * (k // 1000) + [f"2^{k % 1000}"]) + ")"
+
+
+def test_eval_coefficient_limit(capsys):
+    half = dsl.MAX_COEFFICIENT_BITS // 2
+    rest = dsl.MAX_COEFFICIENT_BITS - half
+    at_limit = f"{_power_of_two(half - 1)}*{_power_of_two(rest - 1)}*G"
+    code, out, err = run(capsys, "eval", "--space", "G", "--", at_limit)
+    assert (code, err) == (0, "")
+    value = 2 ** (dsl.MAX_COEFFICIENT_BITS - 2)
+    assert out == f"{value}*G = {value}\n"
+
+    past = f"{_power_of_two(half - 1)}*{_power_of_two(rest)}*G"
+    code, out, err = run(capsys, "eval", "--space", "G", "--", past)
+    assert (code, out) == (2, "")
+    failing = dsl.to_source(dsl.parse(f"{_power_of_two(half - 1)}*{_power_of_two(rest)}"))
+    assert err.startswith(f"error: evaluation of {failing} stopped: ")
+    assert err.endswith(f"pass the limit of {dsl.MAX_COEFFICIENT_BITS} bits\n")
+
+
+def test_eval_refuses_nested_powers_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--space", "G", "--", "((2^1000)^1000)^1000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: evaluation of (2^1000)^1000 stopped:")
+    assert "Traceback" not in err
+
+
+_TOKENS = [
+    *("g", "g_e", "g_p", "g_s", "G", "c1", "p", "p_g", "P", "e", "e_g", "E", "q", "x"),
+    *("0", "1", "7", "1000", "2^1000", "^1000", "^2", "9" * 12),
+    *("+", "-", "*", "^", "(", ")", " ", "$", "²"),
+]
+_eval_texts = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=timedelta(seconds=5))
+@given(name=st.sampled_from(spaces.SPACE_NAMES), text=_eval_texts)
+def test_eval_answers_or_rejects_any_text(name, text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(["eval", "--space", name, "--", text])
+    assert code in (0, 2)
+    assert (code == 0) == (err.getvalue() == "")
+    assert "Traceback" not in err.getvalue()

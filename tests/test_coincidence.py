@@ -382,19 +382,38 @@ def test_bitangent_trace_frozen():
     assert bitangent_derivation(7).interpretation[-1] == "count = 700"
 
 
-def test_bitangent_rewrite_rules_are_proven(monkeypatch):
+def _assert_rule_refused(monkeypatch, rule, perturbed, message):
     rules = list(coincidence._RULES)
-    assert rules[0] == ("G", "g*g_e", "g_s")
-    rules[0] = ("G", "g*g_e", "2*g_s")
+    rules[rules.index(rule)] = perturbed
     monkeypatch.setattr(coincidence, "_RULES", tuple(rules))
     coincidence._proven_rules.cache_clear()
     try:
-        with pytest.raises(AssertionError, match=r"g\*g_e -> 2\*g_s does not hold in G"):
+        with pytest.raises(AssertionError, match=message):
             bitangent_derivation(4)
     finally:
         monkeypatch.undo()
         coincidence._proven_rules.cache_clear()
     assert bitangent_derivation(4).count == 28
+
+
+def test_bitangent_rewrite_rules_are_proven(monkeypatch):
+    _assert_rule_refused(
+        monkeypatch,
+        ("G", "g*g_e", "g_s"),
+        ("G", "g*g_e", "2*g_s"),
+        r"g\*g_e -> 2\*g_s does not hold in G",
+    )
+
+
+def test_chord_square_expands_by_a_proven_formula_9(monkeypatch):
+    (formula_9,) = [f for f in spaces.FORMULAS if f.label == "9"]
+    ((lhs, rhs),) = formula_9.equations
+    _assert_rule_refused(
+        monkeypatch,
+        (formula_9.space, lhs, rhs),
+        ("G", "g^2", "g_p + 2*g_e"),
+        r"^rewrite rule g\^2 -> g_p \+ 2\*g_e does not hold in G$",
+    )
 
 
 def test_phi_certificate_rejects_a_perturbed_image(monkeypatch):

@@ -1,9 +1,12 @@
 """Parser, printer and evaluator for the expression language."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from schubert3.dsl import (
+    MAX_COEFFICIENT_BITS,
     MAX_DEPTH,
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
@@ -21,6 +24,7 @@ from schubert3.dsl import (
     to_source,
 )
 from schubert3.graded_ring import PolyRing
+from schubert3.spaces import space
 
 
 def test_parse_shapes_frozen():
@@ -173,3 +177,49 @@ def test_ast_validation():
         IntLit(-1)
     with pytest.raises(ValueError):
         Pow(Sym("g"), -2)
+
+
+def power_of_two(k):
+    """Source of 2^k as a product of powers within MAX_EXPONENT: a (k+1)-bit integer."""
+    return "(" + "*".join(["2^1000"] * (k // 1000) + [f"2^{k % 1000}"]) + ")"
+
+
+def test_evaluate_coefficient_limit():
+    G = space("G")
+    g = G.symbols["g"]
+    half = MAX_COEFFICIENT_BITS // 2
+    rest = MAX_COEFFICIENT_BITS - half
+    # factors of half and rest bits: the longest product allowed
+    product = f"{power_of_two(half - 1)}*{power_of_two(rest - 1)}"
+    assert evaluate(parse(product), G) == 2 ** (MAX_COEFFICIENT_BITS - 2) * G.ring.one()
+    square = f"({power_of_two(half - 1)}*g)^2"
+    assert evaluate(parse(square), G) == 2 ** (2 * half - 2) * g**2
+
+    past = f"{power_of_two(half - 1)}*{power_of_two(rest)}"
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse(past), G)
+    assert str(err.value) == (
+        f"evaluation of {to_source(parse(past))} stopped: factors with {half}- and "
+        f"{rest + 1}-bit coefficients pass the limit of {MAX_COEFFICIENT_BITS} bits"
+    )
+    past = f"({power_of_two(rest)}*g)^2"
+    with pytest.raises(EvaluationError, match=rf"^evaluation of \(2\^1000\*.*\*g\)\^2 stopped"):
+        evaluate(parse(past), G)
+
+
+def test_evaluate_refuses_nested_powers_at_once():
+    G = space("G")
+    start = time.perf_counter()
+    for text in ("(2^1000)^1000", "((2^1000)^1000)^1000", "((g + 2)^1000)^1000"):
+        with pytest.raises(EvaluationError, match=r"\)\^1000 stopped: .* limit of"):
+            evaluate(parse(text), G)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_evaluate_limit_judges_the_actual_factors():
+    # g^5 = 0 on G, so this power's coefficients stay near 113 bits although
+    # 1000 times its base's 21 bits would be far past the limit
+    G = space("G")
+    value = evaluate(parse("(1 + 2^20*g)^1000"), G)
+    assert value == (1 + 2**20 * G.symbols["g"]) ** 1000
+    assert max(abs(c) for c in value.terms.values()).bit_length() < 120

@@ -7,11 +7,13 @@ algebra over Q.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from schubert3.coincidence import blowup_ring
 from schubert3.graded_ring import (
     GeneratorSpec,
     GradedRingPresentation,
@@ -286,6 +288,36 @@ def test_ring_axioms_on_random_triples(name):
         assert a * b == b * a
         assert one * a == a
         assert a - a == ring.zero()
+
+
+POWER_RINGS = {**ALL_RINGS, "blowup": blowup_ring}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_RINGS))
+def test_power_matches_repeated_product(name):
+    ring = POWER_RINGS[name]()
+    rng = random.Random(f"powers-{name}")
+    for _ in range(3):
+        terms = random_terms(rng, ring, 2)
+        terms[(0,) * ring.ngens] = rng.choice((-2, -1, 1, 2))  # keeps high powers nonzero
+        x = ring.element(terms)
+        product = ring.one()
+        for n in range(41):
+            assert x**n == product, n
+            product = product * x
+        with pytest.raises(ValueError, match="non-negative"):
+            x ** -1
+
+
+def test_power_squares_and_multiplies(G, monkeypatch):
+    calls = []
+    multiply = RingElement.__mul__
+    monkeypatch.setattr(RingElement, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
+    x = G.gen("c1") + 1
+    for n in (1, 2, 3, 40, 1000):
+        calls.clear()
+        x**n
+        assert len(calls) <= 2 * math.log2(n), (n, len(calls))
 
 
 def test_element_operations(G):
