@@ -145,9 +145,11 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit() also takes superscripts, which
+        # int() rejects, and other scripts' digits, which int() reads as 0-9
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             yield ("int", text[i:j], i)
             i = j

@@ -15,7 +15,7 @@ from collections import namedtuple
 from operator import mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .linalg import int_echelon, reduce_mod_echelon, rref
+from .linalg import int_echelon, reduce_mod_echelon
 
 __all__ = [
     "GeneratorSpec",
@@ -325,12 +325,12 @@ class GradedBasis(NamedTuple):
 class GradedRingPresentation(PolyRing):
     """Quotient of a free graded ring by a homogeneous ideal, over Z.
 
-    The presentation carries a top degree and a top class monomial whose
-    graded piece must be free of rank one; `evaluate_top` reads off the
-    integral of the top-degree component against that monomial.  Construction
-    fails loudly on non-homogeneous relations, torsion (or any graded piece
-    without a unit-pivot monomial basis), a top piece of rank != 1, and
-    quotients that do not vanish above the top degree.
+    The presentation carries a top degree and a top class: the monomial, with
+    sign 1 or -1, that integrates to 1.  Its graded piece must be free of
+    rank one; `evaluate_top` reads off the integral of the top-degree
+    component.  Construction fails loudly on non-homogeneous relations,
+    torsion (or any graded piece without a unit-pivot monomial basis), a top
+    piece of rank != 1, and quotients that do not vanish above the top degree.
     """
 
     def __init__(
@@ -362,10 +362,11 @@ class GradedRingPresentation(PolyRing):
             rels.append(terms)
         self.relations: tuple[dict[Monomial, int], ...] = tuple(rels)
 
+        sign = 1
         if isinstance(top_class, RingElement):
-            if set(top_class.terms.values()) != {1} or len(top_class.terms) != 1:
-                raise ValueError("top_class must be a single monomial with coefficient 1")
-            top_class = next(iter(top_class.terms))
+            if len(top_class.terms) != 1 or set(top_class.terms.values()) - {1, -1}:
+                raise ValueError("top_class must be a single monomial with coefficient 1 or -1")
+            ((top_class, sign),) = top_class.terms.items()
         self.top_class: Monomial = tuple(top_class)
         if self.monomial_degree(self.top_class) != top_degree:
             raise ValueError("top_class degree differs from top_degree")
@@ -393,7 +394,7 @@ class GradedRingPresentation(PolyRing):
         unit = nf_top.get(self._top_monomial, 0)
         if set(nf_top) != {self._top_monomial} or unit not in (1, -1):
             raise ValueError("top_class does not generate the top graded piece")
-        self._top_unit = unit
+        self._top_unit = sign * unit
 
     def _build_degree(self, d: int) -> None:
         monos = self.monomials_of_degree(d)
@@ -412,8 +413,8 @@ class GradedRingPresentation(PolyRing):
         self._bases[d] = GradedBasis(d, basis)
 
     def _reduce(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
-        # Unit pivots in increasing columns, each row zero left of its pivot:
-        # one pass in pivot order clears every pivot column.
+        # Every pivot is a unit (TorsionError otherwise), so reducing against
+        # the echelon clears every pivot column.
         out: dict[Monomial, int] = {}
         by_deg: dict[int, dict[Monomial, int]] = {}
         for m, c in terms.items():
@@ -426,11 +427,7 @@ class GradedRingPresentation(PolyRing):
             vec = [0] * len(monos)
             for m, c in comp.items():
                 vec[index[m]] += c
-            for col, row in self._degree_reducers[d]:
-                c = vec[col]
-                if c:
-                    for j in range(col, len(monos)):
-                        vec[j] -= c * row[j]
+            vec = reduce_mod_echelon(vec, self._degree_reducers[d])
             for i, c in enumerate(vec):
                 if c:
                     out[monos[i]] = c
@@ -445,7 +442,7 @@ class GradedRingPresentation(PolyRing):
         return tuple(self._bases[d].rank for d in range(self.top_degree + 1))
 
     def evaluate_top(self, e: RingElement) -> int:
-        """Integral of the top-degree component against the top class."""
+        """Integral of the top-degree component; the top class integrates to 1."""
         if e.ring is not self:
             raise ValueError("element belongs to a different ring")
         return self._top_unit * e.terms.get(self._top_monomial, 0)
@@ -518,25 +515,3 @@ def in_ideal_span(e: RingElement, relations: Sequence[RingElement]) -> bool:
         if any(reduce_mod_echelon(vec, echelon)):
             return False
     return True
-
-
-def solve_integer_combination(
-    rows: Sequence[Sequence[int]], vec: Sequence[int]
-) -> list[int] | None:
-    """Solve x . rows = vec exactly over Q and return x when it is integral.
-
-    Returns None when the system is inconsistent or the solution is not
-    integral.  Rows must be linearly independent.
-    """
-    m = len(rows)
-    # columns of the augmented system are the given rows, then vec
-    augmented = [[row[i] for row in rows] + [v] for i, v in enumerate(vec)]
-    reduced, pivots = rref(augmented, m + 1)
-    if pivots and pivots[-1] == m:
-        return None
-    x = [0] * m
-    for row, col in zip(reduced, pivots):
-        if row[m] % row[col]:
-            return None
-        x[col] = row[m] // row[col]
-    return x

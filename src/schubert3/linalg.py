@@ -1,12 +1,15 @@
 """Exact elimination over the integers.
 
-Two eliminations live here on purpose.  The graded rings compute normal
-forms with an integer lattice echelon (extended-gcd row operations, which
-keep the row lattice over Z), while the geometry oracle works with a
-fraction-free Gauss-Jordan reduction that keeps only the row space over Q;
-keeping them distinct means a symbolic count and its oracle check never
-share an elimination routine.  Every entry stays an int.  The
-fraction-free determinant is Bareiss (1968).
+Two eliminations live here on purpose, one for each side of the check.
+The symbolic side (`graded_ring` and `spaces`) uses only `int_echelon`, an
+integer lattice echelon by extended-gcd row operations that keeps the row
+lattice over Z, and `reduce_mod_echelon`: normal forms, ideal membership
+and the inverse of each render basis.  The geometry oracle uses only
+`rref`, a fraction-free Gauss-Jordan reduction that keeps the row space
+over Q, and `bareiss_det`, the fraction-free determinant of Bareiss
+(1968).  So a symbolic count and its oracle check never share an
+elimination routine; `test_linalg_routines_stay_on_their_side` in
+tests/test_oracle.py enforces the split.  Every entry stays an int.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ __all__ = [
     "PlueckerLine",
     "ProjectivePoint",
     "QNum",
+    "RANDOM_BOUND",
     "SolutionSet",
     "SurfaceForm",
     "incidence_form",
@@ -209,6 +210,21 @@ class ProjectivePoint:
 _COORD_NAMES = ("p01", "p02", "p03", "p23", "p31", "p12")
 
 
+def _quadric_on(vec: Sequence[int]) -> int:
+    return vec[0] * vec[3] + vec[1] * vec[4] + vec[2] * vec[5]
+
+
+def _polar_on(u: Sequence[int], v: Sequence[int]) -> int:
+    return (
+        u[0] * v[3]
+        + u[3] * v[0]
+        + u[1] * v[4]
+        + u[4] * v[1]
+        + u[2] * v[5]
+        + u[5] * v[2]
+    )
+
+
 class PlueckerLine:
     """Line of projective 3-space in Pluecker coordinates.
 
@@ -241,8 +257,7 @@ class PlueckerLine:
         raise AttributeError("PlueckerLine is immutable")
 
     def quadric_value(self):
-        p01, p02, p03, p23, p31, p12 = self.coords
-        return p01 * p23 + p02 * p31 + p03 * p12
+        return _quadric_on(self.coords)
 
     @property
     def is_rational(self) -> bool:
@@ -279,16 +294,7 @@ def plucker_from_points(p: ProjectivePoint, q: ProjectivePoint) -> PlueckerLine:
 
 def incidence_form(l1: PlueckerLine, l2: PlueckerLine):
     """Polarized quadric pairing; zero exactly when the lines meet."""
-    a = l1.coords
-    b = l2.coords
-    return (
-        a[0] * b[3]
-        + a[3] * b[0]
-        + a[1] * b[4]
-        + a[4] * b[1]
-        + a[2] * b[5]
-        + a[5] * b[2]
-    )
+    return _polar_on(l1.coords, l2.coords)
 
 
 class SolutionSet(namedtuple("SolutionSet", "infinite solutions")):
@@ -333,21 +339,6 @@ def _rational_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
             v[pc] = -row[j] * (common // row[pc])
         basis.append(_canonical_int_vector(v))
     return basis
-
-
-def _quadric_on(vec: Sequence[int]) -> int:
-    return vec[0] * vec[3] + vec[1] * vec[4] + vec[2] * vec[5]
-
-
-def _polar_on(u: Sequence[int], v: Sequence[int]) -> int:
-    return (
-        u[0] * v[3]
-        + u[3] * v[0]
-        + u[1] * v[4]
-        + u[4] * v[1]
-        + u[2] * v[5]
-        + u[5] * v[2]
-    )
 
 
 def lines_meeting_four(
@@ -485,13 +476,15 @@ def _plane_frame(
     v = point.coords
     if sum(d * x for d, x in zip(dual, v)) != 0:
         raise ValueError("the vertex must lie on the plane")
+    # one kernel vector per free column, zero on the other free columns; V
+    # lies on the plane, so it is nonzero on some free column, and dropping
+    # the kernel vector of the last such column leaves a completion of V
     kernel = _rational_kernel([dual], 4)
-    for i in range(len(kernel)):
-        for j in range(i + 1, len(kernel)):
-            _, pivots = rref([v, kernel[i], kernel[j]], 4)
-            if len(pivots) == 3:
-                return v, kernel[i], kernel[j]
-    raise ValueError("could not complete the vertex to a basis of the plane")
+    pivot = next(j for j, x in enumerate(dual) if x)
+    free = [j for j in range(4) if j != pivot]
+    drop = max(i for i, col in enumerate(free) if v[col])
+    w1, w2 = kernel[:drop] + kernel[drop + 1 :]
+    return v, w1, w2
 
 
 def _differences(values: Sequence[int]) -> list[int]:
@@ -628,24 +621,28 @@ def pencil_tangency_count(
     )
 
 
-def random_projective_point(rng: random.Random, bound: int = 10) -> ProjectivePoint:
+# Largest absolute value of a random coordinate or surface coefficient.
+RANDOM_BOUND = 10
+
+
+def random_projective_point(rng: random.Random) -> ProjectivePoint:
     while True:
-        coords = [rng.randint(-bound, bound) for _ in range(4)]
+        coords = [rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in range(4)]
         if any(coords):
             return ProjectivePoint(coords)
 
 
-def random_line(rng: random.Random, bound: int = 10) -> PlueckerLine:
+def random_line(rng: random.Random) -> PlueckerLine:
     while True:
-        p = random_projective_point(rng, bound)
-        q = random_projective_point(rng, bound)
+        p = random_projective_point(rng)
+        q = random_projective_point(rng)
         if p != q:
             return plucker_from_points(p, q)
 
 
-def random_four_lines(rng: random.Random, bound: int = 10) -> tuple[PlueckerLine, ...]:
+def random_four_lines(rng: random.Random) -> tuple[PlueckerLine, ...]:
     while True:
-        lines = tuple(random_line(rng, bound) for _ in range(4))
+        lines = tuple(random_line(rng) for _ in range(4))
         if len(set(lines)) == 4:
             return lines
 
@@ -660,12 +657,12 @@ def _surface_monomials(degree: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def random_surface_form(rng: random.Random, degree: int, bound: int = 10) -> SurfaceForm:
+def random_surface_form(rng: random.Random, degree: int) -> SurfaceForm:
     if degree < 1:
         raise ValueError(f"a surface needs degree at least 1, not {degree}")
     monos = _surface_monomials(degree)
     while True:
-        coeffs = {m: rng.randint(-bound, bound) for m in monos}
+        coeffs = {m: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for m in monos}
         if any(coeffs.values()):
             return SurfaceForm(coeffs)
 

@@ -20,13 +20,8 @@ from typing import NamedTuple, Optional, Union
 
 from . import dsl
 from .chern_segre import TotalClass
-from .graded_ring import (
-    GradedRingPresentation,
-    PolyRing,
-    RingElement,
-    format_signed_sum,
-    solve_integer_combination,
-)
+from .graded_ring import GradedRingPresentation, PolyRing, RingElement, format_signed_sum
+from .linalg import int_echelon, reduce_mod_echelon
 
 __all__ = [
     "EvalResult",
@@ -68,9 +63,7 @@ class SchubertSpace:
     """A space together with its ring, named classes and geometric basis.
 
     `symbols` maps names usable in the expression language to ring elements;
-    it always contains the ring generators.  `top_sign` fixes the geometric
-    orientation: the integral of a top-degree class is top_sign times the
-    coefficient read off against the presentation's top monomial.
+    it always contains the ring generators.
     """
 
     def __init__(
@@ -79,12 +72,10 @@ class SchubertSpace:
         ring: GradedRingPresentation,
         symbols: dict[str, RingElement],
         render_labels: list[list[str]],
-        top_sign: int = 1,
     ) -> None:
         self.name = name
         self.ring = ring
         self.dim = ring.top_degree
-        self.top_sign = top_sign
         self.symbols: dict[str, RingElement] = {
             g.name: ring.gen(g.name) for g in ring.generators
         }
@@ -117,17 +108,22 @@ class SchubertSpace:
             for lbl, e in entries:
                 if e.is_zero() or e.degree() != d:
                     raise ValueError(f"{self.name}: render class {lbl!r} is not of degree {d}")
-            rows = [self._degree_vector(e, d) for _, e in entries]
-            inverse = []
-            for i in range(rank):
-                unit = [1 if j == i else 0 for j in range(rank)]
-                x = solve_integer_combination(rows, unit)
-                if x is None:
-                    raise ValueError(
-                        f"{self.name}: degree-{d} render basis is not a unimodular basis"
-                    )
-                inverse.append(x)
-            self._render_inverse[d] = inverse
+            # The echelon of [M | I], M the render classes in the monomial
+            # basis, has unit pivots in columns 0..rank-1 exactly when M is
+            # unimodular; clearing above those pivots leaves [I | M^-1].
+            rows = [
+                self._degree_vector(e, d) + [int(i == j) for j in range(rank)]
+                for i, (_, e) in enumerate(entries)
+            ]
+            echelon = int_echelon(rows, 2 * rank)
+            if [(col, row[col]) for col, row in echelon] != [(i, 1) for i in range(rank)]:
+                raise ValueError(
+                    f"{self.name}: degree-{d} render basis is not a unimodular basis"
+                )
+            self._render_inverse[d] = [
+                reduce_mod_echelon(row, echelon[i + 1 :])[rank:]
+                for i, (_, row) in enumerate(echelon)
+            ]
 
     def symbol_class(self, name: str) -> RingElement:
         """The class a symbol stands for; unknown names list the vocabulary."""
@@ -137,7 +133,7 @@ class SchubertSpace:
         """Geometric integral of the top-degree component."""
         if e.ring is not self.ring:
             raise ValueError(f"element does not live on {self.name}")
-        return self.top_sign * self.ring.evaluate_top(e)
+        return self.ring.evaluate_top(e)
 
     def express_in_schubert_basis(self, e: RingElement) -> SchubertCombination:
         """Write a homogeneous element in the named-class basis of its degree."""
@@ -210,7 +206,8 @@ def _build_flag_space() -> SchubertSpace:
     t, c1, c2 = free.gens()
     relations = _dual_segre_components(free, (3, 4))
     relations.append(t**2 - t * c1 + c2)
-    ring = GradedRingPresentation(free.generators, relations, 5, (1, 0, 2))
+    # the top class is p*G, a fixed flag; every degree-5 monomial integrates to -1 or 0
+    ring = GradedRingPresentation(free.generators, relations, 5, -(t * c2**2))
     t = ring.gen("t")
     symbols = {"p": -t, "p_g": t**2, **_line_classes(ring)}
     labels = [
@@ -221,8 +218,7 @@ def _build_flag_space() -> SchubertSpace:
         ["G", "p^2*g_e"],
         ["p*G"],
     ]
-    # the unique degree-5 monomial integrates to -1, hence the orientation flip
-    return SchubertSpace("PS", ring, symbols, labels, top_sign=-1)
+    return SchubertSpace("PS", ring, symbols, labels)
 
 
 @lru_cache(maxsize=None)

@@ -526,12 +526,47 @@ _eval_texts = st.one_of(
 )
 
 
-@settings(max_examples=400, derandomize=True, deadline=timedelta(seconds=5))
-@given(name=st.sampled_from(spaces.SPACE_NAMES), text=_eval_texts)
-def test_eval_answers_or_rejects_any_text(name, text):
+def _answered_or_rejected(argv):
+    """Run the CLI in-process: exit 0, or exit 2 with a message and no traceback."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run_cli(["eval", "--space", name, "--", text])
+        code = run_cli(argv)
     assert code in (0, 2)
     assert (code == 0) == (err.getvalue() == "")
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=400, derandomize=True, deadline=timedelta(seconds=5))
+@given(name=st.sampled_from(spaces.SPACE_NAMES), text=_eval_texts)
+def test_eval_answers_or_rejects_any_text(name, text):
+    _answered_or_rejected(["eval", "--space", name, "--", text])
+
+
+@pytest.mark.parametrize("text, at", [("²", 0), ("g^²", 2), ("٣*g", 0), ("１*g", 0)])
+def test_eval_rejects_non_ascii_digits(capsys, text, at):
+    code, out, err = run(capsys, "eval", "--space", "G", "--", text)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: unexpected character {text[at]!r} (at position {at})\n"
+
+
+# degrees near MAX_PENCIL_DEGREE are left to test_oracle_pencil_degree_limit
+_integer_argvs = st.one_of(
+    st.builds(
+        lambda command, n, flags: [command, str(n), *flags],
+        st.sampled_from(["tangent-count", "bitangent-count"]),
+        st.integers(-5, 12),
+        st.sampled_from([(), ("--trace",), ("--json",)]),
+    ),
+    st.builds(
+        lambda d, s: ["oracle", "pencil", "--degree", str(d), "--seed", str(s)],
+        st.integers(-2, 6),
+        st.integers(-50, 50),
+    ),
+    st.builds(lambda s: ["oracle", "four-lines", "--seed", str(s)], st.integers(-50, 50)),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=timedelta(seconds=5))
+@given(argv=_integer_argvs)
+def test_integer_arguments_are_answered_or_rejected(argv):
+    _answered_or_rejected(argv)

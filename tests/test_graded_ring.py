@@ -21,7 +21,6 @@ from schubert3.graded_ring import (
     RingElement,
     TorsionError,
     in_ideal_span,
-    solve_integer_combination,
     substitute,
 )
 
@@ -414,6 +413,16 @@ def test_top_class_must_generate():
         GradedRingPresentation(free.generators, rels, 2, (2, 0))
 
 
+def test_top_class_is_the_class_that_integrates_to_one():
+    free = PolyRing([("t", 1)])
+    t = free.gen("t")
+    with pytest.raises(ValueError, match="coefficient 1 or -1"):
+        GradedRingPresentation([("t", 1)], [t**4], 3, 2 * t**3)
+    ring = GradedRingPresentation([("t", 1)], [t**4], 3, -(t**3))
+    assert ring.evaluate_top(ring.gen("t") ** 3) == -1
+    assert ring.evaluate_top(-(ring.gen("t") ** 3)) == 1
+
+
 def test_generator_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec("t", 0)
@@ -465,10 +474,3 @@ def test_in_ideal_span_basics():
     assert in_ideal_span(free.zero(), [x1**2])
     with pytest.raises(ValueError):
         in_ideal_span(x1, [x1 + x1**2])
-
-
-def test_solve_integer_combination():
-    assert solve_integer_combination([[1, 1], [0, 2]], [3, 5]) == [3, 1]
-    assert solve_integer_combination([[2]], [1]) is None
-    assert solve_integer_combination([[1, 0]], [0, 1]) is None
-    assert solve_integer_combination([[1, 0], [0, 1]], [4, -7]) == [4, -7]

@@ -433,6 +433,58 @@ def test_oracle_imports_no_symbolic_ring():
     assert relative == {"linalg"}
 
 
+def test_linalg_routines_stay_on_their_side():
+    # only the oracle eliminates with rref and bareiss_det, and it never
+    # uses the rings' integer echelon: a count and its check share no routine
+    oracle_side = {"rref", "bareiss_det"}
+    ring_side = {"int_echelon", "reduce_mod_echelon"}
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "linalg"
+            for alias in node.names
+        }
+        forbidden = ring_side if path.stem == "oracle" else oracle_side
+        assert not imported & forbidden, path.name
+
+
+def fraction_rank(rows):
+    """Rank over Q by Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_plane_frame_completes_the_vertex():
+    # the plane's first nonzero dual coordinate sits in each column in turn,
+    # and the vertex is nonzero on every nonempty subset of the free columns
+    for first in range(4):
+        for tail in ([2, -3, 5, 7], [2, 0, 0, 0]):
+            plane = [0] * first + tail[: 4 - first]
+            free = [j for j in range(4) if j != first]
+            for k in range(1, 8):
+                vertex = [0] * 4
+                for bit, j in enumerate(free):
+                    if k >> bit & 1:
+                        vertex[j] = j + 2
+                vertex[first] = Fraction(-sum(a * x for a, x in zip(plane, vertex)), plane[first])
+                v, w1, w2 = oracle._plane_frame(plane, vertex)
+                assert v == ProjectivePoint(vertex).coords
+                for w in (w1, w2):
+                    assert sum(a * x for a, x in zip(plane, w)) == 0
+                assert fraction_rank([v, w1, w2]) == 3
+
+
 def test_pencil_preconditions():
     f = SurfaceForm({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1})
     with pytest.raises(ValueError, match="lie on the plane"):

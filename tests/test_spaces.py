@@ -180,11 +180,26 @@ def test_render_guards_only_a_leading_negative_power():
         assert eva("PS", render_in_classes(PS, e)) == e
 
 
-def test_render_basis_must_be_unimodular():
+@pytest.mark.parametrize(
+    "degree_two, renders",
+    [
+        (["g_p", "g_p"], None),
+        (["g_p", "2*g_e"], None),
+        (["g_p + g_e", "g_p - g_e"], None),
+        (["g^2", "g_e"], {"g_p": "g^2 - g_e", "g^2 + 3*g_p": "4*g^2 - 3*g_e"}),
+    ],
+    ids=["dependent", "determinant-2", "determinant-minus-2", "unimodular"],
+)
+def test_render_basis_must_be_unimodular(degree_two, renders):
     G = space("G")
-    labels = [["1"], ["2*g"], ["g_p", "g_e"], ["g_s"], ["G"]]
-    with pytest.raises(ValueError, match="not a unimodular basis"):
-        SchubertSpace("G", G.ring, dict(G.symbols), labels)
+    labels = [["1"], ["g"], degree_two, ["g_s"], ["G"]]
+    if renders is None:
+        with pytest.raises(ValueError, match="not a unimodular basis"):
+            SchubertSpace("G", G.ring, dict(G.symbols), labels)
+        return
+    sp = SchubertSpace("G", G.ring, dict(G.symbols), labels)
+    for text, rendered in renders.items():
+        assert render_in_classes(sp, eva("G", text)) == rendered
 
 
 # ---------------------------------------------------------------------------
