@@ -31,6 +31,12 @@ _SURFACE_VARS = ("x", "y", "z", "w")
 # grows faster than n^5, so the limit keeps every run bounded.
 MAX_PENCIL_DEGREE = 40
 
+# Most digits `oracle four-lines --input` accepts in a numerator or a
+# denominator.  The answer's integers grow about thirteenfold over the
+# canonical coordinates, which clear up to six denominators, so 40 digits
+# keep them near 3,100 digits, inside Python's 4,300-digit str conversion.
+MAX_INPUT_DIGITS = 40
+
 
 def _surface_source(f: oracle.SurfaceForm) -> str:
     return format_signed_sum(
@@ -55,16 +61,31 @@ def _solution_payload(result: oracle.SolutionSet) -> dict:
     }
 
 
-def _parse_line_entry(entry) -> oracle.PlueckerLine:
+def _parse_coordinate(x, where: str):
+    """A JSON integer, or a string "p" or "p/q" of ASCII digits, as an exact rational."""
     from fractions import Fraction
 
+    text = x if isinstance(x, str) else str(x) if type(x) is int else ""
+    parts = text.removeprefix("-").split("/")
+    if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"{where}: expected an integer or a string p or p/q of ASCII digits")
+    if any(len(p) > MAX_INPUT_DIGITS for p in parts):
+        raise ValueError(f"{where}: a numerator or denominator exceeds {MAX_INPUT_DIGITS} digits")
+    if len(parts) == 2 and not int(parts[1]):
+        raise ValueError(f"{where}: zero denominator")
+    return Fraction(text)
+
+
+def _parse_line_entry(entry, k: int) -> oracle.PlueckerLine:
     from . import oracle
 
     if not isinstance(entry, list) or len(entry) != 6:
         raise ValueError(
             "each line must be a 6-entry array [p01, p02, p03, p23, p31, p12]"
         )
-    return oracle.PlueckerLine([Fraction(str(x)) for x in entry])
+    return oracle.PlueckerLine(
+        [_parse_coordinate(x, f"line {k}, entry {i}") for i, x in enumerate(entry, 1)]
+    )
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -154,13 +175,16 @@ def _cmd_oracle_four_lines(args: argparse.Namespace) -> int:
     payload: dict = {}
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{args.input}: not a readable JSON file: {exc}") from None
         if not isinstance(data, dict) or "lines" not in data:
             raise ValueError('the input file must be a JSON object with a "lines" key')
         entries = data["lines"]
         if not isinstance(entries, list) or len(entries) != 4:
             raise ValueError("the four-lines problem needs exactly 4 lines")
-        lines = [_parse_line_entry(entry) for entry in entries]
+        lines = [_parse_line_entry(entry, k) for k, entry in enumerate(entries, 1)]
     else:
         seed = args.seed if args.seed is not None else 0
         payload["seed"] = seed

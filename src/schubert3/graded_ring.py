@@ -2,11 +2,13 @@
 
 Everything here is exact.  Coefficients are arbitrary-precision integers, and a
 quotient by a homogeneous ideal is computed one degree at a time: the relation
-multiples of each degree are put into a unit-pivot integer echelon form, the
-surviving monomials form the canonical basis of that graded piece, and normal
-forms are obtained by reducing against the echelon rows.  Monomials inside a
-degree are ordered by descending lexicographic order on exponent vectors, so
-every normal form is canonical for a fixed generator order.
+multiples of each degree are put into a unit-pivot integer echelon form, and
+the surviving monomials form the canonical basis of that graded piece.
+Reduction is linear, so each degree's echelon is used once, at construction,
+to tabulate the normal form of every monomial of that degree; reducing an
+element is then a lookup per term.  Monomials inside a degree are ordered by
+descending lexicographic order on exponent vectors, so every normal form is
+canonical for a fixed generator order.
 """
 
 from __future__ import annotations
@@ -371,8 +373,8 @@ class GradedRingPresentation(PolyRing):
         if self.monomial_degree(self.top_class) != top_degree:
             raise ValueError("top_class degree differs from top_degree")
 
-        self._mono_index: dict[int, dict[Monomial, int]] = {}
-        self._degree_reducers: dict[int, list[tuple[int, list[int]]]] = {}
+        # monomial of degree <= top -> normal form as (basis monomial, coefficient) pairs
+        self._normal_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
         self._bases: dict[int, GradedBasis] = {}
 
         window = max(self.degrees) if self.degrees else 0
@@ -398,7 +400,7 @@ class GradedRingPresentation(PolyRing):
 
     def _build_degree(self, d: int) -> None:
         monos = self.monomials_of_degree(d)
-        index, echelon = _relation_echelon(self, self.relations, d)
+        echelon = _relation_echelon(self, self.relations, d)
         for col, row in echelon:
             if row[col] != 1:
                 raise TorsionError(
@@ -408,30 +410,23 @@ class GradedRingPresentation(PolyRing):
                 )
         pivot_cols = {col for col, _ in echelon}
         basis = tuple(m for i, m in enumerate(monos) if i not in pivot_cols)
-        self._mono_index[d] = index
-        self._degree_reducers[d] = echelon
         self._bases[d] = GradedBasis(d, basis)
+        if d > self.top_degree:
+            return
+        # Every pivot is a unit, so reducing a unit vector clears every pivot
+        # column and leaves the monomial's normal form; basis monomials stay put.
+        for i, m in enumerate(monos):
+            nf = reduce_mod_echelon([int(j == i) for j in range(len(monos))], echelon)
+            self._normal_forms[m] = tuple((monos[j], c) for j, c in enumerate(nf) if c)
 
     def _reduce(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
-        # Every pivot is a unit (TorsionError otherwise), so reducing against
-        # the echelon clears every pivot column.
+        # A monomial missing from the table lies above the top degree, where
+        # construction proved that the quotient vanishes.
         out: dict[Monomial, int] = {}
-        by_deg: dict[int, dict[Monomial, int]] = {}
         for m, c in terms.items():
-            by_deg.setdefault(self.monomial_degree(m), {})[m] = c
-        for d, comp in by_deg.items():
-            if d > self.top_degree:
-                continue  # validated to vanish above the top degree
-            monos = self.monomials_of_degree(d)
-            index = self._mono_index[d]
-            vec = [0] * len(monos)
-            for m, c in comp.items():
-                vec[index[m]] += c
-            vec = reduce_mod_echelon(vec, self._degree_reducers[d])
-            for i, c in enumerate(vec):
-                if c:
-                    out[monos[i]] = c
-        return out
+            for b, k in self._normal_forms.get(m, ()):
+                out[b] = out.get(b, 0) + c * k
+        return {m: c for m, c in out.items() if c}
 
     def graded_basis(self, d: int) -> GradedBasis:
         if not 0 <= d <= self.top_degree:
@@ -473,8 +468,8 @@ def substitute(
 
 def _relation_echelon(
     ring: PolyRing, relations: Sequence[Mapping[Monomial, int]], d: int
-) -> tuple[dict[Monomial, int], list[tuple[int, list[int]]]]:
-    """Monomial index of degree d and the integer echelon of the ideal's slice.
+) -> list[tuple[int, list[int]]]:
+    """Integer echelon of the ideal's degree-d slice, columns in monomial order.
 
     The slice is spanned by every monomial multiple of a homogeneous relation
     that lands in degree d.
@@ -489,7 +484,7 @@ def _relation_echelon(
             for m, c in rel.items():
                 vec[index[tuple(a + b for a, b in zip(mult, m))]] += c
             rows.append(vec)
-    return index, int_echelon(rows, len(monos))
+    return int_echelon(rows, len(monos))
 
 
 def in_ideal_span(e: RingElement, relations: Sequence[RingElement]) -> bool:
@@ -508,10 +503,7 @@ def in_ideal_span(e: RingElement, relations: Sequence[RingElement]) -> bool:
             raise ValueError("relations must be nonzero homogeneous elements")
         rels.append(r.terms)
     for d, comp in e.homogeneous_components().items():
-        index, echelon = _relation_echelon(ring, rels, d)
-        vec = [0] * len(index)
-        for m, c in comp.terms.items():
-            vec[index[m]] = c
-        if any(reduce_mod_echelon(vec, echelon)):
+        vec = [comp.terms.get(m, 0) for m in ring.monomials_of_degree(d)]
+        if any(reduce_mod_echelon(vec, _relation_echelon(ring, rels, d))):
             return False
     return True

@@ -2,8 +2,10 @@
 
 import io
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -570,3 +572,143 @@ _integer_argvs = st.one_of(
 @given(argv=_integer_argvs)
 def test_integer_arguments_are_answered_or_rejected(argv):
     _answered_or_rejected(argv)
+
+
+_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+_digit_strings = st.text("0123456789", min_size=1, max_size=45)
+_json_leaves = st.one_of(
+    st.integers(-(10**60), 10**60),
+    st.floats(),
+    _digit_strings,
+    st.builds("-{}/{}".format, _digit_strings, _digit_strings),
+    st.builds("{}e{}".format, _digit_strings, _digit_strings),
+    st.text(max_size=20),
+    st.booleans(),
+    st.none(),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6), st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+_points = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+def _line_entries(x, y, p, q):
+    """Pluecker coordinates of the line through points x and y, scaled by p/q."""
+    coords = [(x[i] * y[j] - x[j] * y[i]) * p for i, j in _PAIRS]
+    return coords if q == 1 else [f"{c}/{q}" for c in coords]
+
+
+_lines_on_the_quadric = st.builds(
+    _line_entries, _points, _points, st.integers(-(10**41), 10**41), st.integers(0, 10**41)
+)
+_lines = st.one_of(_lines_on_the_quadric, st.lists(_json_leaves, min_size=6, max_size=6))
+_lines_values = st.one_of(
+    st.lists(_lines_on_the_quadric, min_size=4, max_size=4),
+    st.lists(_lines, min_size=3, max_size=5),
+    _json_values,
+)
+_input_texts = st.one_of(
+    _lines_values.map(lambda lines: json.dumps({"lines": lines})),
+    _json_values.map(json.dumps),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(text=_input_texts)
+def test_input_files_are_answered_or_rejected(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "four-lines-input.json"
+    path.write_text(text, encoding="utf-8")
+    _answered_or_rejected(["oracle", "four-lines", "--input", str(path)])
+
+
+def _widest_line(rng):
+    """A line whose 6 entries have 40-digit numerators and pairwise coprime denominators.
+
+    Entry (ij) is m*q_kl/q_ij for the complementary pair (kl), so each
+    quadric term p_ij*p_kl is the small integer m*m', and the products of
+    (1, 1), (1, 1) and (-2, 1) cancel.  Canonical coordinates then clear all
+    six denominators and reach about 240 digits, the most 40-digit parts allow.
+    """
+    q = []
+    while len(q) < 6:
+        r = rng.randrange(10**39, 4 * 10**39)
+        if all(math.gcd(r, e) == 1 for e in q):
+            q.append(r)
+    q01, q02, q03, q23, q31, q12 = q
+    factors = [(1, 1), (1, 1), (-2, 1)]
+    rng.shuffle(factors)
+    (a, b), (c, d), (e, f) = factors
+    entries = [(a * q23, q01), (c * q31, q02), (e * q12, q03), (b * q01, q23), (d * q02, q31)]
+    entries.append((f * q03, q12))
+    assert all(len(str(abs(n))) == len(str(d)) == 40 for n, d in entries)
+    return [f"{n}/{d}" for n, d in entries]
+
+
+def _write_lines(tmp_path, lines):
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"lines": lines}))
+    return str(path)
+
+
+def test_oracle_four_lines_input_at_the_digit_limit(capsys, tmp_path):
+    assert cli.MAX_INPUT_DIGITS == 40
+    rng = random.Random(0)
+    path = _write_lines(tmp_path, [_widest_line(rng) for _ in range(4)])
+    code, out, err = run(capsys, "oracle", "four-lines", "--input", path)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["infinite"], payload["total_multiplicity"]) == (False, 2)
+    assert max(len(str(abs(c))) for line in payload["lines"] for c in line) > 230
+    assert 3000 < max(map(len, re.findall(r"\d+", out))) < 4300
+
+
+_TETRAHEDRON = [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ("9" * 41, "exceeds 40 digits"),
+        ("-1/" + "7" * 41, "exceeds 40 digits"),
+        (10**40, "exceeds 40 digits"),
+        ("2/0", "zero denominator"),
+        ("1e9999999", "expected an integer"),
+        ("1e99999999", "expected an integer"),
+        (True, "expected an integer"),
+        (None, "expected an integer"),
+        (0.5, "expected an integer"),
+        (" 1", "expected an integer"),
+        ("１", "expected an integer"),
+    ],
+)
+def test_oracle_four_lines_input_rejects_entry(capsys, tmp_path, entry, reason):
+    lines = json.loads(json.dumps(_TETRAHEDRON))
+    lines[2][4] = entry
+    path = _write_lines(tmp_path, lines)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "four-lines", "--input", path)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3, entry 5: ") and reason in err
+
+
+def test_oracle_four_lines_input_accepts_40_digit_integers(capsys, tmp_path):
+    lines = json.loads(json.dumps(_TETRAHEDRON))
+    lines[0][0] = 10**40 - 1
+    lines[1][5] = "-" + "9" * 40
+    code, out, err = run(capsys, "oracle", "four-lines", "--input", _write_lines(tmp_path, lines))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lines"][:2] == _TETRAHEDRON[:2]
+
+
+def test_oracle_four_lines_input_rejects_deep_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "oracle", "four-lines", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not a readable JSON file: ")

@@ -67,8 +67,8 @@ def oracle_rank_q(rows):
     return rank
 
 
-def oracle_corank(degrees, relations, d):
-    """Corank of the degree-d slice of the ideal, all arithmetic over Q.
+def oracle_ideal_rows(degrees, relations, d):
+    """Degree-d monomials and the relation multiples of degree d as vectors.
 
     relations: list of dicts mapping exponent vectors to coefficients.
     """
@@ -82,6 +82,12 @@ def oracle_corank(degrees, relations, d):
             for m, c in rel.items():
                 vec[index[tuple(a + b for a, b in zip(mult, m))]] += c
             rows.append(vec)
+    return monos, rows
+
+
+def oracle_corank(degrees, relations, d):
+    """Corank of the degree-d slice of the ideal, all arithmetic over Q."""
+    monos, rows = oracle_ideal_rows(degrees, relations, d)
     return len(monos) - oracle_rank_q(rows)
 
 
@@ -245,6 +251,53 @@ def test_normal_form_t_exponent_bounded(PS):
     for d in range(6):
         for m in PS.graded_basis(d).monomials:
             assert m[0] <= 1
+
+
+@pytest.mark.parametrize("name", sorted(ALL_RINGS))
+def test_every_monomial_normal_form_is_a_basis_combination_mod_the_ideal(name):
+    ring = ALL_RINGS[name]()
+    for d in range(ring.top_degree + 1):
+        monos, rows = oracle_ideal_rows(ring.degrees, ring.relations, d)
+        basis = ring.graded_basis(d).monomials
+        rank = oracle_rank_q(rows)
+        for m in monos:
+            nf = ring.monomial(m).terms
+            assert set(nf) <= set(basis), (name, m)
+            if m in basis:
+                assert nf == {m: 1}, (name, m)
+            difference = [(mono == m) - nf.get(mono, 0) for mono in monos]
+            assert oracle_rank_q(rows + [difference]) == rank, (name, m)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_RINGS))
+def test_monomials_above_the_top_degree_reduce_to_zero(name):
+    ring = ALL_RINGS[name]()
+    for d in range(ring.top_degree + 1, ring.top_degree + 2 * max(ring.degrees) + 2):
+        for m in ring.monomials_of_degree(d):
+            assert ring.monomial(m, 7).is_zero(), (name, m)
+
+
+MALFORMED_RINGS = {
+    "G": make_line_space,
+    "PS": make_flag_space,
+    "free": lambda: PolyRing([("x", 1), ("y", 2)]),
+    "blowup": blowup_ring,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_RINGS))
+def test_malformed_terms_are_refused(name):
+    ring = MALFORMED_RINGS[name]()
+    n = ring.ngens
+    unit = (1,) + (0,) * (n - 1)
+    bad_monomials = [(1,) * (n + 1), (1,) * (n - 1), (-1,) + (0,) * (n - 1)]
+    bad_monomials += [(e,) + (0,) * (n - 1) for e in (1.0, 1.5)]
+    for mono in bad_monomials:
+        with pytest.raises(ValueError, match="exponent"):
+            ring.element({mono: 1})
+    for coeff in (Fraction(1, 2), 1.0):
+        with pytest.raises(ValueError, match="coefficient"):
+            ring.element({unit: coeff})
 
 
 # ---------------------------------------------------------------------------
