@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 # Every public name, under the submodule that defines it.
 _PUBLIC = {
-    "chern_segre": ("TotalClass",),
     "coincidence": (
         "BitangentDerivation",
         "BlowupRing",
@@ -37,6 +36,7 @@ _PUBLIC = {
         "RingElement",
         "TorsionError",
         "in_ideal_span",
+        "series_inverse",
         "substitute",
     ),
     "oracle": (

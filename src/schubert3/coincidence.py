@@ -26,8 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import dsl, spaces
-from .chern_segre import TotalClass
-from .graded_ring import Monomial, PolyRing, RingElement, format_terms, substitute
+from .graded_ring import Monomial, PolyRing, RingElement, format_terms, series_inverse, substitute
 
 __all__ = [
     "BitangentDerivation",
@@ -100,17 +99,15 @@ class SegrePushTable:
 
     The exceptional divisor is a plane bundle over the diagonal copy of
     projective 3-space; integrating eps^k along its fibers leaves (-1)^k
-    times the (k-2)-nd Segre class of the tangent bundle, the series
-    inverse of (1 + t)^4.  Exponents below 2 integrate to zero, and
-    exponents beyond 5 land above the top degree.
+    times the (k-2)-nd Segre class of the tangent bundle: the degree-(k-2)
+    part of `series_inverse((1 + t)^4, 3)` in the ring of P3.  Exponents
+    below 2 integrate to zero, and exponents beyond 5 land above the top
+    degree.
     """
 
     def __init__(self) -> None:
-        ring = spaces.space("P3").ring
-        t = ring.gen("t")
-        tangent = TotalClass(ring, [4 * t, 6 * t * t, 4 * t ** 3], bound=3)
-        self.ring = ring
-        self._segre = tangent.invert()
+        self.ring = spaces.space("P3").ring
+        self._segre = series_inverse((1 + self.ring.gen("t")) ** 4, 3)
 
     def value(self, k: int) -> RingElement:
         if k < 0:
@@ -118,7 +115,7 @@ class SegrePushTable:
         if k < 2 or k - 2 > 3:
             return self.ring.zero()
         sign = -1 if k % 2 else 1
-        return sign * self._segre.component(k - 2)
+        return sign * self._segre.homogeneous_component(k - 2)
 
 
 @lru_cache(maxsize=None)

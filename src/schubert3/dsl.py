@@ -11,8 +11,11 @@ Multiplication is always spelled '*'; juxtaposition is a syntax error.
 Exponents are literal non-negative integers up to MAX_EXPONENT, integer
 literals have at most MAX_LITERAL_DIGITS digits, expressions nest at most
 MAX_DEPTH levels deep, and evaluation refuses any product whose coefficients
-could pass MAX_COEFFICIENT_BITS.  Note that '-' lives at the base level, so
-"-g^2" parses as (-g)^2 and squaring-then-negating must be written "-(g^2)".
+could pass MAX_COEFFICIENT_BITS.  That limit bounds bits, not terms: evaluation
+stays small because each of the four spaces has finite rank, while a free ring
+(such as a test's fake space) can still grow in terms.  Note that '-' lives at
+the base level, so "-g^2" parses as (-g)^2 and squaring-then-negating must be
+written "-(g^2)".
 """
 
 from __future__ import annotations
@@ -133,7 +136,9 @@ MAX_LITERAL_DIGITS = 1000
 # factors' largest coefficients add up past this limit, so no integer much longer
 # is ever built: a product adds a few bits for its number of terms, and sums add
 # at most a bit per level of MAX_DEPTH.  Every value stays far below the 4300
-# digits, about 14,284 bits, past which it could not be printed.
+# digits, about 14,284 bits, past which it could not be printed.  The limit bounds
+# bits, not terms: the four spaces have finite rank, so an element there has few
+# terms, but a free ring can still grow in terms below it.
 MAX_COEFFICIENT_BITS = 10_000
 
 

@@ -9,6 +9,9 @@ to tabulate the normal form of every monomial of that degree; reducing an
 element is then a lookup per term.  Monomials inside a degree are ordered by
 descending lexicographic order on exponent vectors, so every normal form is
 canonical for a fixed generator order.
+
+Total Chern and Segre classes are plain elements 1 + a_1 + a_2 + ...;
+`series_inverse` inverts one degree by degree, with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "TorsionError",
     "in_ideal_span",
     "power",
+    "series_inverse",
     "substitute",
 ]
 
@@ -55,9 +59,7 @@ class PolyRing:
     """Free graded-commutative polynomial ring over Z with named generators."""
 
     def __init__(self, generators: Iterable[Union[GeneratorSpec, tuple[str, int]]]) -> None:
-        specs = []
-        for g in generators:
-            specs.append(g if isinstance(g, GeneratorSpec) else GeneratorSpec(*g))
+        specs = [GeneratorSpec(*g) for g in generators]
         names = [g.name for g in specs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
@@ -134,14 +136,15 @@ class RingElement:
 
     def __init__(self, ring: PolyRing, terms: Mapping[Monomial, int]) -> None:
         clean: dict[Monomial, int] = {}
+        # `type(x) is int` also refuses bool, which `isinstance` would let in as 0 or 1.
         for mono, coeff in terms.items():
+            if type(coeff) is not int:
+                raise ValueError(f"non-integer coefficient {coeff!r}")
             if not coeff:
                 continue
             mono = tuple(mono)
-            if len(mono) != ring.ngens or any(e < 0 or not isinstance(e, int) for e in mono):
+            if len(mono) != ring.ngens or any(type(e) is not int or e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r} for {ring!r}")
-            if not isinstance(coeff, int):
-                raise ValueError(f"non-integer coefficient {coeff!r}")
             clean[mono] = clean.get(mono, 0) + coeff
         self.ring = ring
         self.terms = ring._reduce(clean)
@@ -151,7 +154,7 @@ class RingElement:
             if other.ring is not self.ring:
                 raise ValueError("elements belong to different rings")
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return RingElement(self.ring, {(0,) * self.ring.ngens: other})
         return None
 
@@ -201,7 +204,7 @@ class RingElement:
         return power(self, n)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = RingElement(self.ring, {(0,) * self.ring.ngens: other})
         if not isinstance(other, RingElement):
             return NotImplemented
@@ -284,6 +287,27 @@ def power(x: RingElement, n: int, product=mul) -> RingElement:
         if n:
             x = product(x, x)
     return x.ring.one() if out is None else out
+
+
+def series_inverse(u: RingElement, bound: int) -> RingElement:
+    """u^-1 through degree `bound`, for an element u whose degree-0 part is 1.
+
+    Solves u*v = 1 degree by degree: v_0 = 1 and v_d = -sum_{i=1}^{d} u_i*v_(d-i).
+    The unit constant term means no division ever happens, so v stays integral.
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, not {bound}")
+    parts = u.homogeneous_components()
+    if parts.get(0, 0) != 1:
+        raise ValueError(f"series_inverse needs degree-0 part 1, not {parts.get(0, 0)}")
+    inverse = [u.ring.one()]
+    for d in range(1, bound + 1):
+        v = u.ring.zero()
+        for i in range(1, d + 1):
+            if i in parts:
+                v = v - parts[i] * inverse[d - i]
+        inverse.append(v)
+    return sum(inverse, u.ring.zero())
 
 
 def format_signed_sum(terms: Iterable[tuple[int, str]]) -> str:

@@ -416,8 +416,8 @@ class SurfaceForm:
     def __init__(self, coeffs: Mapping[tuple[int, int, int, int], Rational]) -> None:
         clean: dict[tuple[int, int, int, int], Rational] = {}
         for mono, value in coeffs.items():
-            mono = tuple(map(int, mono))
-            if len(mono) != 4 or min(mono) < 0:
+            mono = tuple(mono)
+            if len(mono) != 4 or any(type(e) is not int or e < 0 for e in mono):
                 raise ValueError(f"bad monomial exponents {mono!r}")
             value = _rational(value)
             if value:

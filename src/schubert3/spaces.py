@@ -19,8 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from . import dsl
-from .chern_segre import TotalClass
-from .graded_ring import GradedRingPresentation, PolyRing, RingElement, format_signed_sum
+from .graded_ring import GradedRingPresentation, PolyRing, RingElement, format_signed_sum, series_inverse
 from .linalg import int_echelon, reduce_mod_echelon
 
 __all__ = [
@@ -165,10 +164,10 @@ def render_in_classes(sp: SchubertSpace, e: RingElement) -> str:
     )
 
 
-def _dual_segre_components(free: PolyRing, degrees: tuple[int, ...]) -> list[RingElement]:
-    c1, c2 = free.gen("c1"), free.gen("c2")
-    s = TotalClass(free, {1: c1, 2: c2}, max(degrees)).invert()
-    return [s.component(d) for d in degrees]
+def _dual_segre_components(free: PolyRing) -> list[RingElement]:
+    """Degrees 3 and 4 of (1 + c1 + c2)^-1: the relations of the line space."""
+    s = series_inverse(1 + free.gen("c1") + free.gen("c2"), 4)
+    return [s.homogeneous_component(d) for d in (3, 4)]
 
 
 def _build_point_space(dual: bool) -> SchubertSpace:
@@ -195,7 +194,7 @@ def _line_classes(ring: GradedRingPresentation) -> dict[str, RingElement]:
 
 def _build_line_space() -> SchubertSpace:
     free = PolyRing([("c1", 1), ("c2", 2)])
-    relations = _dual_segre_components(free, (3, 4))
+    relations = _dual_segre_components(free)
     ring = GradedRingPresentation(free.generators, relations, 4, (0, 2))
     labels = [["1"], ["g"], ["g_p", "g_e"], ["g_s"], ["G"]]
     return SchubertSpace("G", ring, _line_classes(ring), labels)
@@ -204,7 +203,7 @@ def _build_line_space() -> SchubertSpace:
 def _build_flag_space() -> SchubertSpace:
     free = PolyRing([("t", 1), ("c1", 1), ("c2", 2)])
     t, c1, c2 = free.gens()
-    relations = _dual_segre_components(free, (3, 4))
+    relations = _dual_segre_components(free)
     relations.append(t**2 - t * c1 + c2)
     # the top class is p*G, a fixed flag; every degree-5 monomial integrates to -1 or 0
     ring = GradedRingPresentation(free.generators, relations, 5, -(t * c2**2))

@@ -393,7 +393,6 @@ def test_symbolic_commands_load_only_the_rings(argv):
     assert code == "0"
     assert loaded == [
         "schubert3",
-        "schubert3.chern_segre",
         "schubert3.cli",
         "schubert3.dsl",
         "schubert3.graded_ring",

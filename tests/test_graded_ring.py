@@ -291,11 +291,12 @@ def test_malformed_terms_are_refused(name):
     n = ring.ngens
     unit = (1,) + (0,) * (n - 1)
     bad_monomials = [(1,) * (n + 1), (1,) * (n - 1), (-1,) + (0,) * (n - 1)]
-    bad_monomials += [(e,) + (0,) * (n - 1) for e in (1.0, 1.5)]
+    bad_monomials += [(e,) + (0,) * (n - 1) for e in (1.0, 1.5, True)]
+    bad_monomials.append((True,) + (False,) * (n - 1))
     for mono in bad_monomials:
         with pytest.raises(ValueError, match="exponent"):
             ring.element({mono: 1})
-    for coeff in (Fraction(1, 2), 1.0):
+    for coeff in (Fraction(1, 2), 1.0, True, False):
         with pytest.raises(ValueError, match="coefficient"):
             ring.element({unit: coeff})
 

@@ -12,6 +12,7 @@ import hashlib
 from itertools import permutations
 from pathlib import Path
 import random
+import re
 
 import pytest
 
@@ -293,6 +294,10 @@ def test_surface_form_canonicalization():
         SurfaceForm({(0, 0, 0, 0): 1})
     with pytest.raises(ValueError):
         SurfaceForm({(1, 0, -1, 1): 1})
+    # exponents are never rounded: (1.5, 0, 0, 0.9) is not read as x
+    for mono in [(1.5, 0, 0, 0.9), (1.0, 0, 0, 0), (True, 0, 0, 0)]:
+        with pytest.raises(ValueError, match=re.escape(repr(mono))):
+            SurfaceForm({mono: 1, (0, 1, 0, 0): 2})
 
 
 def test_pencil_quadric_section():
