@@ -170,10 +170,8 @@ def _phi_certificate() -> bool:
     against every monomial of complementary degree through both of them.
     """
     ring = blowup_ring()
-    line_ring = spaces.space("G").ring
-    free = PolyRing(line_ring.generators)
-    for rel in line_ring.relations:
-        image = substitute(free.element(rel), ring, _phi_images())
+    for rel in spaces.space("G").ring.relations:
+        image = substitute(rel, ring, _phi_images())
         d = image.degree()
         for m in ring.monomials_of_degree(6 - d):
             if eval_total(image * ring.monomial(m)) != 0:

@@ -1,7 +1,9 @@
 """Graded commutative rings over the integers, presented by generators and relations.
 
-Everything here is exact.  Coefficients are arbitrary-precision integers, and a
-quotient by a homogeneous ideal is computed one degree at a time: the relation
+Everything here is exact.  Coefficients are arbitrary-precision integers.  A
+quotient is given as `GradedRingPresentation(relations, top_class)`, both
+elements of one free `PolyRing`: the generators are that ring's, and the top
+degree is the top class's.  It is computed one degree at a time: the relation
 multiples of each degree are put into a unit-pivot integer echelon form, and
 the surviving monomials form the canonical basis of that graded piece.
 Reduction is linear, so each degree's echelon is used once, at construction,
@@ -50,7 +52,8 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "name degree")):
     def __new__(cls, name: str, degree: int) -> "GeneratorSpec":
         if not name or not (name[0].isalpha()):
             raise ValueError(f"bad generator name {name!r}")
-        if degree < 1:
+        # `type(degree) is int` also refuses bool, as in `RingElement`.
+        if type(degree) is not int or degree < 1:
             raise ValueError(f"generator {name!r}: degree must be a positive integer")
         return tuple.__new__(cls, (name, degree))
 
@@ -351,51 +354,32 @@ class GradedBasis(NamedTuple):
 class GradedRingPresentation(PolyRing):
     """Quotient of a free graded ring by a homogeneous ideal, over Z.
 
-    The presentation carries a top degree and a top class: the monomial, with
-    sign 1 or -1, that integrates to 1.  Its graded piece must be free of
-    rank one; `evaluate_top` reads off the integral of the top-degree
-    component.  Construction fails loudly on non-homogeneous relations,
-    torsion (or any graded piece without a unit-pivot monomial basis), a top
-    piece of rank != 1, and quotients that do not vanish above the top degree.
+    `relations` and `top_class` are elements of one free `PolyRing`; the
+    quotient takes its generators from that ring and its top degree from the
+    top class, the monomial, with sign 1 or -1, that integrates to 1.  The
+    top graded piece must be free of rank one; `evaluate_top` reads off the
+    integral of the top-degree component.  Construction fails loudly on
+    non-homogeneous relations, torsion (or any graded piece without a
+    unit-pivot monomial basis), a top piece of rank != 1, and quotients that
+    do not vanish above the top degree.
     """
 
-    def __init__(
-        self,
-        generators: Iterable[Union[GeneratorSpec, tuple[str, int]]],
-        relations: Sequence[Union["RingElement", Mapping[Monomial, int]]],
-        top_degree: int,
-        top_class: Union["RingElement", Monomial],
-    ) -> None:
-        super().__init__(generators)
-        if top_degree < 0:
-            raise ValueError("top_degree must be non-negative")
-        self.top_degree = top_degree
-
-        rels: list[dict[Monomial, int]] = []
-        for r in relations:
-            terms = dict(r.terms) if isinstance(r, RingElement) else {tuple(m): c for m, c in r.items()}
-            terms = {m: c for m, c in terms.items() if c}
-            if not terms:
-                continue
-            for m in terms:
-                if len(m) != self.ngens:
-                    raise ValueError("relation uses a different generator tuple")
-            degs = {self.monomial_degree(m) for m in terms}
-            if len(degs) > 1:
-                raise ValueError(f"relation {format_terms(self, terms)!r} is not homogeneous")
-            if degs.pop() == 0:
+    def __init__(self, relations: Sequence[RingElement], top_class: RingElement) -> None:
+        elements = [top_class, *relations]
+        if not all(isinstance(e, RingElement) and e.ring is top_class.ring for e in elements):
+            raise ValueError("relations and the top class must live in one free ring")
+        super().__init__(top_class.ring.generators)
+        self.relations: tuple[RingElement, ...] = tuple(r for r in relations if not r.is_zero())
+        for r in self.relations:
+            if not r.is_homogeneous():
+                raise ValueError(f"relation {str(r)!r} is not homogeneous")
+            if r.degree() == 0:
                 raise ValueError("constant relation would collapse the ring")
-            rels.append(terms)
-        self.relations: tuple[dict[Monomial, int], ...] = tuple(rels)
 
-        sign = 1
-        if isinstance(top_class, RingElement):
-            if len(top_class.terms) != 1 or set(top_class.terms.values()) - {1, -1}:
-                raise ValueError("top_class must be a single monomial with coefficient 1 or -1")
-            ((top_class, sign),) = top_class.terms.items()
-        self.top_class: Monomial = tuple(top_class)
-        if self.monomial_degree(self.top_class) != top_degree:
-            raise ValueError("top_class degree differs from top_degree")
+        if len(top_class.terms) != 1 or set(top_class.terms.values()) - {1, -1}:
+            raise ValueError("top_class must be a single monomial with coefficient 1 or -1")
+        ((self.top_class, sign),) = top_class.terms.items()
+        self.top_degree = top_degree = top_class.degree()
 
         # monomial of degree <= top -> normal form as (basis monomial, coefficient) pairs
         self._normal_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
@@ -491,7 +475,7 @@ def substitute(
 
 
 def _relation_echelon(
-    ring: PolyRing, relations: Sequence[Mapping[Monomial, int]], d: int
+    ring: PolyRing, relations: Sequence[RingElement], d: int
 ) -> list[tuple[int, list[int]]]:
     """Integer echelon of the ideal's degree-d slice, columns in monomial order.
 
@@ -502,10 +486,9 @@ def _relation_echelon(
     index = {m: i for i, m in enumerate(monos)}
     rows: list[list[int]] = []
     for rel in relations:
-        rel_deg = ring.monomial_degree(next(iter(rel)))
-        for mult in ring.monomials_of_degree(d - rel_deg):
+        for mult in ring.monomials_of_degree(d - rel.degree()):
             vec = [0] * len(monos)
-            for m, c in rel.items():
+            for m, c in rel.terms.items():
                 vec[index[tuple(a + b for a, b in zip(mult, m))]] += c
             rows.append(vec)
     return int_echelon(rows, len(monos))
@@ -519,15 +502,13 @@ def in_ideal_span(e: RingElement, relations: Sequence[RingElement]) -> bool:
     membership is integer reduction against its echelon form.
     """
     ring = e.ring
-    rels = []
     for r in relations:
         if r.ring is not ring:
             raise ValueError("relations must live in the same ring as the element")
         if not r.is_homogeneous() or r.is_zero():
             raise ValueError("relations must be nonzero homogeneous elements")
-        rels.append(r.terms)
     for d, comp in e.homogeneous_components().items():
         vec = [comp.terms.get(m, 0) for m in ring.monomials_of_degree(d)]
-        if any(reduce_mod_echelon(vec, _relation_echelon(ring, rels, d))):
+        if any(reduce_mod_echelon(vec, _relation_echelon(ring, relations, d))):
             return False
     return True

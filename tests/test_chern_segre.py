@@ -128,10 +128,7 @@ def test_product_in_quotient_ring_truncates():
     free = PolyRing([("c1", 1), ("c2", 2)])
     f1, f2 = free.gens()
     G = GradedRingPresentation(
-        free.generators,
-        [2 * f1 * f2 - f1**3, f1**4 - 3 * f1**2 * f2 + f2**2],
-        4,
-        (0, 2),
+        [2 * f1 * f2 - f1**3, f1**4 - 3 * f1**2 * f2 + f2**2], f2**2
     )
     c1, c2 = G.gens()
     u = 1 + c1 + c2 + c2**2

@@ -202,6 +202,21 @@ def test_render_basis_must_be_unimodular(degree_two, renders):
         assert render_in_classes(sp, eva("G", text)) == rendered
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([["1"], ["g"], ["g_p", "g_e"], ["g_s"]], "need a render basis for each degree 0..4"),
+        ([["1"], ["g"], ["g_p"], ["g_s"], ["G"]], "degree-2 render basis has 1 entries, rank is 2"),
+        ([["1"], ["g"], ["g", "g_e"], ["g_s"], ["G"]], "render class 'g' is not of degree 2"),
+    ],
+    ids=["missing-degree", "too-few-entries", "wrong-degree"],
+)
+def test_render_basis_shape_refusals(labels, message):
+    G = space("G")
+    with pytest.raises(ValueError, match=message):
+        SchubertSpace("G", G.ring, dict(G.symbols), labels)
+
+
 # ---------------------------------------------------------------------------
 # formula suite
 
