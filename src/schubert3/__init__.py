@@ -14,7 +14,6 @@ _PUBLIC = {
     "coincidence": (
         "BitangentDerivation",
         "BlowupRing",
-        "InterpretationTable",
         "SegrePushTable",
         "bitangent_derivation",
         "blowup_ring",

@@ -16,7 +16,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import spaces
-from .dsl import ParseError
+from .dsl import MAX_LITERAL_DIGITS, ParseError
 from .graded_ring import format_signed_sum, monomial_source
 
 if TYPE_CHECKING:
@@ -143,9 +143,23 @@ def _print_count(args: argparse.Namespace, count: int, trace: tuple[str, ...], s
     return 0
 
 
+def _check_surface_degree(args: argparse.Namespace) -> None:
+    """Refuse an n of more than MAX_LITERAL_DIGITS digits before counting.
+
+    Below 10^1000 every printed value has under 4,000 digits, inside Python's
+    4,300-digit int-to-str conversion.
+    """
+    if args.n >= 10**MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"{args.command}: n of {len(str(args.n))} digits exceeds the limit "
+            f"of {MAX_LITERAL_DIGITS} digits"
+        )
+
+
 def _cmd_tangent_count(args: argparse.Namespace) -> int:
     from . import coincidence
 
+    _check_surface_degree(args)
     n = args.n
     excess = coincidence.surface_excess_class(n)
     pullback = coincidence.phi_pullback(spaces.space("G").symbols["g_s"])
@@ -162,6 +176,7 @@ def _cmd_tangent_count(args: argparse.Namespace) -> int:
 def _cmd_bitangent_count(args: argparse.Namespace) -> int:
     from . import coincidence
 
+    _check_surface_degree(args)
     derivation = coincidence.bitangent_derivation(args.n)
     return _print_count(args, derivation.count, derivation.trace, len(derivation.steps))
 

@@ -17,21 +17,25 @@ termwise.
 
 Two classical counts come out of this machinery: a degree-n surface has
 n(n-1) tangent lines in a general pencil, and a general plane section has
-n(n-2)(n-3)(n+3)/2 bitangent lines, 28 for a quartic.
+n(n-2)(n-3)(n+3)/2 bitangent lines, 28 for a quartic.  The bitangent
+derivation is one rewrite engine over the rows of `_RULES`, in four
+tables: sym symmetrizes the doubled coincidence product, G and PS push it
+into the plane pencil by identities proven in those spaces, and count reads
+each fully constrained configuration as its count in n.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from . import dsl, spaces
-from .graded_ring import Monomial, PolyRing, RingElement, format_terms, series_inverse, substitute
+from .graded_ring import Monomial, PolyRing, RingElement, series_inverse, substitute
 
 __all__ = [
     "BitangentDerivation",
     "BlowupRing",
-    "InterpretationTable",
     "SegrePushTable",
     "bitangent_derivation",
     "blowup_ring",
@@ -240,8 +244,9 @@ def _config_ring() -> PolyRing:
     """Free ring of bitangency configurations.
 
     p1..p4 are point conditions on the four tangency points, g and the
-    g_* classes are line conditions; no relations are imposed, every
-    simplification in the derivation is an explicit checked rewrite.
+    g_* classes are line conditions, and n is the surface degree that the
+    counts are written in; no relations are imposed, every simplification
+    in the derivation is a rewrite by a row of `_RULES`.
     """
     return PolyRing(
         [
@@ -254,17 +259,9 @@ def _config_ring() -> PolyRing:
             ("g_p", 2),
             ("g_s", 3),
             ("G", 4),
+            ("n", 1),
         ]
     )
-
-
-class _SymbolScope:
-    """Expression-evaluation scope whose symbols are a ring's generators."""
-
-    def __init__(self, name: str, ring: PolyRing) -> None:
-        self.name = name
-        self.ring = ring
-        self.symbols = {spec.name: ring.gen(spec.name) for spec in ring.generators}
 
 
 def _parse(source: str, scope) -> RingElement:
@@ -272,46 +269,12 @@ def _parse(source: str, scope) -> RingElement:
 
 
 @lru_cache(maxsize=None)
-def _config_scope() -> _SymbolScope:
+def _config_scope() -> SimpleNamespace:
     """The configuration ring as a scope, with the flag-space p read as p1."""
-    scope = _SymbolScope("bitangency-configurations", _config_ring())
-    scope.symbols["p"] = scope.symbols["p1"]
-    return scope
-
-
-_ENTRY_SOURCES = (
-    ("G", "n*(n-1)*(n-2)*(n-3)"),
-    ("p1*p3*g_e", "n^2*(n-2)*(n-3)"),
-)
-
-
-class InterpretationTable:
-    """Counts of fully constrained bitangency configurations.
-
-    A fixed line meets a degree-n surface in n points, so the G condition
-    leaves n(n-1)(n-2)(n-3) ordered choices of two distinct tangency pairs,
-    and p1*p3*g_e leaves n^2*(n-2)*(n-3).  Any monomial carrying the cube
-    of a point condition vanishes: the points live on a surface.
-    """
-
-    def __init__(self) -> None:
-        self.ring = PolyRing([("n", 1)])
-        self.scope = _SymbolScope("surface-degree", self.ring)
-        self.entries = {name: _parse(src, self.scope) for name, src in _ENTRY_SOURCES}
-
-    def interpret(self, e: RingElement) -> RingElement:
-        """Replace every condition monomial by its count polynomial in n."""
-        if e.ring is not _config_ring():
-            raise ValueError("interpretation applies to bitangency configuration classes")
-        total = self.ring.zero()
-        for mono, coeff in e.terms.items():
-            if any(exp >= 3 for exp in mono[:4]):
-                continue
-            name = format_terms(e.ring, {mono: 1})
-            if name not in self.entries:
-                raise ValueError(f"no interpretation for monomial {name}")
-            total = total + coeff * self.entries[name]
-        return total
+    ring = _config_ring()
+    symbols = {spec.name: ring.gen(spec.name) for spec in ring.generators}
+    symbols["p"] = symbols["p1"]
+    return SimpleNamespace(name="bitangency-configurations", ring=ring, symbols=symbols)
 
 
 def _rewrite(e: RingElement, rules: Sequence[tuple[Monomial, RingElement]]) -> RingElement:
@@ -331,31 +294,6 @@ def _rewrite(e: RingElement, rules: Sequence[tuple[Monomial, RingElement]]) -> R
                 out = out + e.terms[mono] * image * ring.monomial(rest)
             e = out
     return e
-
-
-def _collapse_pairs(e: RingElement) -> RingElement:
-    """Symmetrize the cross terms of the doubled coincidence product.
-
-    One point from each tangency pair is as good as (p1, p3), and a single
-    point against the chord condition is as good as p1.  The squared chord
-    condition g^2 is kept; formula 9 of G expands it.
-    """
-    ring = e.ring
-    p1, p3, g = ring.gen("p1"), ring.gen("p3"), ring.gen("g")
-    out = ring.zero()
-    for mono, coeff in e.terms.items():
-        e1, e2, e3, e4, eg = mono[:5]
-        if any(mono[5:]) or e1 + e2 + e3 + e4 + eg != 2:
-            raise ValueError(f"unexpected monomial in coincidence product: {mono}")
-        if eg == 0 and e1 + e2 == 1 and e3 + e4 == 1:
-            out = out + coeff * p1 * p3
-        elif eg == 1:
-            out = out + coeff * g * p1
-        elif eg == 2:
-            out = out + coeff * g * g
-        else:
-            raise ValueError(f"unexpected monomial in coincidence product: {mono}")
-    return out
 
 
 class BitangentDerivation(NamedTuple):
@@ -379,33 +317,47 @@ _STEP_SOURCES = (
 _MID_SOURCE = "4*p1*p3*g_e - 4*p1*g_s + G"
 _DOUBLED_SOURCE = "n^4 - 2*n^3 - 9*n^2 + 18*n"
 
-# (space, lhs, rhs): the line-space rules push the doubled product into the
-# plane pencil, formula 9 among them expands the squared chord condition, and
-# the flag-space rule trades g_s for point conditions.
+# (kind, lhs, rhs), one table per kind.  sym: one point from each tangency
+# pair is as good as (p1, p3), and a point against the chord condition is as
+# good as p1.  G and PS: the line-space rules push the doubled product into
+# the plane pencil, formula 9 among them expands the squared chord condition,
+# and the flag-space rule trades g_s for point conditions.  count: a line
+# meets the surface in n points, so G leaves n(n-1)(n-2)(n-3) ordered choices
+# of two tangency pairs and p1*p3*g_e leaves n^2(n-2)(n-3); a cubed point
+# condition vanishes, since the points live on a surface.
 _RULES = (
+    ("sym", "p2", "p1"),
+    ("sym", "p4", "p3"),
+    ("sym", "g*p3", "g*p1"),
     ("G", "g*g_e", "g_s"),
     ("G", "g_e^2", "G"),
     ("G", "g_p*g_e", "0"),
     ("G", "g^2", "g_p + g_e"),
     ("PS", "p*g_s", "G + p^3*g"),
+    ("count", "G", "n*(n-1)*(n-2)*(n-3)"),
+    ("count", "p1*p3*g_e", "n^2*(n-2)*(n-3)"),
+    ("count", "p1^3*g", "0"),
 )
 
 
 @lru_cache(maxsize=None)
-def _proven_rules(space_name: str) -> tuple[tuple[Monomial, RingElement], ...]:
-    """The rules of one space as (pattern, image) pairs of the configuration ring.
+def _rules(kind: str) -> tuple[tuple[Monomial, RingElement], ...]:
+    """The rows of one kind as (pattern, image) pairs of the configuration ring.
 
-    Each rule is proven in its own space before it is parsed in the
-    configuration ring, where nothing would catch a false one.
+    A row whose kind names a space is proven in that space before it is
+    parsed in the configuration ring, where nothing would catch a false one.
     """
-    sp, scope = spaces.space(space_name), _config_scope()
+    scope = _config_scope()
     rules = []
     for name, lhs, rhs in _RULES:
-        if name == space_name:
+        if name != kind:
+            continue
+        if name in spaces.SPACE_NAMES:
+            sp = spaces.space(name)
             if _parse(lhs, sp) != _parse(rhs, sp):
                 raise AssertionError(f"rewrite rule {lhs} -> {rhs} does not hold in {name}")
-            (pattern,) = _parse(lhs, scope).terms
-            rules.append((pattern, _parse(rhs, scope)))
+        (pattern,) = _parse(lhs, scope).terms
+        rules.append((pattern, _parse(rhs, scope)))
     return tuple(rules)
 
 
@@ -415,34 +367,32 @@ def bitangent_derivation(n: int) -> BitangentDerivation:
     Mechanizes the classical chain: double the bitangency coincidence as
     (p1 + p2 - g)*(p3 + p4 - g), symmetrize, push into the plane pencil by
     multiplying with g_e, interpret each fully constrained monomial as a
-    configuration count, and halve.  The doubled product and the
-    interpretation entries are parsed from the sources the trace prints.
-    The rewrite rules are source triples too, each proven in the line space
-    G or the flag space PS before it is applied.  Every other printed step
-    is compared against the class computed from the one before; the closed
-    form is n(n-2)(n-3)(n+3)/2.
+    configuration count in n, and halve.  Each change of class is a rewrite
+    by one table of `_RULES`: sym symmetrizes, G and PS push (each row
+    proven in its space before use), and count interprets; the count rows
+    are printed as the interpretation.  Every printed step is compared
+    against the class computed from the one before; the closed form is
+    n(n-2)(n-3)(n+3)/2.
     """
     if n < 1:
         raise ValueError("surface degree must be at least 1")
     scope = _config_scope()
     expect = [_parse(src, scope) for src in _STEP_SOURCES]
 
-    doubled = _rewrite(_collapse_pairs(expect[0]), _proven_rules("G"))
+    doubled = _rewrite(_rewrite(expect[0], _rules("sym")), _rules("G"))
     if doubled != expect[1]:
         raise AssertionError("symmetrized product drifted from its printed form")
-    mid = _rewrite(doubled * scope.symbols["g_e"], _proven_rules("G"))
+    mid = _rewrite(doubled * scope.symbols["g_e"], _rules("G"))
     if mid != _parse(_MID_SOURCE, scope):
         raise AssertionError("pencil push drifted from the expected intermediate")
-    final = _rewrite(mid, _proven_rules("PS"))
+    final = _rewrite(mid, _rules("PS"))
     if final != expect[2]:
         raise AssertionError("point-condition form drifted from its printed form")
-
-    table = InterpretationTable()
-    doubled_poly = table.interpret(final)
-    if doubled_poly != _parse(_DOUBLED_SOURCE, table.scope):
+    doubled_poly = _rewrite(final, _rules("count"))
+    if doubled_poly != _parse(_DOUBLED_SOURCE, scope):
         raise AssertionError("collected count polynomial drifted from its printed form")
 
-    doubled_value = sum(c * n ** k for (k,), c in doubled_poly.terms.items())
+    doubled_value = sum(c * n ** mono[-1] for mono, c in doubled_poly.terms.items())
     if doubled_value % 2:
         raise AssertionError("doubled count is odd; halving would lose information")
     count = doubled_value // 2
@@ -453,8 +403,7 @@ def bitangent_derivation(n: int) -> BitangentDerivation:
         f"2*eps22*g_e = {_STEP_SOURCES[2]}",
     )
     interpretation = (
-        *(f"{name} -> {src}" for name, src in _ENTRY_SOURCES),
-        "p1^3*g -> 0",
+        *(f"{lhs} -> {rhs}" for kind, lhs, rhs in _RULES if kind == "count"),
         f"2*count = {_DOUBLED_SOURCE}",
         f"count = {count}",
     )

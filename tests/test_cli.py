@@ -167,6 +167,26 @@ def test_bitangent_count_rejects_nonpositive(capsys):
     assert run(capsys, "tangent-count", "0")[0] == 2
 
 
+@pytest.mark.parametrize("command", ["tangent-count", "bitangent-count"])
+def test_count_commands_refuse_n_past_the_digit_limit(capsys, command):
+    # below 10^1000 every printed value fits Python's int-to-str conversion
+    n = 10**dsl.MAX_LITERAL_DIGITS - 1
+    code, out, err = run(capsys, command, str(n), "--trace", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    if command == "tangent-count":
+        assert payload["count"] == n * (n - 1)
+    else:
+        assert payload["count"] == n * (n - 2) * (n - 3) * (n + 3) // 2
+    for digits in (dsl.MAX_LITERAL_DIGITS + 1, 2200):
+        code, out, err = run(capsys, command, "9" * digits, "--trace", "--json")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {command}: n of {digits} digits exceeds the limit "
+            f"of {dsl.MAX_LITERAL_DIGITS} digits\n"
+        )
+
+
 def test_oracle_four_lines_seeded(capsys):
     code, first, _ = run(capsys, "oracle", "four-lines", "--seed", "42")
     assert code == 0

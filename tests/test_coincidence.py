@@ -14,7 +14,6 @@ import pytest
 
 from schubert3 import coincidence, linalg, spaces
 from schubert3.coincidence import (
-    InterpretationTable,
     bitangent_derivation,
     blowup_ring,
     coincidence_class,
@@ -335,23 +334,6 @@ def test_tangent_count():
     }
 
 
-def test_interpretation_table():
-    table = InterpretationTable()
-    n = table.ring.gen("n")
-    assert table.entries["G"] == n * (n - 1) * (n - 2) * (n - 3)
-    assert table.entries["p1*p3*g_e"] == n * n * (n - 2) * (n - 3)
-
-    from schubert3.coincidence import _config_ring
-
-    ring = _config_ring()
-    assert table.interpret(ring.gen("G")) == table.entries["G"]
-    assert table.interpret(ring.gen("p1") ** 3 * ring.gen("g")).is_zero()
-    with pytest.raises(ValueError):
-        table.interpret(ring.gen("p2") * ring.gen("p4") * ring.gen("g_e"))
-    with pytest.raises(ValueError):
-        table.interpret(FREE.gen("t1"))
-
-
 def test_bitangent_counts():
     expected = [4, 0, 0, 28, 120, 324, 700, 1320]
     for n, want in zip(range(1, 9), expected):
@@ -385,13 +367,13 @@ def _assert_rule_refused(monkeypatch, rule, perturbed, message):
     rules = list(coincidence._RULES)
     rules[rules.index(rule)] = perturbed
     monkeypatch.setattr(coincidence, "_RULES", tuple(rules))
-    coincidence._proven_rules.cache_clear()
+    coincidence._rules.cache_clear()
     try:
         with pytest.raises(AssertionError, match=message):
             bitangent_derivation(4)
     finally:
         monkeypatch.undo()
-        coincidence._proven_rules.cache_clear()
+        coincidence._rules.cache_clear()
     assert bitangent_derivation(4).count == 28
 
 
@@ -401,6 +383,29 @@ def test_bitangent_rewrite_rules_are_proven(monkeypatch):
         ("G", "g*g_e", "g_s"),
         ("G", "g*g_e", "2*g_s"),
         r"g\*g_e -> 2\*g_s does not hold in G",
+    )
+
+
+def test_rule_kinds_are_the_four_tables():
+    # a mistyped kind would leave its row neither proven nor applied
+    assert {kind for kind, _, _ in coincidence._RULES} == {"sym", "G", "PS", "count"}
+
+
+def test_bitangent_symmetrization_is_checked(monkeypatch):
+    _assert_rule_refused(
+        monkeypatch,
+        ("sym", "p4", "p3"),
+        ("sym", "p4", "p1"),
+        "symmetrized product drifted",
+    )
+
+
+def test_bitangent_interpretation_is_checked(monkeypatch):
+    _assert_rule_refused(
+        monkeypatch,
+        ("count", "G", "n*(n-1)*(n-2)*(n-3)"),
+        ("count", "G", "n*(n-1)*(n-2)"),
+        "collected count polynomial drifted",
     )
 
 

@@ -237,6 +237,11 @@ def test_four_lines_tangent_gives_double_line():
     assert not result.infinite
     expected = line((1, 1, 0, 0), (0, 0, 1, 1))
     assert result.solutions == ((expected, 2),)
+    # the same configuration moved so that the double line is the first
+    # kernel vector: the restricted quadric's a and b both vanish
+    moved = [(0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 1, 1, 0, -1, 1), (2, 1, 2, 0, -4, 2)]
+    result = lines_meeting_four(*(PlueckerLine(list(c)) for c in moved))
+    assert result.solutions == ((PlueckerLine([1, 0, 0, 0, 0, 0]), 2),)
 
 
 def test_four_lines_duplicate_input_rejected():
@@ -408,6 +413,16 @@ def test_pencil_tangent_on_the_first_line():
         f, plane, vertex = random_pencil_instance(random.Random(seed), degree)
         disc = pencil_discriminant(f, plane, vertex)
         assert disc[0] == 0 and len(disc) - 1 == degree * (degree - 1)
+        assert pencil_tangency_count(f, plane, vertex) == degree * (degree - 1)
+
+
+def test_pencil_discriminant_degree_drops():
+    # a tangent at lam = infinity lowers the degree of D below n(n-1); the
+    # trailing zeros are trimmed and the count still sees every tangent
+    for degree, seed, disc_degree in ((2, 507, 1), (3, 900, 5)):
+        f, plane, vertex = random_pencil_instance(random.Random(seed), degree)
+        disc = pencil_discriminant(f, plane, vertex)
+        assert len(disc) - 1 == disc_degree and disc[-1] != 0
         assert pencil_tangency_count(f, plane, vertex) == degree * (degree - 1)
 
 
