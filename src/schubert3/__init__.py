@@ -13,16 +13,10 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "coincidence": (
         "BitangentDerivation",
-        "BlowupRing",
-        "SegrePushTable",
         "bitangent_derivation",
         "blowup_ring",
         "coincidence_class",
-        "eval_exceptional",
-        "eval_total",
-        "exceptional_split",
         "phi_pullback",
-        "segre_push_table",
         "surface_excess_class",
         "tangent_count",
     ),

@@ -40,13 +40,11 @@ def _check_duality_pairing() -> None:
 
 
 def _check_push_table() -> None:
-    table = coincidence.segre_push_table()
-    ring = table.value(2).ring
-    t = ring.gen("t")
-    expected = {2: ring.one(), 3: 4 * t, 4: 10 * t * t, 5: 20 * t ** 3}
-    for k, want in expected.items():
-        assert table.value(k) == want, f"push table at {k}"
-    assert table.value(1).is_zero() and table.value(9).is_zero()
+    # over the exceptional divisor eps^k*t^(5-k) integrates to (-1)^k s_(k-2) of T_P3
+    ring = coincidence.blowup_ring()
+    eps, _, t2 = ring.gens()
+    got = [ring.evaluate_top(eps ** (k + 1) * t2 ** (5 - k)) for k in range(2, 6)]
+    assert got == [1, 4, 10, 20], f"push table {got}"
 
 
 def _check_counts() -> None:

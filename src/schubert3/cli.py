@@ -177,6 +177,9 @@ def _cmd_bitangent_count(args: argparse.Namespace) -> int:
     from . import coincidence
 
     _check_surface_degree(args)
+    # at n = 1 the section is a line, which has no bitangents
+    if args.n < 2:
+        raise ValueError(f"bitangent-count: n = {args.n} is outside the domain n >= 2")
     derivation = coincidence.bitangent_derivation(args.n)
     return _print_count(args, derivation.count, derivation.trace, len(derivation.steps))
 
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bit = sub.add_parser(
         "bitangent-count", help="bitangents of a general plane section of a degree-n surface"
     )
-    p_bit.add_argument("n", type=int)
+    p_bit.add_argument("n", type=int, help="surface degree, n >= 2")
     p_bit.add_argument("--trace", action="store_true")
     p_bit.add_argument("--json", action="store_true")
     p_bit.set_defaults(handler=_cmd_bitangent_count)

@@ -3,17 +3,12 @@
 A pair of points of projective 3-space degenerates when the two points
 collide.  Blowing up the diagonal of the product replaces the collision
 locus by an exceptional divisor whose class eps drives all the excess
-bookkeeping: classes here are polynomials in t1, t2 (the hyperplane pulled
-back from each factor) and eps, canonicalized by t_i^4 = 0 and by folding
-eps*t1 into eps*t2, since the two hyperplanes agree on the exceptional
-divisor.
-
-The presentation is deliberately partial.  Only the rewrite rules the
-calculus needs are built into the ring; integrals are taken by explicit
-functionals (eval_total over the whole space, eval_exceptional over the
-exceptional divisor), and the pullback phi from the line space is certified
-compatible with both line-space relations functional by functional, not
-termwise.
+bookkeeping.  Classes are polynomials in eps and in t1, t2 (the hyperplane
+pulled back from each factor), reduced in Keel's presentation of the
+blow-up, one more `GradedRingPresentation`.  Every integral is
+`evaluate_top`; over the exceptional divisor it is the integral of eps
+times the class.  The pullback phi from the line space is a ring map: each
+relation of G maps to zero.
 
 Two classical counts come out of this machinery: a degree-n surface has
 n(n-1) tangent lines in a general pencil, and a general plane section has
@@ -31,170 +26,63 @@ from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from . import dsl, spaces
-from .graded_ring import Monomial, PolyRing, RingElement, series_inverse, substitute
+from .graded_ring import GradedRingPresentation, Monomial, PolyRing, RingElement, substitute
 
 __all__ = [
     "BitangentDerivation",
-    "BlowupRing",
-    "SegrePushTable",
     "bitangent_derivation",
     "blowup_ring",
     "coincidence_class",
-    "eval_exceptional",
-    "eval_total",
-    "exceptional_split",
     "phi_pullback",
-    "segre_push_table",
     "surface_excess_class",
     "tangent_count",
 ]
 
 
-class BlowupRing(PolyRing):
-    """Polynomials in t1, t2, eps with the coincidence rewriting built in.
-
-    Canonical form folds eps*t1 into eps*t2 and drops any monomial carrying
-    a fourth power of t1 or t2.  Every element therefore splits uniquely as
-    an eps-free polynomial in t1, t2 plus eps times a polynomial in eps and
-    t2 with t2-exponent at most 3.
-    """
-
-    def __init__(self) -> None:
-        super().__init__([("t1", 1), ("t2", 1), ("eps", 1)])
-
-    def _reduce(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
-        out: dict[Monomial, int] = {}
-        for (a, b, k), coeff in terms.items():
-            if k >= 1 and a >= 1:
-                a, b = 0, a + b
-            if a >= 4 or b >= 4:
-                continue
-            out[(a, b, k)] = out.get((a, b, k), 0) + coeff
-        return {m: c for m, c in out.items() if c}
-
-
 @lru_cache(maxsize=None)
-def blowup_ring() -> BlowupRing:
-    return BlowupRing()
+def blowup_ring() -> GradedRingPresentation:
+    """Keel's presentation of P3 x P3 blown up along its diagonal.
 
-
-def _check_blowup(c: RingElement) -> BlowupRing:
-    ring = blowup_ring()
-    if c.ring is not ring:
-        raise ValueError("class does not live on the blown-up double space")
-    return ring
-
-
-def exceptional_split(c: RingElement) -> tuple[RingElement, RingElement]:
-    """Split c as (eps-free part) + eps*h, returning the pair (free, h)."""
-    ring = _check_blowup(c)
-    free: dict[Monomial, int] = {}
-    shifted: dict[Monomial, int] = {}
-    for (a, b, k), coeff in c.terms.items():
-        if k == 0:
-            free[(a, b, 0)] = coeff
-        else:
-            shifted[(a, b, k - 1)] = coeff
-    return ring.element(free), ring.element(shifted)
-
-
-class SegrePushTable:
-    """Fiber integrals of powers of eps over the exceptional divisor.
-
-    The exceptional divisor is a plane bundle over the diagonal copy of
-    projective 3-space; integrating eps^k along its fibers leaves (-1)^k
-    times the (k-2)-nd Segre class of the tangent bundle: the degree-(k-2)
-    part of `series_inverse((1 + t)^4, 3)` in the ring of P3.  Exponents
-    below 2 integrate to zero, and exponents beyond 5 land above the top
-    degree.
+    Blowing X up along Y, with A(X) -> A(Y) onto, gives A(X)[eps] modulo
+    eps*ker and P(-eps), P(T) = T^3 + c1(N)*T^2 + c2(N)*T + [Y] for the
+    normal bundle N (Keel 1992, appendix).  Here N is the tangent bundle of
+    P3, c(N) = (1 + t)^4, and ker is generated by t1 - t2.  The order
+    (eps, t1, t2) matters: the integer echelon pivots in column order, and
+    with eps last the cubic would pivot at 4*t2^3*eps.
     """
-
-    def __init__(self) -> None:
-        self.ring = spaces.space("P3").ring
-        self._segre = series_inverse((1 + self.ring.gen("t")) ** 4, 3)
-
-    def value(self, k: int) -> RingElement:
-        if k < 0:
-            raise ValueError("exponent must be non-negative")
-        if k < 2 or k - 2 > 3:
-            return self.ring.zero()
-        sign = -1 if k % 2 else 1
-        return sign * self._segre.homogeneous_component(k - 2)
-
-
-@lru_cache(maxsize=None)
-def segre_push_table() -> SegrePushTable:
-    return SegrePushTable()
-
-
-def eval_exceptional(c: RingElement) -> int:
-    """Integral of a class over the exceptional divisor.
-
-    Sets t1 = t2 = t, integrates each eps power along the fibers through
-    the push table (exponents below 2 die), and pairs the remainder against
-    the point class of the diagonal.
-    """
-    _check_blowup(c)
-    table = segre_push_table()
-    t = table.ring.gen("t")
-    total = table.ring.zero()
-    for (a, b, k), coeff in c.terms.items():
-        if k < 2:
-            continue
-        total = total + coeff * t ** (a + b) * table.value(k)
-    return total.coefficient((3,))
-
-
-def eval_total(c: RingElement) -> int:
-    """Integral of a class over the blown-up double space.
-
-    The eps-free part pairs by its t1^3*t2^3 coefficient; the rest is eps
-    times a class supported on the exceptional divisor and integrates
-    there.
-    """
-    _check_blowup(c)
-    free, h = exceptional_split(c)
-    return free.coefficient((3, 3, 0)) + eval_exceptional(h)
+    free = PolyRing([("eps", 1), ("t1", 1), ("t2", 1)])
+    eps, t1, t2 = free.gens()
+    diagonal = t1**3 + t1**2 * t2 + t1 * t2**2 + t2**3
+    cubic = diagonal - eps**3 + 4 * t2 * eps**2 - 6 * t2**2 * eps
+    relations = [t1**4, t2**4, eps * (t1 - t2), cubic]
+    return GradedRingPresentation(relations, t1**3 * t2**3)
 
 
 @lru_cache(maxsize=None)
 def _phi_images() -> dict[str, RingElement]:
-    ring = blowup_ring()
-    t1, t2, eps = ring.gens()
-    return {"c1": eps - t1 - t2, "c2": t1 * t2 - eps * t2}
+    """Images of c1 and c2 under the pullback from the line space.
 
-
-@lru_cache(maxsize=None)
-def _phi_certificate() -> bool:
-    """The relations of G, as spaces presents them, vanish under every integral.
-
-    The relation images do not rewrite to zero termwise; the ring is
-    under-presented on purpose.  What the calculus relies on is that they
-    are invisible to the evaluation functionals, so each image is paired
-    against every monomial of complementary degree through both of them.
+    They define a ring map only if every relation of G maps to zero, which
+    is checked here, once.
     """
     ring = blowup_ring()
+    eps, t1, t2 = ring.gens()
+    images = {"c1": eps - t1 - t2, "c2": t1 * t2 - eps * t2}
     for rel in spaces.space("G").ring.relations:
-        image = substitute(rel, ring, _phi_images())
-        d = image.degree()
-        for m in ring.monomials_of_degree(6 - d):
-            if eval_total(image * ring.monomial(m)) != 0:
-                raise AssertionError("relation image detected by a total-space integral")
-        for m in ring.monomials_of_degree(5 - d):
-            if eval_exceptional(image * ring.monomial(m)) != 0:
-                raise AssertionError("relation image detected by an exceptional integral")
-    return True
+        image = substitute(rel, ring, images)
+        if not image.is_zero():
+            raise AssertionError(f"the G relation {rel} pulls back to {image}, not 0")
+    return images
 
 
 def phi_pullback(e: RingElement) -> RingElement:
     """Pull a line-space class back to point-pair language.
 
     The map sends c1 to eps - t1 - t2 and c2 to t1*t2 - eps*t2; the first
-    call certifies its compatibility with both line-space relations.
+    call checks that both line-space relations map to zero.
     """
     if e.ring is not spaces.space("G").ring:
         raise ValueError("phi_pullback takes a class on the line space G")
-    _phi_certificate()
     return substitute(e, blowup_ring(), _phi_images())
 
 
@@ -206,7 +94,7 @@ def coincidence_class() -> RingElement:
     the planes through the point, however the pair approached it.
     """
     ring = blowup_ring()
-    t1, t2, eps = ring.gens()
+    eps, t1, t2 = ring.gens()
     g = spaces.space("G").symbol_class("g")
     if eps != t1 + t2 - phi_pullback(g):
         raise AssertionError("coincidence identity failed")
@@ -223,7 +111,7 @@ def surface_excess_class(n: int) -> RingElement:
     if n < 1:
         raise ValueError("surface degree must be at least 1")
     ring = blowup_ring()
-    t1, t2, eps = ring.gens()
+    eps, t1, t2 = ring.gens()
     return n * n * (t1 * t2) - n * (t2 * eps)
 
 
@@ -233,10 +121,12 @@ def tangent_count(n: int) -> int:
     The pencil is the g_s condition (lines through a point inside a plane);
     tangency is a coincidence of two of the n intersection points, counted
     on the exceptional divisor against the excess class of the surface
-    pair.  The result is n(n-1), the class of a plane section.
+    pair; the integral over the exceptional divisor is the integral of eps
+    times the class.  The result is n(n-1), the class of a plane section.
     """
+    ring = blowup_ring()
     g_s = spaces.space("G").symbol_class("g_s")
-    return eval_exceptional(surface_excess_class(n) * phi_pullback(g_s))
+    return ring.evaluate_top(surface_excess_class(n) * phi_pullback(g_s) * ring.gen("eps"))
 
 
 @lru_cache(maxsize=None)

@@ -196,22 +196,24 @@ def test_criterion_6_bitangent_count():
 @criterion(7, "exceptional pushforward table matches the inverse tangent classes")
 def test_criterion_7_pushforward_table():
     shared_check("exceptional pushforward table")
-    table = coincidence.segre_push_table()
-    ring = table.value(2).ring
-    t = ring.gen("t")
+    ring = coincidence.blowup_ring()
+    eps, _, t2 = ring.gens()
+    P3 = spaces.space("P3").ring
+    t = P3.gen("t")
 
-    # independent rebuild: s(T) is the inverse of c(T) = (1 + t)^4, and the
-    # table must equal (-1)^k s_(k-2) with the product identity c*s = 1
+    # independent rebuild: s(T) is the inverse of c(T) = (1 + t)^4, and
+    # eps^k*t^(5-k) must integrate over the exceptional divisor, as
+    # eps^(k+1)*t2^(5-k) over the blow-up, to (-1)^k s_(k-2) with c*s = 1
     tangent = 1 + 4 * t + 6 * t * t + 4 * t**3
     segre = series_inverse(tangent, 3)
     assert tangent * segre == 1
     for k in range(2, 6):
-        expected = segre.homogeneous_component(k - 2)
+        expected = P3.evaluate_top(segre.homogeneous_component(k - 2) * t ** (5 - k))
         if k % 2:
             expected = -expected
-        assert table.value(k) == expected
-    assert table.value(1).is_zero()
-    assert table.value(6).is_zero()
+        assert ring.evaluate_top(eps ** (k + 1) * t2 ** (5 - k)) == expected
+    assert ring.evaluate_top(eps**2 * t2**4) == 0
+    assert (eps**7).is_zero()
 
 
 @criterion(8, "property suites: axioms, normal forms, duality, pushforward, round-trips")

@@ -119,18 +119,16 @@ def test_tangent_count_output(capsys):
     code, out, _ = run(capsys, "tangent-count", "4")
     assert code == 0
     assert out == "12\n"
-    code, out, _ = run(capsys, "tangent-count", "4", "--trace")
-    assert out.splitlines() == [
-        "12",
-        "excess = 16*t1*t2 - 4*t2*eps",
-        "pullback of g_s = t1^2*t2 + t1*t2^2 - 3*t2^2*eps + t2*eps^2",
-        "integrand = 16*t1^3*t2^2 + 16*t1^2*t2^3 + 28*t2^3*eps^2 - 4*t2^2*eps^3",
+    trace = [
+        "excess = -4*eps*t2 + 16*t1*t2",
+        "pullback of g_s = eps^2*t2 - 3*eps*t2^2 + t1^2*t2 + t1*t2^2",
+        "integrand = 12*eps^2*t2^3 + 12*t1^3*t2^2 + 12*t1^2*t2^3",
         "exceptional integral = 12",
     ]
+    code, out, _ = run(capsys, "tangent-count", "4", "--trace")
+    assert out.splitlines() == ["12", *trace]
     code, out, _ = run(capsys, "tangent-count", "4", "--json")
-    payload = json.loads(out)
-    assert payload["n"] == 4 and payload["count"] == 12
-    assert isinstance(payload["trace"], list) and payload["trace"]
+    assert json.loads(out) == {"n": 4, "count": 12, "trace": trace}
 
 
 def test_bitangent_count_output(capsys):
@@ -165,6 +163,17 @@ def test_bitangent_count_json(capsys):
 def test_bitangent_count_rejects_nonpositive(capsys):
     assert run(capsys, "bitangent-count", "0")[0] == 2
     assert run(capsys, "tangent-count", "0")[0] == 2
+
+
+def test_bitangent_count_domain_starts_at_two(capsys):
+    # a degree-1 plane section is a line, which has no bitangents
+    assert run(capsys, "bitangent-count", "1") == (
+        2,
+        "",
+        "error: bitangent-count: n = 1 is outside the domain n >= 2\n",
+    )
+    code, out, err = run(capsys, "bitangent-count", "2")
+    assert (code, out.splitlines()[0], err) == (0, "0", "")
 
 
 @pytest.mark.parametrize("command", ["tangent-count", "bitangent-count"])

@@ -1,14 +1,17 @@
 """Blow-up calculus: canonical forms, integrals, tangent and bitangent counts.
 
-The rewrite ring is deliberately under-presented, so the heavy oracle here
-is rational linear algebra on the full relation ideal: coranks of the
-honest quotient are frozen degree by degree, and the degree-6 integral is
-compared against the unique functional that kills the ideal slice.
+The blow-up is Keel's presentation.  The heavy oracle here is rational
+linear algebra on a second generating set of its ideal, built from the
+pulled-back relations of the line space rather than from Keel's cubic:
+coranks of that quotient are frozen degree by degree, and the degree-6
+integral is compared against the unique functional that kills the ideal
+slice.
 """
 
 from fractions import Fraction
 import math
 import random
+import re
 
 import pytest
 
@@ -17,22 +20,18 @@ from schubert3.coincidence import (
     bitangent_derivation,
     blowup_ring,
     coincidence_class,
-    eval_exceptional,
-    eval_total,
-    exceptional_split,
     phi_pullback,
-    segre_push_table,
     surface_excess_class,
     tangent_count,
 )
-from schubert3.graded_ring import PolyRing, series_inverse
+from schubert3.graded_ring import PolyRing, in_ideal_span, series_inverse, substitute
 
-FREE = PolyRing([("t1", 1), ("t2", 1), ("eps", 1)])
+FREE = PolyRing([("eps", 1), ("t1", 1), ("t2", 1)])
 
 
 def free_relation_ideal():
     """Generators of the full relation ideal in the free ring."""
-    t1, t2, eps = FREE.gens()
+    eps, t1, t2 = FREE.gens()
     c1 = eps - t1 - t2
     c2 = t1 * t2 - eps * t2
     rel3 = 2 * c1 * c2 - c1 ** 3
@@ -117,61 +116,74 @@ def test_fraction_free_rref_matches_rational_reference():
 
 def test_canonical_form_rules():
     ring = blowup_ring()
-    t1, t2, eps = ring.gens()
+    eps, t1, t2 = ring.gens()
     assert eps * t1 == eps * t2
     assert (t1 ** 4).is_zero()
     assert (t2 ** 4).is_zero()
     assert (eps * t1 ** 3 * t2).is_zero()
     assert (eps - t1 - t2) ** 2 == ring.element(
-        {(0, 0, 2): 1, (0, 1, 1): -4, (2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}
+        {(2, 0, 0): 1, (1, 0, 1): -4, (0, 2, 0): 1, (0, 1, 1): 2, (0, 0, 2): 1}
     )
-    # eps powers are not truncated; only the evaluation functionals see them
-    assert not (eps ** 9).is_zero()
+    # the ring is honest: everything above the top degree 6 vanishes
+    assert not (eps ** 6).is_zero()
+    assert (eps ** 7).is_zero()
 
 
 def test_exceptional_split_shape():
+    # a normal form splits as an eps-free part in t1, t2 plus eps times a
+    # class in eps and t2 alone, of eps-degree at most 1
     ring = blowup_ring()
     rng = random.Random(41)
     monos6 = [m for d in range(0, 7) for m in ring.monomials_of_degree(d)]
     for _ in range(30):
         c = ring.element({m: rng.randint(-6, 6) for m in rng.sample(monos6, 8)})
-        free, h = exceptional_split(c)
+        free = ring.element({m: x for m, x in c.terms.items() if m[0] == 0})
+        h = ring.element({(k - 1, a, b): x for (k, a, b), x in c.terms.items() if k})
         assert free + ring.gen("eps") * h == c
-        assert all(k == 0 and a <= 3 and b <= 3 for (a, b, k) in free.terms)
-        assert all(a == 0 and b <= 3 for (a, b, _) in h.terms)
+        assert all(a <= 3 and b <= 3 for (_, a, b) in free.terms)
+        assert all(k <= 1 and a == 0 and b <= 3 for (k, a, b) in h.terms)
     with pytest.raises(ValueError):
-        exceptional_split(FREE.gen("t1"))
+        ring.evaluate_top(FREE.gen("t1"))
 
 
 def test_pullback_images_frozen():
     G = spaces.space("G")
-    assert str(phi_pullback(G.symbol_class("g"))) == "t1 + t2 - eps"
-    assert str(phi_pullback(G.symbol_class("g_e"))) == "t1*t2 - t2*eps"
+    assert str(phi_pullback(G.symbol_class("g"))) == "-eps + t1 + t2"
+    assert str(phi_pullback(G.symbol_class("g_e"))) == "-eps*t2 + t1*t2"
     c1 = G.ring.gen("c1")
     c2 = G.ring.gen("c2")
     ic1 = phi_pullback(c1)
     ic2 = phi_pullback(c2)
     rel3 = 2 * ic1 * ic2 - ic1 ** 3
     rel4 = ic1 ** 4 - 3 * ic1 ** 2 * ic2 + ic2 ** 2
-    # neither relation image rewrites to zero; they die only under integrals
-    assert rel3.terms == {
-        (0, 0, 3): -1,
-        (0, 1, 2): 4,
-        (0, 2, 1): -6,
+    # both relation images reduce to zero: phi is a ring map
+    assert rel3.is_zero()
+    assert rel4.is_zero()
+    # with eps*t1 folded into eps*t2 and fourth powers dropped, the degree-3
+    # image is Keel's cubic relation and the degree-4 image lies in the ideal
+    keel = blowup_ring().relations
+    (cubic,) = [r for r in keel if r.degree() == 3]
+    assert cubic.terms == {
+        (3, 0, 0): -1,
+        (2, 0, 1): 4,
+        (1, 0, 2): -6,
+        (0, 0, 3): 1,
+        (0, 1, 2): 1,
+        (0, 2, 1): 1,
         (0, 3, 0): 1,
-        (1, 2, 0): 1,
-        (2, 1, 0): 1,
-        (3, 0, 0): 1,
     }
-    assert rel4.terms == {
-        (0, 0, 4): 1,
-        (0, 1, 3): -5,
-        (0, 2, 2): 10,
-        (0, 3, 1): -10,
-        (1, 3, 0): 1,
-        (2, 2, 0): 1,
-        (3, 1, 0): 1,
-    }
+    folded4 = cubic.ring.element(
+        {
+            (4, 0, 0): 1,
+            (3, 0, 1): -5,
+            (2, 0, 2): 10,
+            (1, 0, 3): -10,
+            (0, 1, 3): 1,
+            (0, 2, 2): 1,
+            (0, 3, 1): 1,
+        }
+    )
+    assert in_ideal_span(folded4, keel)
     with pytest.raises(ValueError):
         phi_pullback(spaces.space("P3").ring.gen("t"))
 
@@ -179,29 +191,34 @@ def test_pullback_images_frozen():
 def test_relation_images_invisible_to_integrals():
     G = spaces.space("G")
     ring = blowup_ring()
-    ic1 = phi_pullback(G.ring.gen("c1"))
-    ic2 = phi_pullback(G.ring.gen("c2"))
-    for image in (2 * ic1 * ic2 - ic1 ** 3, ic1 ** 4 - 3 * ic1 ** 2 * ic2 + ic2 ** 2):
+    eps = ring.gen("eps")
+    # the images as unreduced free polynomials, read into the ring only
+    # after each product with a complementary monomial
+    free_eps, t1, t2 = FREE.gens()
+    images = {"c1": free_eps - t1 - t2, "c2": t1 * t2 - free_eps * t2}
+    for rel in G.ring.relations:
+        image = substitute(rel, FREE, images)
         d = image.degree()
         for m in ring.monomials_of_degree(6 - d):
-            assert eval_total(image * ring.monomial(m)) == 0
+            assert ring.evaluate_top(ring.element((image * FREE.monomial(m)).terms)) == 0
         for m in ring.monomials_of_degree(5 - d):
-            assert eval_exceptional(image * ring.monomial(m)) == 0
+            product = ring.element((image * FREE.monomial(m)).terms)
+            assert ring.evaluate_top(product * eps) == 0
 
 
 def test_free_relation_expansion_frozen():
     rel3 = free_relation_ideal()[1]
     assert rel3.terms == {
-        (0, 0, 3): -1,
-        (1, 0, 2): 3,
-        (0, 1, 2): 1,
-        (2, 0, 1): -3,
+        (3, 0, 0): -1,
+        (2, 1, 0): 3,
+        (2, 0, 1): 1,
+        (1, 2, 0): -3,
         (1, 1, 1): -2,
-        (0, 2, 1): -1,
-        (3, 0, 0): 1,
-        (2, 1, 0): 1,
-        (1, 2, 0): 1,
+        (1, 0, 2): -1,
         (0, 3, 0): 1,
+        (0, 2, 1): 1,
+        (0, 1, 2): 1,
+        (0, 0, 3): 1,
     }
 
 
@@ -217,12 +234,12 @@ def test_quotient_coranks():
 
 
 def test_total_integral_matches_quotient_functional():
-    """eval_total is the unique rational functional killing the ideal.
+    """evaluate_top is the unique rational functional killing the ideal.
 
     The degree-6 slice of the honest quotient is one-dimensional, so the
     functional vanishing on the ideal and normalized at t1^3*t2^3 is
-    determined; the rewrite-based integral must agree with it on every
-    class, canonical or not.
+    determined; the integral of Keel's presentation must agree with it on
+    every class, canonical or not.
     """
     generators = free_relation_ideal()
     rows, monos = ideal_slice_rows(generators, 6)
@@ -236,7 +253,7 @@ def test_total_integral_matches_quotient_functional():
 
     unit = {m: i for i, m in enumerate(monos)}
     top = [0] * len(monos)
-    top[unit[(3, 3, 0)]] = 1
+    top[unit[(0, 3, 3)]] = 1
     scale = functional(top)
     assert scale != 0
 
@@ -248,23 +265,21 @@ def test_total_integral_matches_quotient_functional():
         for m, c in terms.items():
             vec[unit[m]] = c
         expected = functional(vec) / scale
-        assert Fraction(eval_total(ring.element(terms))) == expected
+        assert Fraction(ring.evaluate_top(ring.element(terms))) == expected
 
 
 def test_push_table():
-    table = segre_push_table()
-    p3 = spaces.space("P3").ring
-    t = p3.gen("t")
-    assert table.value(2) == p3.one()
-    assert table.value(3) == 4 * t
-    assert table.value(4) == 10 * t * t
-    assert table.value(5) == 20 * t ** 3
-    assert table.value(0).is_zero()
-    assert table.value(1).is_zero()
-    assert table.value(6).is_zero()
+    # over the exceptional divisor eps^k*t^(5-k) integrates to (-1)^k s_(k-2)
+    # of T_P3: the integral over the blow-up of eps^(k+1)*t2^(5-k)
+    ring = blowup_ring()
+    eps, _, t2 = ring.gens()
+    pushed = [ring.evaluate_top(eps ** (k + 1) * t2 ** (5 - k)) for k in range(6)]
+    assert pushed == [0, 0, 1, 4, 10, 20]
+    assert (eps ** 7).is_zero()
     with pytest.raises(ValueError):
-        table.value(-1)
+        eps ** -1
     # the table is the series inverse of the tangent class
+    t = spaces.space("P3").ring.gen("t")
     tangent = 1 + 4 * t + 6 * t * t + 4 * t ** 3
     assert tangent * series_inverse(tangent, 3) == 1
 
@@ -273,45 +288,50 @@ def test_exceptional_integral_examples():
     ring = blowup_ring()
     t2 = ring.gen("t2")
     eps = ring.gen("eps")
-    assert eval_exceptional(eps ** 2 * t2 ** 3) == 1
-    assert eval_exceptional(eps ** 3 * t2 ** 2) == 4
+
+    def exceptional(c):
+        return ring.evaluate_top(c * eps)
+
+    assert exceptional(eps ** 2 * t2 ** 3) == 1
+    assert exceptional(eps ** 3 * t2 ** 2) == 4
     # eps-free terms and single eps factors integrate to zero
-    assert eval_exceptional(ring.gen("t1") * t2 + eps * t2 ** 2) == 0
+    assert exceptional(ring.gen("t1") * t2 + eps * t2 ** 2) == 0
+    assert exceptional(ring.gen("t1") ** 3 * t2 ** 2) == 0
     for n in range(1, 6):
         full = -n * eps ** 3 * t2 ** 2 + (n * n + 3 * n) * eps ** 2 * t2 ** 3
-        assert eval_exceptional(full) == n * n - n
+        assert exceptional(full) == n * n - n
     with pytest.raises(ValueError):
-        eval_exceptional(FREE.gen("eps"))
+        exceptional(FREE.gen("eps"))
 
 
 def test_total_integral_examples():
     ring = blowup_ring()
-    t1, t2, eps = ring.gens()
-    assert eval_total(t1 ** 3 * t2 ** 3) == 1
-    assert eval_total(eps ** 6) == 20
-    assert eval_total(eps ** 3 * t2 ** 3) == 1
-    assert eval_total(t1 ** 3 * t2 ** 3 - 2 * eps ** 6) == -39
+    eps, t1, t2 = ring.gens()
+    assert ring.evaluate_top(t1 ** 3 * t2 ** 3) == 1
+    assert ring.evaluate_top(eps ** 6) == 20
+    assert ring.evaluate_top(eps ** 3 * t2 ** 3) == 1
+    assert ring.evaluate_top(t1 ** 3 * t2 ** 3 - 2 * eps ** 6) == -39
     with pytest.raises(ValueError):
-        eval_total(FREE.gen("t1"))
+        ring.evaluate_top(FREE.gen("t1"))
 
 
 def test_coincidence_class():
     ring = blowup_ring()
-    t1, t2, eps = ring.gens()
+    eps, t1, t2 = ring.gens()
     assert coincidence_class() == eps
     g = spaces.space("G").symbol_class("g")
     assert eps + phi_pullback(g) == t1 + t2
     assert eps * t1 == eps * t2
     # bidegree reading: a (p, q) correspondence meets the diagonal p+q times
     for p, q in [(1, 1), (2, 3), (5, 0)]:
-        restricted = sum(c for (a, b, k), c in (p * t1 + q * t2).terms.items() if k == 0)
+        restricted = sum(c for (k, a, b), c in (p * t1 + q * t2).terms.items() if k == 0)
         assert restricted == p + q
 
 
 def test_surface_excess_class():
     ring = blowup_ring()
-    assert surface_excess_class(1).terms == {(1, 1, 0): 1, (0, 1, 1): -1}
-    assert surface_excess_class(2).terms == {(1, 1, 0): 4, (0, 1, 1): -2}
+    assert surface_excess_class(1).terms == {(0, 1, 1): 1, (1, 0, 1): -1}
+    assert surface_excess_class(2).terms == {(0, 1, 1): 4, (1, 0, 1): -2}
     surface_excess_class(5)
     for bad in (0, -3):
         with pytest.raises(ValueError):
@@ -326,12 +346,7 @@ def test_tangent_count():
     # the n=2 integrand, fully expanded
     g_s = spaces.space("G").symbol_class("g_s")
     integrand = surface_excess_class(2) * phi_pullback(g_s)
-    assert integrand.terms == {
-        (3, 2, 0): 4,
-        (2, 3, 0): 4,
-        (0, 3, 2): 10,
-        (0, 2, 3): -2,
-    }
+    assert integrand.terms == {(2, 0, 3): 2, (0, 3, 2): 2, (0, 2, 3): 2}
 
 
 def test_bitangent_counts():
@@ -421,14 +436,18 @@ def test_chord_square_expands_by_a_proven_formula_9(monkeypatch):
 
 
 def test_phi_certificate_rejects_a_perturbed_image(monkeypatch):
-    t1, t2, eps = blowup_ring().gens()
-    perturbed = {"c1": eps - t1 - t2, "c2": t1 * t2}
-    monkeypatch.setattr(coincidence, "_phi_images", lambda: perturbed)
-    coincidence._phi_certificate.cache_clear()
+    eps, t1, t2 = blowup_ring().gens()
+
+    def perturbed(e, target, images):
+        return substitute(e, target, {**images, "c2": t1 * t2})
+
+    monkeypatch.setattr(coincidence, "substitute", perturbed)
+    coincidence._phi_images.cache_clear()
+    (rel3, _) = spaces.space("G").ring.relations
     try:
-        with pytest.raises(AssertionError, match="total-space integral"):
-            coincidence._phi_certificate()
+        with pytest.raises(AssertionError, match=f"the G relation {re.escape(str(rel3))} pulls"):
+            coincidence._phi_images()
     finally:
         monkeypatch.undo()
-        coincidence._phi_certificate.cache_clear()
-    assert coincidence._phi_certificate()
+        coincidence._phi_images.cache_clear()
+    assert coincidence._phi_images()["c2"] == t1 * t2 - eps * t2

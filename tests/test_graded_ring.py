@@ -6,13 +6,16 @@ engine's unit-pivot integer echelon path is checked against plain linear
 algebra over Q.
 """
 
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from schubert3 import graded_ring
 from schubert3.coincidence import blowup_ring
 from schubert3.graded_ring import (
     GeneratorSpec,
@@ -144,6 +147,7 @@ ALL_RINGS = {
     "P3dual": make_plane_space,
     "G": make_line_space,
     "PS": make_flag_space,
+    "blowup": blowup_ring,
 }
 
 EXPECTED_RANKS = {
@@ -151,6 +155,7 @@ EXPECTED_RANKS = {
     "P3dual": (1, 1, 1, 1),
     "G": (1, 1, 2, 1, 1),
     "PS": (1, 2, 3, 3, 2, 1),
+    "blowup": (1, 3, 5, 6, 5, 3, 1),
 }
 
 
@@ -301,6 +306,22 @@ def test_malformed_terms_are_refused(name):
             ring.element({unit: coeff})
 
 
+def test_one_normal_form_path():
+    # a quotient is a GradedRingPresentation; no other class rewrites terms
+    reducers = {
+        (path.name, node.name)
+        for path in sorted(Path(graded_ring.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "_reduce"
+    }
+    assert reducers == {
+        ("graded_ring.py", "PolyRing"),
+        ("graded_ring.py", "GradedRingPresentation"),
+    }
+
+
 # ---------------------------------------------------------------------------
 # ring structure on normal forms
 
@@ -343,12 +364,9 @@ def test_ring_axioms_on_random_triples(name):
         assert a - a == ring.zero()
 
 
-POWER_RINGS = {**ALL_RINGS, "blowup": blowup_ring}
-
-
-@pytest.mark.parametrize("name", sorted(POWER_RINGS))
+@pytest.mark.parametrize("name", sorted(ALL_RINGS))
 def test_power_matches_repeated_product(name):
-    ring = POWER_RINGS[name]()
+    ring = ALL_RINGS[name]()
     rng = random.Random(f"powers-{name}")
     for _ in range(3):
         terms = random_terms(rng, ring, 2)
