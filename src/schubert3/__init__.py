@@ -12,13 +12,13 @@ __version__ = "0.1.0"
 # Every public name, under the submodule that defines it.
 _PUBLIC = {
     "coincidence": (
-        "BitangentDerivation",
+        "CountDerivation",
         "bitangent_derivation",
         "blowup_ring",
-        "coincidence_class",
         "phi_pullback",
         "surface_excess_class",
         "tangent_count",
+        "tangent_derivation",
     ),
     "dsl": ("ParseError", "evaluate", "parse", "to_source"),
     "graded_ring": (

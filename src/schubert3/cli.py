@@ -31,6 +31,10 @@ _SURFACE_VARS = ("x", "y", "z", "w")
 # grows faster than n^5, so the limit keeps every run bounded.
 MAX_PENCIL_DEGREE = 40
 
+# Least surface degree each count command accepts.  A degree-1 plane section
+# is a line, which has no bitangents.
+MIN_COUNT_DEGREE = {"tangent-count": 1, "bitangent-count": 2}
+
 # Most digits `oracle four-lines --input` accepts in a numerator or a
 # denominator.  The answer's integers grow about thirteenfold over the
 # canonical coordinates, which clear up to six denominators, so 40 digits
@@ -130,58 +134,36 @@ def _cmd_verify_formulas(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_count(args: argparse.Namespace, count: int, trace: tuple[str, ...], shown: int) -> int:
-    """Print a count with the first `shown` trace lines, all of them under --trace."""
+def _cmd_count(args: argparse.Namespace) -> int:
+    """Print a count with its steps, and its whole derivation under --trace.
+
+    n is refused below the command's least degree, and at more than
+    MAX_LITERAL_DIGITS digits: below 10^1000 every printed value has under
+    4,000 digits, inside Python's 4,300-digit int-to-str conversion.
+    """
+    from . import coincidence
+
+    n, least = args.n, MIN_COUNT_DEGREE[args.command]
+    if n >= 10**MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"{args.command}: n of {len(str(n))} digits exceeds the limit "
+            f"of {MAX_LITERAL_DIGITS} digits"
+        )
+    if n < least:
+        raise ValueError(f"{args.command}: n = {n} is outside the domain n >= {least}")
+    if args.command == "tangent-count":
+        derivation = coincidence.tangent_derivation(n)
+    else:
+        derivation = coincidence.bitangent_derivation(n)
     if args.json:
         import json
 
-        print(json.dumps({"n": args.n, "count": count, "trace": list(trace)}))
+        print(json.dumps({"n": n, "count": derivation.count, "trace": list(derivation.trace)}))
         return 0
-    print(count)
-    for line in trace if args.trace else trace[:shown]:
+    print(derivation.count)
+    for line in derivation.trace if args.trace else derivation.steps:
         print(line)
     return 0
-
-
-def _check_surface_degree(args: argparse.Namespace) -> None:
-    """Refuse an n of more than MAX_LITERAL_DIGITS digits before counting.
-
-    Below 10^1000 every printed value has under 4,000 digits, inside Python's
-    4,300-digit int-to-str conversion.
-    """
-    if args.n >= 10**MAX_LITERAL_DIGITS:
-        raise ValueError(
-            f"{args.command}: n of {len(str(args.n))} digits exceeds the limit "
-            f"of {MAX_LITERAL_DIGITS} digits"
-        )
-
-
-def _cmd_tangent_count(args: argparse.Namespace) -> int:
-    from . import coincidence
-
-    _check_surface_degree(args)
-    n = args.n
-    excess = coincidence.surface_excess_class(n)
-    pullback = coincidence.phi_pullback(spaces.space("G").symbols["g_s"])
-    count = coincidence.tangent_count(n)
-    trace = (
-        f"excess = {excess}",
-        f"pullback of g_s = {pullback}",
-        f"integrand = {excess * pullback}",
-        f"exceptional integral = {count}",
-    )
-    return _print_count(args, count, trace, 0)
-
-
-def _cmd_bitangent_count(args: argparse.Namespace) -> int:
-    from . import coincidence
-
-    _check_surface_degree(args)
-    # at n = 1 the section is a line, which has no bitangents
-    if args.n < 2:
-        raise ValueError(f"bitangent-count: n = {args.n} is outside the domain n >= 2")
-    derivation = coincidence.bitangent_derivation(args.n)
-    return _print_count(args, derivation.count, derivation.trace, len(derivation.steps))
 
 
 def _cmd_oracle_four_lines(args: argparse.Namespace) -> int:
@@ -276,19 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--space", choices=spaces.SPACE_NAMES, default=None)
     p_verify.set_defaults(handler=_cmd_verify_formulas)
 
-    p_tan = sub.add_parser("tangent-count", help="tangents to a degree-n plane section")
-    p_tan.add_argument("n", type=int)
-    p_tan.add_argument("--trace", action="store_true")
-    p_tan.add_argument("--json", action="store_true")
-    p_tan.set_defaults(handler=_cmd_tangent_count)
-
-    p_bit = sub.add_parser(
-        "bitangent-count", help="bitangents of a general plane section of a degree-n surface"
-    )
-    p_bit.add_argument("n", type=int, help="surface degree, n >= 2")
-    p_bit.add_argument("--trace", action="store_true")
-    p_bit.add_argument("--json", action="store_true")
-    p_bit.set_defaults(handler=_cmd_bitangent_count)
+    for command, help_text in (
+        ("tangent-count", "tangents to a degree-n plane section"),
+        ("bitangent-count", "bitangents of a general plane section of a degree-n surface"),
+    ):
+        p_count = sub.add_parser(command, help=help_text)
+        p_count.add_argument(
+            "n", type=int, help=f"surface degree, n >= {MIN_COUNT_DEGREE[command]}"
+        )
+        p_count.add_argument("--trace", action="store_true")
+        p_count.add_argument("--json", action="store_true")
+        p_count.set_defaults(handler=_cmd_count)
 
     p_oracle = sub.add_parser("oracle", help="exact rational geometry cross-checks")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)

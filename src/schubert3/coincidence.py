@@ -10,13 +10,15 @@ blow-up, one more `GradedRingPresentation`.  Every integral is
 times the class.  The pullback phi from the line space is a ring map: each
 relation of G maps to zero.
 
-Two classical counts come out of this machinery: a degree-n surface has
-n(n-1) tangent lines in a general pencil, and a general plane section has
-n(n-2)(n-3)(n+3)/2 bitangent lines, 28 for a quartic.  The bitangent
-derivation is one rewrite engine over the rows of `_RULES`, in four
-tables: sym symmetrizes the doubled coincidence product, G and PS push it
-into the plane pencil by identities proven in those spaces, and count reads
-each fully constrained configuration as its count in n.
+Two classical counts come out of this machinery, each as a
+`CountDerivation`: a degree-n surface has n(n-1) tangent lines in a general
+pencil, and a general plane section has n(n-2)(n-3)(n+3)/2 bitangent
+lines, 28 for a quartic.  The bitangent derivation is one rewrite engine
+over the rows of `_RULES`, in four tables: sym symmetrizes the doubled
+coincidence product, G and PS push it into the plane pencil by identities
+proven in those spaces, and count reads each fully constrained
+configuration as its count in n.  Nothing in that chain depends on n, so
+it runs once per process and each n evaluates the polynomial it ends in.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from . import dsl, spaces
 from .graded_ring import GradedRingPresentation, Monomial, PolyRing, RingElement, substitute
 
 __all__ = [
-    "BitangentDerivation",
+    "CountDerivation",
     "bitangent_derivation",
     "blowup_ring",
-    "coincidence_class",
     "phi_pullback",
     "surface_excess_class",
     "tangent_count",
+    "tangent_derivation",
 ]
 
 
@@ -86,19 +88,21 @@ def phi_pullback(e: RingElement) -> RingElement:
     return substitute(e, blowup_ring(), _phi_images())
 
 
-def coincidence_class() -> RingElement:
-    """The class eps of pairs whose two points coincide.
+class CountDerivation(NamedTuple):
+    """Checked derivation of a count for a degree-n surface.
 
-    The defining identity eps = t1 + t2 - phi_pullback(g) is asserted
-    before returning: planes through a pair that has collapsed are exactly
-    the planes through the point, however the pair approached it.
+    `steps` are the lines a count command prints under the count, and
+    `interpretation` the further lines it prints under --trace.
     """
-    ring = blowup_ring()
-    eps, t1, t2 = ring.gens()
-    g = spaces.space("G").symbol_class("g")
-    if eps != t1 + t2 - phi_pullback(g):
-        raise AssertionError("coincidence identity failed")
-    return eps
+
+    n: int
+    count: int
+    steps: tuple[str, ...]
+    interpretation: tuple[str, ...]
+
+    @property
+    def trace(self) -> tuple[str, ...]:
+        return self.steps + self.interpretation
 
 
 def surface_excess_class(n: int) -> RingElement:
@@ -115,7 +119,7 @@ def surface_excess_class(n: int) -> RingElement:
     return n * n * (t1 * t2) - n * (t2 * eps)
 
 
-def tangent_count(n: int) -> int:
+def tangent_derivation(n: int) -> CountDerivation:
     """Tangent lines to a degree-n surface in a general pencil.
 
     The pencil is the g_s condition (lines through a point inside a plane);
@@ -123,10 +127,25 @@ def tangent_count(n: int) -> int:
     on the exceptional divisor against the excess class of the surface
     pair; the integral over the exceptional divisor is the integral of eps
     times the class.  The result is n(n-1), the class of a plane section.
+    The classes are the interpretation; there are no steps.
     """
     ring = blowup_ring()
-    g_s = spaces.space("G").symbol_class("g_s")
-    return ring.evaluate_top(surface_excess_class(n) * phi_pullback(g_s) * ring.gen("eps"))
+    excess = surface_excess_class(n)
+    pullback = phi_pullback(spaces.space("G").symbol_class("g_s"))
+    integrand = excess * pullback
+    count = ring.evaluate_top(integrand * ring.gen("eps"))
+    interpretation = (
+        f"excess = {excess}",
+        f"pullback of g_s = {pullback}",
+        f"integrand = {integrand}",
+        f"exceptional integral = {count}",
+    )
+    return CountDerivation(n=n, count=count, steps=(), interpretation=interpretation)
+
+
+def tangent_count(n: int) -> int:
+    """n(n-1), the count of `tangent_derivation(n)`."""
+    return tangent_derivation(n).count
 
 
 @lru_cache(maxsize=None)
@@ -186,19 +205,6 @@ def _rewrite(e: RingElement, rules: Sequence[tuple[Monomial, RingElement]]) -> R
     return e
 
 
-class BitangentDerivation(NamedTuple):
-    """Checked derivation of the bitangent count for a degree-n section."""
-
-    n: int
-    count: int
-    steps: tuple[str, ...]
-    interpretation: tuple[str, ...]
-
-    @property
-    def trace(self) -> tuple[str, ...]:
-        return self.steps + self.interpretation
-
-
 _STEP_SOURCES = (
     "(p1 + p2 - g)*(p3 + p4 - g)",
     "4*p1*p3 - 4*g*p1 + g_e + g_p",
@@ -230,7 +236,6 @@ _RULES = (
 )
 
 
-@lru_cache(maxsize=None)
 def _rules(kind: str) -> tuple[tuple[Monomial, RingElement], ...]:
     """The rows of one kind as (pattern, image) pairs of the configuration ring.
 
@@ -251,28 +256,27 @@ def _rules(kind: str) -> tuple[tuple[Monomial, RingElement], ...]:
     return tuple(rules)
 
 
-def bitangent_derivation(n: int) -> BitangentDerivation:
-    """Count the bitangent lines of a general degree-n plane section.
+@lru_cache(maxsize=None)
+def _doubled_count() -> RingElement:
+    """Twice the bitangent count, as a polynomial in the generator n.
 
     Mechanizes the classical chain: double the bitangency coincidence as
     (p1 + p2 - g)*(p3 + p4 - g), symmetrize, push into the plane pencil by
-    multiplying with g_e, interpret each fully constrained monomial as a
-    configuration count in n, and halve.  Each change of class is a rewrite
-    by one table of `_RULES`: sym symmetrizes, G and PS push (each row
-    proven in its space before use), and count interprets; the count rows
-    are printed as the interpretation.  Every printed step is compared
-    against the class computed from the one before; the closed form is
-    n(n-2)(n-3)(n+3)/2.
+    multiplying with g_e, and interpret each fully constrained monomial as a
+    configuration count in n.  Each change of class is a rewrite by one
+    table of `_RULES`: sym symmetrizes, G and PS push (each row proven in
+    its space before use), and count interprets.  Every printed step is
+    compared against the class computed from the one before.  Nothing here
+    depends on n, so the chain runs once per process.
     """
-    if n < 1:
-        raise ValueError("surface degree must be at least 1")
     scope = _config_scope()
     expect = [_parse(src, scope) for src in _STEP_SOURCES]
+    push = _rules("G")
 
-    doubled = _rewrite(_rewrite(expect[0], _rules("sym")), _rules("G"))
+    doubled = _rewrite(_rewrite(expect[0], _rules("sym")), push)
     if doubled != expect[1]:
         raise AssertionError("symmetrized product drifted from its printed form")
-    mid = _rewrite(doubled * scope.symbols["g_e"], _rules("G"))
+    mid = _rewrite(doubled * scope.symbols["g_e"], push)
     if mid != _parse(_MID_SOURCE, scope):
         raise AssertionError("pencil push drifted from the expected intermediate")
     final = _rewrite(mid, _rules("PS"))
@@ -281,8 +285,20 @@ def bitangent_derivation(n: int) -> BitangentDerivation:
     doubled_poly = _rewrite(final, _rules("count"))
     if doubled_poly != _parse(_DOUBLED_SOURCE, scope):
         raise AssertionError("collected count polynomial drifted from its printed form")
+    return doubled_poly
 
-    doubled_value = sum(c * n ** mono[-1] for mono, c in doubled_poly.terms.items())
+
+def bitangent_derivation(n: int) -> CountDerivation:
+    """Count the bitangent lines of a general degree-n plane section.
+
+    Evaluates the doubled count of `_doubled_count` at n and halves it.  The
+    steps are the printed classes of the chain, and the count rows of
+    `_RULES` are printed as the interpretation.  The closed form is
+    n(n-2)(n-3)(n+3)/2.
+    """
+    if n < 1:
+        raise ValueError("surface degree must be at least 1")
+    doubled_value = sum(c * n ** mono[-1] for mono, c in _doubled_count().terms.items())
     if doubled_value % 2:
         raise AssertionError("doubled count is odd; halving would lose information")
     count = doubled_value // 2
@@ -297,4 +313,4 @@ def bitangent_derivation(n: int) -> BitangentDerivation:
         f"2*count = {_DOUBLED_SOURCE}",
         f"count = {count}",
     )
-    return BitangentDerivation(n=n, count=count, steps=steps, interpretation=interpretation)
+    return CountDerivation(n=n, count=count, steps=steps, interpretation=interpretation)

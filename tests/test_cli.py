@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schubert3
-from schubert3 import checks, cli, dsl, spaces
+from schubert3 import checks, cli, coincidence, dsl, spaces
 from schubert3.cli import run_cli
 from schubert3.oracle import PlueckerLine, lines_meeting_four, random_four_lines
 
@@ -160,9 +160,44 @@ def test_bitangent_count_json(capsys):
     assert payload["trace"][-1] == "count = 28"
 
 
+def test_tangent_count_prints_its_derivation_built_once(capsys, monkeypatch):
+    calls = []
+    excess = coincidence.surface_excess_class
+
+    def counted(n):
+        calls.append(n)
+        return excess(n)
+
+    monkeypatch.setattr(coincidence, "surface_excess_class", counted)
+    assert run(capsys, "tangent-count", "4", "--trace")[0] == 0
+    assert calls == [4]
+    monkeypatch.undo()
+    for n in range(1, 13):
+        derivation = coincidence.tangent_derivation(n)
+        assert derivation.count == n * (n - 1) and derivation.steps == ()
+        assert run(capsys, "tangent-count", str(n), "--trace") == (
+            0,
+            "".join(f"{line}\n" for line in (str(derivation.count), *derivation.trace)),
+            "",
+        )
+
+
 def test_bitangent_count_rejects_nonpositive(capsys):
     assert run(capsys, "bitangent-count", "0")[0] == 2
     assert run(capsys, "tangent-count", "0")[0] == 2
+    for n in ("0", "-2"):
+        for flags in ((), ("--json",)):
+            assert run(capsys, "tangent-count", n, *flags) == (
+                2,
+                "",
+                f"error: tangent-count: n = {n} is outside the domain n >= 1\n",
+            )
+    assert run(capsys, "bitangent-count", "1")[2] == (
+        "error: bitangent-count: n = 1 is outside the domain n >= 2\n"
+    )
+    for command, least in (("tangent-count", 1), ("bitangent-count", 2)):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and f"surface degree, n >= {least}" in out
 
 
 def test_bitangent_count_domain_starts_at_two(capsys):
@@ -412,10 +447,16 @@ def test_package_exports_resolve_on_demand():
         schubert3.missing
 
 
-@pytest.mark.parametrize(
-    "argv", [["eval", "--space", "G", "g^4"], ["verify-formulas"]], ids=["eval", "verify-formulas"]
-)
-def test_symbolic_commands_load_only_the_rings(argv):
+RING_MODULES = [
+    "schubert3",
+    "schubert3.dsl",
+    "schubert3.graded_ring",
+    "schubert3.linalg",
+    "schubert3.spaces",
+]
+
+
+def _modules_loaded_by(argv):
     done = _python(
         "-c",
         "import sys; from schubert3.cli import run_cli; "
@@ -425,14 +466,26 @@ def test_symbolic_commands_load_only_the_rings(argv):
     assert done.returncode == 0, done.stderr
     code, *loaded = done.stdout.splitlines()[-1].split()
     assert code == "0"
-    assert loaded == [
-        "schubert3",
-        "schubert3.cli",
-        "schubert3.dsl",
-        "schubert3.graded_ring",
-        "schubert3.linalg",
-        "schubert3.spaces",
-    ]
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--space", "G", "g^4"], ["verify-formulas"]], ids=["eval", "verify-formulas"]
+)
+def test_symbolic_commands_load_only_the_rings(argv):
+    assert _modules_loaded_by(argv) == sorted([*RING_MODULES, "schubert3.cli"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tangent-count", "4"], ["bitangent-count", "4", "--json"]],
+    ids=["tangent-count", "bitangent-count"],
+)
+def test_count_commands_load_the_rings_and_the_blowup(argv):
+    # neither the oracle nor the checks
+    assert _modules_loaded_by(argv) == sorted(
+        [*RING_MODULES, "schubert3.cli", "schubert3.coincidence"]
+    )
 
 
 SELFTEST_NAMES = [

@@ -19,7 +19,6 @@ from schubert3 import coincidence, linalg, spaces
 from schubert3.coincidence import (
     bitangent_derivation,
     blowup_ring,
-    coincidence_class,
     phi_pullback,
     surface_excess_class,
     tangent_count,
@@ -318,7 +317,6 @@ def test_total_integral_examples():
 def test_coincidence_class():
     ring = blowup_ring()
     eps, t1, t2 = ring.gens()
-    assert coincidence_class() == eps
     g = spaces.space("G").symbol_class("g")
     assert eps + phi_pullback(g) == t1 + t2
     assert eps * t1 == eps * t2
@@ -378,17 +376,40 @@ def test_bitangent_trace_frozen():
     assert bitangent_derivation(7).interpretation[-1] == "count = 700"
 
 
+def test_bitangent_chain_runs_once_per_process(monkeypatch):
+    # the rewrite chain is n-free: a hundred counts cost one derivation
+    calls = []
+    rewrite = coincidence._rewrite
+
+    def counted(e, rules):
+        calls.append(len(rules))
+        return rewrite(e, rules)
+
+    monkeypatch.setattr(coincidence, "_rewrite", counted)
+    coincidence._doubled_count.cache_clear()
+    try:
+        bitangent_derivation(4)
+        per_derivation = len(calls)
+        assert per_derivation == 5
+        for n in range(1, 101):
+            assert bitangent_derivation(n).count == n * (n - 2) * (n - 3) * (n + 3) // 2
+        assert len(calls) == per_derivation
+    finally:
+        monkeypatch.undo()
+        coincidence._doubled_count.cache_clear()
+
+
 def _assert_rule_refused(monkeypatch, rule, perturbed, message):
     rules = list(coincidence._RULES)
     rules[rules.index(rule)] = perturbed
     monkeypatch.setattr(coincidence, "_RULES", tuple(rules))
-    coincidence._rules.cache_clear()
+    coincidence._doubled_count.cache_clear()
     try:
         with pytest.raises(AssertionError, match=message):
             bitangent_derivation(4)
     finally:
         monkeypatch.undo()
-        coincidence._rules.cache_clear()
+        coincidence._doubled_count.cache_clear()
     assert bitangent_derivation(4).count == 28
 
 

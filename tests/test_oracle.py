@@ -9,7 +9,7 @@ discriminant degree reproduces the tangency counts of plane sections.
 import ast
 from fractions import Fraction
 import hashlib
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 import random
 import re
@@ -271,6 +271,114 @@ def test_four_lines_random_conservation():
             assert irrational[1] == irrational[0].conjugate()
             conjugate_pairs += 1
     assert conjugate_pairs > 0
+
+
+WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+_SURD = re.compile(r"(?:(-?\d+(?:/\d+)?) ([+-]) |(-))?(?:(\d+(?:/\d+)?)\*)?sqrt\((-?\d+)\)")
+
+
+def wedge(p, q):
+    return tuple(p[i] * q[j] - p[j] * q[i] for i, j in WEDGE_PAIRS)
+
+
+def printed(coord):
+    """A solution coordinate as the command line prints it."""
+    return coord if isinstance(coord, int) else str(coord)
+
+
+def read_printed(text):
+    """(a, b, d) with value a + b*sqrt(d), from an int, "p/q" or "a +- b*sqrt(d)"."""
+    if isinstance(text, int):
+        return Fraction(text), Fraction(0), 0
+    if re.fullmatch(r"-?\d+(/\d+)?", text):
+        return Fraction(text), Fraction(0), 0
+    a, sign, minus, b, d = _SURD.fullmatch(text).groups()
+    b = Fraction(b or 1)
+    return Fraction(a or 0), -b if sign == "-" or minus else b, int(d)
+
+
+def surd_pairing(x, y, d):
+    """The Pluecker pairing of two vectors of (a, b) pairs in Q(sqrt(d)), as (a, b)."""
+    dual = [y[3], y[4], y[5], y[0], y[1], y[2]]
+    a = sum(xa * ya + xb * yb * d for (xa, xb), (ya, yb) in zip(x, dual))
+    b = sum(xa * yb + xb * ya for (xa, xb), (ya, yb) in zip(x, dual))
+    return a, b
+
+
+def check_printed_solutions(lines, result):
+    """Read the printed solutions back and check them in Fraction arithmetic."""
+    assert not result.infinite
+    assert sum(mult for _, mult in result.solutions) == 2
+    found = []
+    for solution, _ in result.solutions:
+        coords = [printed(c) for c in solution.coords]
+        parsed = [read_printed(c) for c in coords]
+        d = next((d for _, _, d in parsed if d), 0)
+        x = [(a, b) for a, b, _ in parsed]
+        assert surd_pairing(x, x, d) == (0, 0), coords
+        for given in lines:
+            assert surd_pairing(x, [(c, 0) for c in given], d) == (0, 0), (coords, given)
+        found.append(coords)
+    return found
+
+
+def test_four_lines_printed_solutions_read_back_general():
+    rng = random.Random(2024)
+
+    def random_point():
+        return tuple(rng.randint(-9, 9) for _ in range(4))
+
+    checked = 0
+    while checked < 300:
+        lines = [wedge(random_point(), random_point()) for _ in range(4)]
+        if not all(any(ln) for ln in lines) or len({PlueckerLine(ln) for ln in lines}) < 4:
+            continue
+        if fraction_rank([ln[3:] + ln[:3] for ln in lines]) < 4:
+            continue
+        result = lines_meeting_four(*map(PlueckerLine, lines))
+        if result.infinite:
+            continue
+        check_printed_solutions(lines, result)
+        checked += 1
+
+
+def test_four_lines_printed_solutions_read_back_two_transversal():
+    # every input joins a point of L to a point of M, so L and M are the answer
+    a, b, c, d = (1, 2, 0, 1), (0, 1, 3, -1), (2, 0, 1, 1), (1, -1, 1, 0)
+    assert fraction_rank([a, b, c, d]) == 4
+    transversals = [wedge(a, b), wedge(c, d)]
+    rng = random.Random(2025)
+
+    def distinct_on_line():
+        # four pairwise distinct points (s, t) of the projective line
+        while True:
+            st = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            if all(s1 * t2 - s2 * t1 for (s1, t1), (s2, t2) in combinations(st, 2)):
+                return st
+
+    def cross_ratio(st):
+        def det(i, j):
+            return st[i][0] * st[j][1] - st[j][0] * st[i][1]
+
+        return Fraction(det(0, 2) * det(1, 3), det(0, 3) * det(1, 2))
+
+    for _ in range(200):
+        while True:
+            on_l, on_m = distinct_on_line(), distinct_on_line()
+            # equal cross-ratios would put the four lines on one quadric
+            if cross_ratio(on_l) != cross_ratio(on_m):
+                break
+        lines = []
+        for (s, t), (u, v) in zip(on_l, on_m):
+            p = tuple(s * x + t * y for x, y in zip(a, b))
+            q = tuple(u * x + v * y for x, y in zip(c, d))
+            lines.append(wedge(p, q))
+        found = check_printed_solutions(lines, lines_meeting_four(*map(PlueckerLine, lines)))
+        for t in transversals:
+            assert any(
+                all(isinstance(x, int) for x in coords) and fraction_rank([coords, t]) == 1
+                for coords in found
+            ), (t, found)
 
 
 def test_solution_set_validation():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import schubert3
-from schubert3.coincidence import BitangentDerivation, bitangent_derivation
+from schubert3.coincidence import CountDerivation, bitangent_derivation
 from schubert3.dsl import Add, IntLit, Mul, Neg, Pow, Sub, Sym, parse
 from schubert3.graded_ring import GeneratorSpec, GradedBasis
 from schubert3.oracle import SolutionSet, lines_meeting_four, random_four_lines
@@ -108,7 +108,7 @@ def test_records_take_keywords_and_defaults():
     )
     assert again == result and again.top == 2
     derivation = bitangent_derivation(4)
-    assert BitangentDerivation(
+    assert CountDerivation(
         n=4, count=28, steps=derivation.steps, interpretation=derivation.interpretation
     ) == derivation
     assert SchubertCombination(space="G", degree=None, entries=()).entries == ()
