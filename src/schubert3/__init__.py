@@ -23,7 +23,6 @@ _PUBLIC = {
     "dsl": ("ParseError", "evaluate", "parse", "to_source"),
     "graded_ring": (
         "GeneratorSpec",
-        "GradedBasis",
         "GradedRingPresentation",
         "PolyRing",
         "RingElement",

@@ -31,9 +31,18 @@ _SURFACE_VARS = ("x", "y", "z", "w")
 # grows faster than n^5, so the limit keeps every run bounded.
 MAX_PENCIL_DEGREE = 40
 
-# Least surface degree each count command accepts.  A degree-1 plane section
-# is a line, which has no bitangents.
-MIN_COUNT_DEGREE = {"tangent-count": 1, "bitangent-count": 2}
+# One row per count command: its help, the help for n and its `coincidence`
+# derivation, which refuses n outside the domain that the help for n states.
+_COUNTS = {
+    "tangent-count": (
+        "tangents to a degree-n plane section", "surface degree, n >= 1", "tangent_derivation"
+    ),
+    "bitangent-count": (
+        "bitangents of a general plane section of a degree-n surface",
+        "surface degree, n >= 2",
+        "bitangent_derivation",
+    ),
+}
 
 # Most digits `oracle four-lines --input` accepts in a numerator or a
 # denominator.  The answer's integers grow about thirteenfold over the
@@ -137,24 +146,22 @@ def _cmd_verify_formulas(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     """Print a count with its steps, and its whole derivation under --trace.
 
-    n is refused below the command's least degree, and at more than
-    MAX_LITERAL_DIGITS digits: below 10^1000 every printed value has under
-    4,000 digits, inside Python's 4,300-digit int-to-str conversion.
+    The derivation refuses n outside the count's domain; here n is refused
+    only at more than MAX_LITERAL_DIGITS digits: below 10^1000 every printed
+    value has under 4,000 digits, inside Python's 4,300-digit conversion.
     """
     from . import coincidence
 
-    n, least = args.n, MIN_COUNT_DEGREE[args.command]
+    n = args.n
     if n >= 10**MAX_LITERAL_DIGITS:
         raise ValueError(
             f"{args.command}: n of {len(str(n))} digits exceeds the limit "
             f"of {MAX_LITERAL_DIGITS} digits"
         )
-    if n < least:
-        raise ValueError(f"{args.command}: n = {n} is outside the domain n >= {least}")
-    if args.command == "tangent-count":
-        derivation = coincidence.tangent_derivation(n)
-    else:
-        derivation = coincidence.bitangent_derivation(n)
+    try:
+        derivation = getattr(coincidence, args.derivation)(n)
+    except ValueError as exc:
+        raise ValueError(f"{args.command}: {exc}") from None
     if args.json:
         import json
 
@@ -186,9 +193,8 @@ def _cmd_oracle_four_lines(args: argparse.Namespace) -> int:
             raise ValueError("the four-lines problem needs exactly 4 lines")
         lines = [_parse_line_entry(entry, k) for k, entry in enumerate(entries, 1)]
     else:
-        seed = args.seed if args.seed is not None else 0
-        payload["seed"] = seed
-        lines = list(oracle.random_four_lines(random.Random(seed)))
+        payload["seed"] = args.seed
+        lines = list(oracle.random_four_lines(random.Random(args.seed)))
     payload["lines"] = [[_coord_json(c) for c in line.coords] for line in lines]
     payload.update(_solution_payload(oracle.lines_meeting_four(*lines)))
     print(json.dumps(payload))
@@ -205,12 +211,11 @@ def _cmd_oracle_pencil(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--degree {args.degree} exceeds the oracle pencil limit of {MAX_PENCIL_DEGREE}"
         )
-    seed = args.seed if args.seed is not None else 0
-    f, plane, vertex = oracle.random_pencil_instance(random.Random(seed), args.degree)
+    f, plane, vertex = oracle.random_pencil_instance(random.Random(args.seed), args.degree)
     count = oracle.pencil_tangency_count(f, plane, vertex)
     payload = {
         "degree": args.degree,
-        "seed": seed,
+        "seed": args.seed,
         "surface": _surface_source(f),
         "plane": list(plane),
         "vertex": list(vertex.coords),
@@ -258,24 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--space", choices=spaces.SPACE_NAMES, default=None)
     p_verify.set_defaults(handler=_cmd_verify_formulas)
 
-    for command, help_text in (
-        ("tangent-count", "tangents to a degree-n plane section"),
-        ("bitangent-count", "bitangents of a general plane section of a degree-n surface"),
-    ):
+    for command, (help_text, n_help, derivation) in _COUNTS.items():
         p_count = sub.add_parser(command, help=help_text)
-        p_count.add_argument(
-            "n", type=int, help=f"surface degree, n >= {MIN_COUNT_DEGREE[command]}"
-        )
+        p_count.add_argument("n", type=int, help=n_help)
         p_count.add_argument("--trace", action="store_true")
         p_count.add_argument("--json", action="store_true")
-        p_count.set_defaults(handler=_cmd_count)
+        p_count.set_defaults(handler=_cmd_count, derivation=derivation)
 
     p_oracle = sub.add_parser("oracle", help="exact rational geometry cross-checks")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
 
     p_four = oracle_sub.add_parser("four-lines", help="solve a four-lines instance")
     group = p_four.add_mutually_exclusive_group()
-    group.add_argument("--seed", type=int, default=None)
+    group.add_argument("--seed", type=int, default=0)
     group.add_argument("--input", default=None, help="JSON file with a lines array")
     p_four.set_defaults(handler=_cmd_oracle_four_lines)
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"surface degree, 1 to {MAX_PENCIL_DEGREE}",
     )
-    p_pencil.add_argument("--seed", type=int, default=None)
+    p_pencil.add_argument("--seed", type=int, default=0)
     p_pencil.set_defaults(handler=_cmd_oracle_pencil)
 
     p_self = sub.add_parser("selftest", help="run the built-in invariant checks")

@@ -19,6 +19,9 @@ coincidence product, G and PS push it into the plane pencil by identities
 proven in those spaces, and count reads each fully constrained
 configuration as its count in n.  Nothing in that chain depends on n, so
 it runs once per process and each n evaluates the polynomial it ends in.
+
+Each count refuses an n outside its domain with a `ValueError`: n >= 1
+for tangents, and n >= 2 for bitangents, since a degree-1 section is a line.
 """
 
 from __future__ import annotations
@@ -105,22 +108,26 @@ class CountDerivation(NamedTuple):
         return self.steps + self.interpretation
 
 
+def _check_domain(n: int, least: int) -> None:
+    if n < least:
+        raise ValueError(f"n = {n} is outside the domain n >= {least}")
+
+
 def surface_excess_class(n: int) -> RingElement:
-    """Pairs of points on a degree-n surface, diagonal contribution removed.
+    """Pairs of points on a degree-n surface, n >= 1, diagonal contribution removed.
 
     Two copies of the surface meet the pair space in n^2*t1*t2; the part
     supported on coincidences is n*t2*eps, and the difference counts honest
     pairs.
     """
-    if n < 1:
-        raise ValueError("surface degree must be at least 1")
+    _check_domain(n, 1)
     ring = blowup_ring()
     eps, t1, t2 = ring.gens()
     return n * n * (t1 * t2) - n * (t2 * eps)
 
 
 def tangent_derivation(n: int) -> CountDerivation:
-    """Tangent lines to a degree-n surface in a general pencil.
+    """Tangent lines to a degree-n surface, n >= 1, in a general pencil.
 
     The pencil is the g_s condition (lines through a point inside a plane);
     tangency is a coincidence of two of the n intersection points, counted
@@ -129,8 +136,8 @@ def tangent_derivation(n: int) -> CountDerivation:
     times the class.  The result is n(n-1), the class of a plane section.
     The classes are the interpretation; there are no steps.
     """
-    ring = blowup_ring()
     excess = surface_excess_class(n)
+    ring = blowup_ring()
     pullback = phi_pullback(spaces.space("G").symbol_class("g_s"))
     integrand = excess * pullback
     count = ring.evaluate_top(integrand * ring.gen("eps"))
@@ -148,39 +155,27 @@ def tangent_count(n: int) -> int:
     return tangent_derivation(n).count
 
 
-@lru_cache(maxsize=None)
-def _config_ring() -> PolyRing:
-    """Free ring of bitangency configurations.
-
-    p1..p4 are point conditions on the four tangency points, g and the
-    g_* classes are line conditions, and n is the surface degree that the
-    counts are written in; no relations are imposed, every simplification
-    in the derivation is a rewrite by a row of `_RULES`.
-    """
-    return PolyRing(
-        [
-            ("p1", 1),
-            ("p2", 1),
-            ("p3", 1),
-            ("p4", 1),
-            ("g", 1),
-            ("g_e", 2),
-            ("g_p", 2),
-            ("g_s", 3),
-            ("G", 4),
-            ("n", 1),
-        ]
-    )
-
-
 def _parse(source: str, scope) -> RingElement:
     return dsl.evaluate(dsl.parse(source), scope)
 
 
 @lru_cache(maxsize=None)
 def _config_scope() -> SimpleNamespace:
-    """The configuration ring as a scope, with the flag-space p read as p1."""
-    ring = _config_ring()
+    """Free ring of bitangency configurations, as a scope.
+
+    p1..p4 are point conditions on the four tangency points (the flag-space
+    p reads as p1), then come the named classes of G that are not its
+    generators, at their degrees in G, and last n, the surface degree that
+    the counts are written in.  No relations are imposed: every
+    simplification in the derivation is a rewrite by a row of `_RULES`.
+    """
+    G = spaces.space("G")
+    generators = {spec.name for spec in G.ring.generators}
+    ring = PolyRing(
+        [(f"p{i}", 1) for i in range(1, 5)]
+        + [(name, e.degree()) for name, e in G.symbols.items() if name not in generators]
+        + [("n", 1)]
+    )
     symbols = {spec.name: ring.gen(spec.name) for spec in ring.generators}
     symbols["p"] = symbols["p1"]
     return SimpleNamespace(name="bitangency-configurations", ring=ring, symbols=symbols)
@@ -294,10 +289,9 @@ def bitangent_derivation(n: int) -> CountDerivation:
     Evaluates the doubled count of `_doubled_count` at n and halves it.  The
     steps are the printed classes of the chain, and the count rows of
     `_RULES` are printed as the interpretation.  The closed form is
-    n(n-2)(n-3)(n+3)/2.
+    n(n-2)(n-3)(n+3)/2, for n >= 2.
     """
-    if n < 1:
-        raise ValueError("surface degree must be at least 1")
+    _check_domain(n, 2)
     doubled_value = sum(c * n ** mono[-1] for mono, c in _doubled_count().terms.items())
     if doubled_value % 2:
         raise AssertionError("doubled count is odd; halving would lose information")

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .linalg import int_echelon, reduce_mod_echelon
 
 __all__ = [
     "GeneratorSpec",
-    "GradedBasis",
     "GradedRingPresentation",
     "Monomial",
     "PolyRing",
@@ -342,15 +341,6 @@ def format_signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(parts) or "0"
 
 
-class GradedBasis(NamedTuple):
-    degree: int
-    monomials: tuple[Monomial, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.monomials)
-
-
 class GradedRingPresentation(PolyRing):
     """Quotient of a free graded ring by a homogeneous ideal, over Z.
 
@@ -383,23 +373,21 @@ class GradedRingPresentation(PolyRing):
 
         # monomial of degree <= top -> normal form as (basis monomial, coefficient) pairs
         self._normal_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
-        self._bases: dict[int, GradedBasis] = {}
+        self._bases: dict[int, tuple[Monomial, ...]] = {}
 
         window = max(self.degrees) if self.degrees else 0
         for d in range(top_degree + window + 1):
             self._build_degree(d)
         for d in range(top_degree + 1, top_degree + window + 1):
-            if self._bases[d].rank != 0:
+            if self._bases[d]:
                 raise ValueError(
                     f"graded piece of degree {d} does not vanish above the top degree"
                 )
 
         top_basis = self._bases[top_degree]
-        if top_basis.rank != 1:
-            raise ValueError(
-                f"top graded piece has rank {top_basis.rank}, expected rank 1"
-            )
-        self._top_monomial = top_basis.monomials[0]
+        if len(top_basis) != 1:
+            raise ValueError(f"top graded piece has rank {len(top_basis)}, expected rank 1")
+        (self._top_monomial,) = top_basis
         nf_top = self._reduce({self.top_class: 1})
         unit = nf_top.get(self._top_monomial, 0)
         if set(nf_top) != {self._top_monomial} or unit not in (1, -1):
@@ -417,8 +405,7 @@ class GradedRingPresentation(PolyRing):
                     "or no unit monomial basis"
                 )
         pivot_cols = {col for col, _ in echelon}
-        basis = tuple(m for i, m in enumerate(monos) if i not in pivot_cols)
-        self._bases[d] = GradedBasis(d, basis)
+        self._bases[d] = tuple(m for i, m in enumerate(monos) if i not in pivot_cols)
         if d > self.top_degree:
             return
         # Every pivot is a unit, so reducing a unit vector clears every pivot
@@ -436,13 +423,13 @@ class GradedRingPresentation(PolyRing):
                 out[b] = out.get(b, 0) + c * k
         return {m: c for m, c in out.items() if c}
 
-    def graded_basis(self, d: int) -> GradedBasis:
+    def graded_basis(self, d: int) -> tuple[Monomial, ...]:
         if not 0 <= d <= self.top_degree:
             raise ValueError(f"degree {d} outside 0..{self.top_degree}")
         return self._bases[d]
 
     def graded_ranks(self) -> tuple[int, ...]:
-        return tuple(self._bases[d].rank for d in range(self.top_degree + 1))
+        return tuple(len(self._bases[d]) for d in range(self.top_degree + 1))
 
     def evaluate_top(self, e: RingElement) -> int:
         """Integral of the top-degree component; the top class integrates to 1."""

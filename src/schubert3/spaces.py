@@ -16,7 +16,7 @@ from the monomial one), so any element can be rendered geometrically.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from . import dsl
 from .graded_ring import GradedRingPresentation, PolyRing, RingElement, format_signed_sum, series_inverse
@@ -87,12 +87,12 @@ class SchubertSpace:
         return f"SchubertSpace({self.name}, dim={self.dim})"
 
     def _degree_vector(self, e: RingElement, d: int) -> list[int]:
-        return [e.coefficient(m) for m in self.ring.graded_basis(d).monomials]
+        return [e.coefficient(m) for m in self.ring.graded_basis(d)]
 
     def _validate_render_basis(self) -> None:
         for d in range(self.dim + 1):
             entries = self.render_basis[d]
-            rank = self.ring.graded_basis(d).rank
+            rank = len(self.ring.graded_basis(d))
             if len(entries) != rank:
                 raise ValueError(
                     f"{self.name}: degree-{d} render basis has {len(entries)} entries, rank is {rank}"
@@ -224,7 +224,7 @@ def space(name: str) -> SchubertSpace:
         sp = _build_flag_space()
     else:
         raise ValueError(f"unknown space {name!r}; available: {', '.join(SPACE_NAMES)}")
-    for check in verify_formula_suite(sp):
+    for check in _formula_checks(sp):
         if not check.holds:
             raise AssertionError(
                 f"{name}: formula {check.label} failed at construction: "
@@ -305,32 +305,23 @@ class FormulaCheck(NamedTuple):
     holds: bool
 
 
-def verify_formula_suite(
-    target: Union[SchubertSpace, str, None] = None,
-) -> list[FormulaCheck]:
-    """Recheck every labeled incidence formula inside its ring.
-
-    `target` restricts to one space, by name or as an already built instance;
-    passing the instance lets a space check its own formulas during
-    construction, before it is registered.
-    """
-    instance: Optional[SchubertSpace] = None
-    name: Optional[str] = None
-    if isinstance(target, SchubertSpace):
-        instance = target
-        name = target.name
-    elif target is not None:
-        name = space(target).name
+def _formula_checks(sp: SchubertSpace) -> list[FormulaCheck]:
+    """The labeled formulas of one space, rechecked in `sp`, registered or not."""
     checks: list[FormulaCheck] = []
     for f in FORMULAS:
-        if name is not None and f.space != name:
+        if f.space != sp.name:
             continue
-        sp = instance if instance is not None else space(f.space)
         for lhs, rhs in f.equations:
             left = dsl.evaluate(dsl.parse(lhs), sp)
             right = dsl.evaluate(dsl.parse(rhs), sp)
             checks.append(FormulaCheck(f.label, f.space, lhs, rhs, left == right))
     return checks
+
+
+def verify_formula_suite(name: Optional[str] = None) -> list[FormulaCheck]:
+    """Recheck every labeled incidence formula inside its ring, or those of one space."""
+    names = SPACE_NAMES if name is None else (name,)
+    return [c for n in names for c in _formula_checks(space(n))]
 
 
 class EvalResult(NamedTuple):

@@ -92,6 +92,14 @@ def test_eval_rejects_unknown_space(capsys):
     assert code == 2
 
 
+def test_eval_leading_minus_needs_the_separator(capsys):
+    # without `--`, argparse takes "-p^2" for an option
+    code, out, err = run(capsys, "eval", "--space", "P3", "-p^2")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the following arguments are required: expr\n")
+    assert run(capsys, "eval", "--space", "P3", "--", "-p^2") == (0, "p_g\n", "")
+
+
 def test_usage_error_without_arguments(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
@@ -209,6 +217,20 @@ def test_bitangent_count_domain_starts_at_two(capsys):
     )
     code, out, err = run(capsys, "bitangent-count", "2")
     assert (code, out.splitlines()[0], err) == (0, "0", "")
+
+
+@pytest.mark.parametrize("command", ["tangent-count", "bitangent-count"])
+def test_count_domain_in_the_help_is_the_library_domain(capsys, command):
+    # the help states the domain; the library decides it
+    code, out, _ = run(capsys, command, "--help")
+    (least,) = map(int, re.findall(r"surface degree, n >= (-?\d+)", out))
+    derive = getattr(coincidence, cli.build_parser().parse_args([command, "0"]).derivation)
+    assert code == 0 and derive(least).n == least
+    message = f"n = {least - 1} is outside the domain n >= {least}"
+    with pytest.raises(ValueError) as refused:
+        derive(least - 1)
+    assert str(refused.value) == message
+    assert run(capsys, command, str(least - 1)) == (2, "", f"error: {command}: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["tangent-count", "bitangent-count"])

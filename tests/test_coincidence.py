@@ -22,6 +22,7 @@ from schubert3.coincidence import (
     phi_pullback,
     surface_excess_class,
     tangent_count,
+    tangent_derivation,
 )
 from schubert3.graded_ring import PolyRing, in_ideal_span, series_inverse, substitute
 
@@ -348,14 +349,27 @@ def test_tangent_count():
 
 
 def test_bitangent_counts():
-    expected = [4, 0, 0, 28, 120, 324, 700, 1320]
-    for n, want in zip(range(1, 9), expected):
+    expected = [0, 0, 28, 120, 324, 700, 1320]
+    for n, want in zip(range(2, 9), expected):
         derivation = bitangent_derivation(n)
         assert derivation.count == want
         assert derivation.count == n * (n - 2) * (n - 3) * (n + 3) // 2
         assert derivation.n == n
-    with pytest.raises(ValueError):
-        bitangent_derivation(0)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"^n = {n} is outside the domain n >= 2$"):
+            bitangent_derivation(n)
+
+
+@pytest.mark.parametrize(
+    "count, least",
+    [(surface_excess_class, 1), (tangent_derivation, 1), (tangent_count, 1), (bitangent_derivation, 2)],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_counts_refuse_n_outside_their_domain(count, least):
+    for n in range(-1, least):
+        with pytest.raises(ValueError, match=f"^n = {n} is outside the domain n >= {least}$"):
+            count(n)
+    count(least)
 
 
 def test_bitangent_trace_frozen():
@@ -391,7 +405,7 @@ def test_bitangent_chain_runs_once_per_process(monkeypatch):
         bitangent_derivation(4)
         per_derivation = len(calls)
         assert per_derivation == 5
-        for n in range(1, 101):
+        for n in range(2, 101):
             assert bitangent_derivation(n).count == n * (n - 2) * (n - 3) * (n + 3) // 2
         assert len(calls) == per_derivation
     finally:

@@ -194,7 +194,7 @@ def test_ranks_match_rational_elimination(name):
     window = max(ring.degrees)
     for d in range(ring.top_degree + window + 1):
         corank = oracle_corank(ring.degrees, [r.terms for r in ring.relations], d)
-        expected = ring.graded_basis(d).rank if d <= ring.top_degree else 0
+        expected = len(ring.graded_basis(d)) if d <= ring.top_degree else 0
         assert corank == expected, f"{name} degree {d}"
 
 
@@ -203,8 +203,7 @@ def test_graded_basis_bounds(G):
         G.graded_basis(5)
     with pytest.raises(ValueError):
         G.graded_basis(-1)
-    assert G.graded_basis(2).monomials == ((2, 0), (0, 1))
-    assert G.graded_basis(2).rank == 2
+    assert G.graded_basis(2) == ((2, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_flag_space_normal_forms(PS):
     assert (c1 * c2**2).is_zero()
     assert (c1**5).is_zero()
     assert t * c1**4 == 2 * t * c2**2
-    assert PS.graded_basis(5).monomials == ((1, 0, 2),)
+    assert PS.graded_basis(5) == ((1, 0, 2),)
     assert PS.evaluate_top(t * c2**2) == 1
     # every degree-5 monomial reduces to a small non-negative multiple
     values = {
@@ -254,7 +253,7 @@ def test_flag_space_normal_forms(PS):
 def test_normal_form_t_exponent_bounded(PS):
     # the incidence relation eliminates every t power above 1
     for d in range(6):
-        for m in PS.graded_basis(d).monomials:
+        for m in PS.graded_basis(d):
             assert m[0] <= 1
 
 
@@ -263,7 +262,7 @@ def test_every_monomial_normal_form_is_a_basis_combination_mod_the_ideal(name):
     ring = ALL_RINGS[name]()
     for d in range(ring.top_degree + 1):
         monos, rows = oracle_ideal_rows(ring.degrees, [r.terms for r in ring.relations], d)
-        basis = ring.graded_basis(d).monomials
+        basis = ring.graded_basis(d)
         rank = oracle_rank_q(rows)
         for m in monos:
             nf = ring.monomial(m).terms

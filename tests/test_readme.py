@@ -1,8 +1,12 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples and command lines run as written."""
 
 import doctest
+import json
 import re
+import shlex
 from pathlib import Path
+
+from schubert3.cli import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,3 +22,21 @@ def test_readme_python_examples():
         report: list[str] = []
         failed, attempted = doctest.DocTestRunner().run(test, out=report.append)
         assert attempted and not failed, "".join(report)
+
+
+def test_readme_command_lines(tmp_path, monkeypatch, capsys):
+    # every `schubert3 ...` line of the ```sh blocks, run where a lines.json exists
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("schubert3 ")
+    ]
+    assert len(commands) == 13
+    lines = [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]
+    (tmp_path / "lines.json").write_text(json.dumps({"lines": lines}))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = run_cli(argv)
+        assert code == 0, (argv, capsys.readouterr().err)

@@ -9,7 +9,7 @@ import pytest
 import schubert3
 from schubert3.coincidence import CountDerivation, bitangent_derivation
 from schubert3.dsl import Add, IntLit, Mul, Neg, Pow, Sub, Sym, parse
-from schubert3.graded_ring import GeneratorSpec, GradedBasis
+from schubert3.graded_ring import GeneratorSpec
 from schubert3.oracle import SolutionSet, lines_meeting_four, random_four_lines
 from schubert3.spaces import (
     FORMULAS,
@@ -44,7 +44,6 @@ def _records():
         Mul(a, b),
         Pow(a, 2),
         GeneratorSpec("g", 1),
-        space("G").ring.graded_basis(2),
         solved,
         SolutionSet.infinite_family(),
         space("G").express_in_schubert_basis(space("G").symbols["g"] ** 2),
@@ -88,7 +87,6 @@ def test_record_repr_names_the_fields():
     assert repr(GeneratorSpec("g", 1)) == "GeneratorSpec(name='g', degree=1)"
     assert repr(SolutionSet(infinite=True)) == "SolutionSet(infinite=True, solutions=())"
     assert repr(FORMULAS[0]) == "Formula(label='1', space='P3', equations=(('p^2', 'p_g'),))"
-    assert repr(GradedBasis(0, ((0,),))) == "GradedBasis(degree=0, monomials=((0,),))"
 
 
 def test_records_take_keywords_and_defaults():

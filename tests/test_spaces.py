@@ -25,7 +25,7 @@ def eva(space_name, text):
 
 
 def random_homogeneous(rng, sp, d):
-    terms = {m: rng.randrange(-9, 10) for m in sp.ring.graded_basis(d).monomials}
+    terms = {m: rng.randrange(-9, 10) for m in sp.ring.graded_basis(d)}
     return sp.ring.element(terms)
 
 
