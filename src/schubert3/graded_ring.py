@@ -12,6 +12,14 @@ element is then a lookup per term.  Monomials inside a degree are ordered by
 descending lexicographic order on exponent vectors, so every normal form is
 canonical for a fixed generator order.
 
+Terms are validated and reduced only where they enter from outside:
+`RingElement(ring, terms)`, `element` and `monomial`.  Arithmetic starts from
+normal forms and produces normal forms, so sums, products, powers and the
+constants `zero`, `one` and integer coercion skip both steps.  A quotient
+multiplies through a table from an ordered pair of basis monomials to the
+normal form of their product, filled on first use from the normal-form table;
+the free ring adds exponent vectors and validates the result.
+
 Total Chern and Segre classes are plain elements 1 + a_1 + a_2 + ...;
 `series_inverse` inverts one degree by degree, with integer arithmetic only.
 """
@@ -19,7 +27,7 @@ Total Chern and Segre classes are plain elements 1 + a_1 + a_2 + ...;
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .linalg import int_echelon, reduce_mod_echelon
@@ -93,14 +101,27 @@ class PolyRing:
     def _reduce(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
         return {m: c for m, c in terms.items() if c}
 
+    def _product(self, a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> "RingElement":
+        # Exponent vectors add; quotients override this with their product table.
+        out: dict[Monomial, int] = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return RingElement(self, out)
+
     def element(self, terms: Mapping[Monomial, int]) -> "RingElement":
         return RingElement(self, terms)
 
     def zero(self) -> "RingElement":
-        return RingElement(self, {})
+        return self._constant(0)
 
     def one(self) -> "RingElement":
-        return RingElement(self, {(0,) * self.ngens: 1})
+        return self._constant(1)
+
+    def _constant(self, n: int) -> "RingElement":
+        # No constant relation is allowed, so n*1 is its own normal form.
+        return RingElement._trusted(self, {(0,) * self.ngens: n} if n else {})
 
     def monomial(self, mono: Monomial, coeff: int = 1) -> "RingElement":
         return RingElement(self, {tuple(mono): coeff})
@@ -132,6 +153,8 @@ class RingElement:
 
     Elements belong to a specific ring object; arithmetic between different
     rings is rejected rather than coerced.  Terms need not be homogeneous.
+    The constructor validates and reduces its terms; arithmetic builds its
+    results with `_trusted`, since they are normal forms already.
     """
 
     __slots__ = ("ring", "terms")
@@ -151,37 +174,46 @@ class RingElement:
         self.ring = ring
         self.terms = ring._reduce(clean)
 
+    @classmethod
+    def _trusted(cls, ring: PolyRing, terms: dict[Monomial, int]) -> "RingElement":
+        """An element whose terms are a fresh normal form with no zero coefficient."""
+        e = object.__new__(cls)
+        e.ring = ring
+        e.terms = terms
+        return e
+
     def _coerce(self, other) -> "RingElement | None":
         if isinstance(other, RingElement):
             if other.ring is not self.ring:
                 raise ValueError("elements belong to different rings")
             return other
         if type(other) is int:
-            return RingElement(self.ring, {(0,) * self.ring.ngens: other})
+            return self.ring._constant(other)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return RingElement(self.ring, out)
+            c = out.get(m, 0) + sign * c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return RingElement._trusted(self.ring, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.ring, {m: -c for m, c in self.terms.items()})
+        return RingElement._trusted(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return RingElement(self.ring, out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -193,12 +225,7 @@ class RingElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return RingElement(self.ring, out)
+        return self.ring._product(self.terms, other.terms)
 
     __rmul__ = __mul__
 
@@ -207,7 +234,7 @@ class RingElement:
 
     def __eq__(self, other) -> bool:
         if type(other) is int:
-            other = RingElement(self.ring, {(0,) * self.ring.ngens: other})
+            other = self.ring._constant(other)
         if not isinstance(other, RingElement):
             return NotImplemented
         return self.ring is other.ring and self.terms == other.terms
@@ -279,7 +306,7 @@ def power(x: RingElement, n: int, product=mul) -> RingElement:
     `product` multiplies two elements; a caller can pass one that checks
     its factors first.
     """
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("exponent must be a non-negative integer")
     out = None
     while n:
@@ -373,6 +400,8 @@ class GradedRingPresentation(PolyRing):
 
         # monomial of degree <= top -> normal form as (basis monomial, coefficient) pairs
         self._normal_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
+        # basis monomial -> basis monomial -> normal form of their product, filled by `_product`
+        self._products: dict[Monomial, dict[Monomial, tuple[tuple[Monomial, int], ...]]] = {}
         self._bases: dict[int, tuple[Monomial, ...]] = {}
 
         window = max(self.degrees) if self.degrees else 0
@@ -422,6 +451,23 @@ class GradedRingPresentation(PolyRing):
             for b, k in self._normal_forms.get(m, ()):
                 out[b] = out.get(b, 0) + c * k
         return {m: c for m, c in out.items() if c}
+
+    def _product(self, a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> RingElement:
+        # Both factors are normal forms, so every term is a basis monomial.  A
+        # pair past the top degree has no normal form and tabulates to ().
+        out: dict[Monomial, int] = {}
+        for m1, c1 in a.items():
+            row = self._products.get(m1)
+            if row is None:
+                row = self._products[m1] = {}
+            for m2, c2 in b.items():
+                nf = row.get(m2)
+                if nf is None:
+                    nf = row[m2] = self._normal_forms.get(tuple(map(add, m1, m2)), ())
+                c = c1 * c2
+                for m, k in nf:
+                    out[m] = out.get(m, 0) + c * k
+        return RingElement._trusted(self, {m: c for m, c in out.items() if c})
 
     def graded_basis(self, d: int) -> tuple[Monomial, ...]:
         if not 0 <= d <= self.top_degree:

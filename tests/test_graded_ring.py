@@ -17,6 +17,7 @@ import pytest
 
 from schubert3 import graded_ring
 from schubert3.coincidence import blowup_ring
+from schubert3.dsl import evaluate, parse
 from schubert3.graded_ring import (
     GeneratorSpec,
     GradedRingPresentation,
@@ -24,8 +25,10 @@ from schubert3.graded_ring import (
     RingElement,
     TorsionError,
     in_ideal_span,
+    power,
     substitute,
 )
+from schubert3.spaces import SPACE_NAMES, space
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +391,86 @@ def test_power_squares_and_multiplies(G, monkeypatch):
         calls.clear()
         x**n
         assert len(calls) <= 2 * math.log2(n), (n, len(calls))
+
+
+def test_power_refuses_exponents_that_are_not_int(G):
+    c1 = G.gen("c1")
+    for n in (True, False, 2.0, -1):
+        with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+            c1**n
+        with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+            power(c1, n)
+
+
+def raw_product(a, b):
+    """Exponent-sum product of two term dicts, neither reduced nor validated."""
+    out = {}
+    for (m1, c1), (m2, c2) in itertools.product(a.items(), b.items()):
+        m = tuple(x + y for x, y in zip(m1, m2))
+        out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ALL_RINGS))
+def test_table_product_is_the_validated_product(name):
+    ring = ALL_RINGS[name]()
+    basis = [m for d in range(ring.top_degree + 1) for m in ring.graded_basis(d)]
+    for m1, m2 in itertools.product(basis, repeat=2):
+        assert ring.monomial(m1) * ring.monomial(m2) == ring.element(raw_product({m1: 1}, {m2: 1}))
+    rng = random.Random(f"trusted-{name}")
+    for _ in range(150):
+        a = ring.element(random_terms(rng, ring, ring.top_degree))
+        b = ring.element(random_terms(rng, ring, ring.top_degree))
+        monos = {*a.terms, *b.terms}
+        assert a * b == ring.element(raw_product(a.terms, b.terms))
+        assert a + b == ring.element({m: a.coefficient(m) + b.coefficient(m) for m in monos})
+        assert a - b == ring.element({m: a.coefficient(m) - b.coefficient(m) for m in monos})
+        assert -a == ring.element({m: -c for m, c in a.terms.items()})
+        assert a - a == ring.zero() and (a - a).terms == {}
+
+
+def test_arithmetic_builds_no_validated_elements(monkeypatch):
+    G, PS = space("G"), space("PS")
+    x = PS.symbols["p"] + 2 * PS.symbols["g"] - 1
+    calls = []
+    validate = RingElement.__init__
+    monkeypatch.setattr(
+        RingElement, "__init__", lambda e, ring, terms: calls.append(1) or validate(e, ring, terms)
+    )
+    evaluate(parse("(2*g + g_p)^7 - 3*g*g_e + 1"), G)
+    x**5
+    assert calls == []
+    G.ring.element({})
+    assert calls == [1]
+
+
+def random_source(rng, names, depth):
+    """A random expression over `names` and small literals, fully parenthesized."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([*names, str(rng.randrange(4))])
+    op = rng.choice("+-*^n")
+    left = random_source(rng, names, depth - 1)
+    if op == "n":
+        return f"-({left})"
+    if op == "^":
+        return f"({left})^{rng.randrange(4)}"
+    return f"({left}) {op} ({random_source(rng, names, depth - 1)})"
+
+
+def test_shared_symbol_elements_are_never_mutated():
+    # `evaluate` returns a space's symbol elements as they are, and arithmetic
+    # keeps its operands' term dicts; an aliased dict would corrupt them.
+    def snapshot():
+        return {n: {s: dict(e.terms) for s, e in space(n).symbols.items()} for n in SPACE_NAMES}
+
+    before = snapshot()
+    rng = random.Random("shared-symbols")
+    for _ in range(200):
+        sp = space(rng.choice(SPACE_NAMES))
+        evaluate(parse(random_source(rng, sorted(sp.symbols), 4)), sp)
+    assert snapshot() == before
+    G = space("G")
+    assert G.evaluate_top(G.symbol_class("g") ** 4) == 2
 
 
 def test_element_operations(G):

@@ -231,6 +231,32 @@ def test_four_lines_coplanar_is_infinite():
     assert lines_meeting_four(*sides).infinite
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        # the first, third and fourth lines lie in the plane x1 = x3
+        [
+            ((-2, -8, -6, -8), (-1, 5, -8, 5)),
+            ((5, 0, -5, -4), (1, 6, 4, -4)),
+            ((7, 8, -4, 8), (5, -1, -9, -1)),
+            ((-1, 6, 4, 6), (7, 5, 2, 5)),
+        ],
+        # the last three lines lie in the plane x1 = -x2
+        [
+            ((4, 0, 8, 3), (-7, 4, -2, 3)),
+            ((-6, -7, 7, -2), (-3, -9, 9, 7)),
+            ((1, -5, 5, 8), (-7, -5, 5, 9)),
+            ((6, 1, -1, 4), (-8, -3, 3, 0)),
+        ],
+    ],
+)
+def test_four_lines_three_coplanar_is_infinite(pairs):
+    # Coordinates are x0..x3.  The remaining line meets the plane of the other
+    # three in one point, so every line of that plane through it meets all four.
+    lines = [line(p, q) for p, q in pairs]
+    assert lines_meeting_four(*lines).infinite
+
+
 def test_four_lines_tangent_gives_double_line():
     tangent = line((1, 1, 2, 2), (0, 1, -2, 0))
     result = lines_meeting_four(ruling(1, 0), ruling(0, 1), ruling(1, 1), tangent)
