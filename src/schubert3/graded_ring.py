@@ -455,6 +455,8 @@ class GradedRingPresentation(PolyRing):
     def _product(self, a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> RingElement:
         # Both factors are normal forms, so every term is a basis monomial.  A
         # pair past the top degree has no normal form and tabulates to ().
+        # Summing exponents and calling `_reduce` instead measured about 10%
+        # fewer `symbolic` benchmark ops/s (Python 3.11, 2-core Xeon).
         out: dict[Monomial, int] = {}
         for m1, c1 in a.items():
             row = self._products.get(m1)
