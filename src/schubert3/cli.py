@@ -27,8 +27,9 @@ __all__ = ["build_parser", "main", "run_cli"]
 _SURFACE_VARS = ("x", "y", "z", "w")
 
 # Highest surface degree `oracle pencil` accepts.  At degree 40 a count takes
-# from half a second to several seconds, depending on the seed, and the cost
-# grows faster than n^5, so the limit keeps every run bounded.
+# from about 30 to 300 ms, depending on the seed: the frame's entries set the
+# size of the one big-integer evaluation of f per line.  The cost grows
+# steeply with the degree, so the limit keeps every run bounded.
 MAX_PENCIL_DEGREE = 40
 
 # One row per count command: its help, the help for n and its `coincidence`

@@ -1,4 +1,4 @@
-"""Exact elimination over the integers.
+"""Exact elimination over the integers, and one resultant modulo a prime.
 
 Two eliminations live here on purpose, one for each side of the check.
 The symbolic side (`graded_ring` and `spaces`) uses only `int_echelon`, an
@@ -6,8 +6,10 @@ integer lattice echelon by extended-gcd row operations that keeps the row
 lattice over Z, and `reduce_mod_echelon`: normal forms, ideal membership
 and the inverse of each render basis.  The geometry oracle uses only
 `rref`, a fraction-free Gauss-Jordan reduction that keeps the row space
-over Q, and `bareiss_det`, the fraction-free determinant of Bareiss
-(1968).  So a symbolic count and its oracle check never share an
+over Q, `bareiss_det`, the fraction-free determinant of Bareiss (1968),
+and `resultant_mod_p`, the Euclidean resultant of two polynomials over
+Z/p (Collins 1967; von zur Gathen-Gerhard, Modern Computer Algebra,
+ch. 6).  So a symbolic count and its oracle check never share an
 elimination routine; `test_linalg_routines_stay_on_their_side` in
 tests/test_oracle.py enforces the split.  Every entry stays an int.
 """
@@ -21,6 +23,7 @@ __all__ = [
     "bareiss_det",
     "int_echelon",
     "reduce_mod_echelon",
+    "resultant_mod_p",
     "rref",
 ]
 
@@ -148,3 +151,41 @@ def bareiss_det(matrix: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def resultant_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    """Resultant of two polynomials modulo a prime p, in the range 0..p-1.
+
+    a and b are descending coefficient lists whose leading coefficients are
+    nonzero mod p, so the degrees are len - 1 both over Z and over Z/p, and
+    the result is the determinant of their Sylvester matrix reduced mod p.
+    The Euclidean remainder sequence uses Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, down to
+    Res(a, c) = c^(deg a) for a constant c; a zero remainder before that
+    means a common factor and resultant 0.
+    """
+    if not a or not b or a[0] % p == 0 or b[0] % p == 0:
+        raise ValueError("both polynomials need a leading coefficient nonzero mod p")
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    result = 1
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        inverse = pow(b[0], -1, p)
+        r = a[:]
+        for i in range(m - n + 1):
+            q = r[i] * inverse % p
+            if q:
+                r[i + 1 : i + n + 1] = [
+                    (x - q * y) % p for x, y in zip(r[i + 1 : i + n + 1], b[1:])
+                ]
+        r = r[max(m - n + 1, 0) :]
+        lead = next((i for i, c in enumerate(r) if c), None)
+        if lead is None:
+            return 0
+        r = r[lead:]
+        if m * n % 2:
+            result = -result
+        result = result * pow(b[0], m - (len(r) - 1), p) % p
+        a, b = b, r
+    return result * pow(b[0], len(a) - 1, p) % p

@@ -5,11 +5,13 @@ discriminant is not a perfect square): points and lines carry canonical
 integer coordinates, incidence is the polarized Pluecker pairing, and the
 four-lines problem is solved by exact kernel computation plus one binary
 quadratic.  Tangency counting for pencils restricts the surface to one
-line of the pencil at a time, by exact evaluation at n + 1 integer points
-and interpolation, and takes the resultant of that integer binary form
-with its derivative: a vanishing discriminant is a certified double root,
-not a numerical coincidence, and one nonzero Sylvester determinant
-certifies the count n(n-1).  Nothing here uses the symbolic rings.
+line of the pencil at a time, by one exact evaluation of f at a Kronecker
+point whose base-2^k digits are the integer binary form, and takes the
+resultant of that form with its derivative: a vanishing discriminant is a
+certified double root, not a numerical coincidence.  One resultant that is
+nonzero modulo the prime 2^61 - 1 certifies the count n(n-1); only when
+every such residue vanishes does an exact Sylvester determinant decide.
+Nothing here uses the symbolic rings.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from operator import mul
 import random
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .linalg import bareiss_det, rref
+from .linalg import bareiss_det, resultant_mod_p, rref
 
 __all__ = [
     "DegeneratePencil",
@@ -460,6 +462,12 @@ class SurfaceForm:
         return f"SurfaceForm({self.terms!r})"
 
 
+# Prime of the pencil count's certificate.  Surface degrees stay far below
+# it, so the derivative of a section leads with n*f(V), nonzero mod _PRIME
+# whenever f(V) is.
+_PRIME = (1 << 61) - 1
+
+
 class DegeneratePencil(ValueError):
     """The tangency discriminant vanishes identically; the configuration is special."""
 
@@ -517,19 +525,30 @@ def _interpolate(values: Sequence[int]) -> list[int]:
 def _line_section(f: SurfaceForm, v: Sequence[int], w: Sequence[int]) -> list[int]:
     """Coefficients p of the section f(s*V + u*W) = sum p[i] s^(n-i) u^i.
 
-    f is evaluated at the integer points s*V + W, s = 0..n, with one table
-    of coordinate powers per point; exact interpolation gives p, p[0] = f(V).
+    Kronecker substitution: f(s*V + W) = sum p[n-j] s^j, and every
+    coefficient obeys |p[i]| <= B = sum |c| * max_x(|v_x| + |w_x|)^n, over
+    the coefficients c of f and the coordinates x, because the l1 norm of
+    the product of the (v_x s + w_x)^e_x in a monomial is at most the
+    product of the (|v_x| + |w_x|)^e_x.  With 2^(k-1) > B the coefficients
+    are the n + 1 signed base-2^k digits of the one integer f(2^k V + W),
+    read from the lowest; p[0] = f(V).
     """
     n = f.degree
-    values = []
-    for s in range(n + 1):
-        px, py, pz, pw = (
-            list(accumulate([s * a + b] * n, mul, initial=1)) for a, b in zip(v, w)
-        )
-        values.append(
-            sum(c * px[i] * py[j] * pz[k] * pw[l] for (i, j, k, l), c in f.terms.items())
-        )
-    return _interpolate(values)[::-1]
+    reach = max(abs(a) + abs(b) for a, b in zip(v, w))
+    k = (sum(map(abs, f.terms.values())) * reach**n).bit_length() + 1
+    px, py, pz, pw = (
+        list(accumulate([(a << k) + b] * n, mul, initial=1)) for a, b in zip(v, w)
+    )
+    value = sum(c * px[i] * py[j] * pz[l] * pw[m] for (i, j, l, m), c in f.terms.items())
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    digits = []
+    for _ in range(n + 1):
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << k
+        digits.append(digit)
+        value = (value - digit) >> k
+    return digits[::-1]
 
 
 def _sylvester_det(p: Sequence[int]) -> int:
@@ -608,13 +627,24 @@ def pencil_tangency_count(
     discriminant D, of degree at most n(n-1) in the pencil parameter lam.
     Homogenized to degree n(n-1), D has exactly n(n-1) roots whenever it
     is not identically zero, which a single nonzero value D(lam) certifies.
-    The surface is restricted to the lines lam = 0, 1, ... one at a time
-    until one section's Sylvester determinant D(lam) is nonzero.  D
-    vanishes identically exactly when it vanishes at lam = 0..n(n-1); then
-    DegeneratePencil is raised.
+    D(lam) is the resultant of the section p on the line lam and its
+    derivative p'.  The first pass restricts f to the lines lam = 0, 1, ...
+    one at a time: when both leading coefficients are nonzero mod the prime
+    _PRIME, the resultant of the residues is the residue of D(lam), so a
+    nonzero Res(p, p') mod _PRIME proves D(lam) != 0 and the count.  Only
+    when no lam in 0..n(n-1) is certified does a second pass take the exact
+    Sylvester determinant of each section.  D vanishes identically exactly
+    when it vanishes at lam = 0..n(n-1); then DegeneratePencil is raised.
     """
-    expected = f.degree * (f.degree - 1)
-    if any(map(_sylvester_det, _pencil_sections(f, plane, vertex, expected + 1))):
+    n = f.degree
+    expected = n * (n - 1)
+    undecided = []
+    for p in _pencil_sections(f, plane, vertex, expected + 1):
+        dp = [(n - i) * c for i, c in enumerate(p[:-1])]
+        if p[0] % _PRIME and dp[0] % _PRIME and resultant_mod_p(p, dp, _PRIME):
+            return expected
+        undecided.append(p)
+    if any(map(_sylvester_det, undecided)):
         return expected
     raise DegeneratePencil(
         "the tangency discriminant vanishes identically; the pencil is not generic"

@@ -10,14 +10,15 @@ import ast
 from fractions import Fraction
 import hashlib
 from itertools import combinations, permutations
+from math import comb
 from pathlib import Path
 import random
 import re
 
 import pytest
 
-from schubert3 import oracle
-from schubert3.linalg import rref
+from schubert3 import checks, oracle
+from schubert3.linalg import bareiss_det, resultant_mod_p, rref
 from schubert3.oracle import (
     DegeneratePencil,
     PlueckerLine,
@@ -590,7 +591,7 @@ def test_oracle_imports_no_symbolic_ring():
 def test_linalg_routines_stay_on_their_side():
     # only the oracle eliminates with rref and bareiss_det, and it never
     # uses the rings' integer echelon: a count and its check share no routine
-    oracle_side = {"rref", "bareiss_det"}
+    oracle_side = {"rref", "bareiss_det", "resultant_mod_p"}
     ring_side = {"int_echelon", "reduce_mod_echelon"}
     for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
         imported = {
@@ -656,6 +657,153 @@ def test_pencil_degenerate_double_plane():
     f = SurfaceForm({(2, 0, 0, 0): 1})
     with pytest.raises(DegeneratePencil):
         pencil_tangency_count(f, [0, 0, 1, 0], point(1, 0, 0, 0))
+
+
+def sylvester_matrix(a, b):
+    """Sylvester matrix of two descending coefficient lists, rows of a first."""
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    rows = [[0] * i + list(a) + [0] * (size - i - m - 1) for i in range(n)]
+    return rows + [[0] * i + list(b) + [0] * (size - i - n - 1) for i in range(m)]
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("p", [(1 << 61) - 1, 101, 3])
+def test_resultant_mod_p_is_the_sylvester_determinant(p):
+    rng = random.Random(61)
+
+    def poly(degree):
+        coeffs = [rng.randint(-50, 50) for _ in range(degree + 1)]
+        while coeffs[0] % p == 0:
+            coeffs[0] = rng.randint(-50, 50)
+        return coeffs
+
+    zeros = 0
+    for _ in range(150):
+        a, b = poly(rng.randint(0, 12)), poly(rng.randint(0, 12))
+        if len(a) + len(b) == 2:
+            continue
+        expected = bareiss_det(sylvester_matrix(a, b)) % p
+        assert resultant_mod_p(a, b, p) == expected, (a, b)
+        zeros += expected == 0
+    # a shared root x = r makes the integer resultant, and so every residue, 0
+    for _ in range(40):
+        root = [1, -rng.randint(-9, 9)]
+        a = poly_mul(root, poly(rng.randint(0, 11)))
+        b = poly_mul(root, poly(rng.randint(0, 11)))
+        if a[0] % p and b[0] % p:
+            assert bareiss_det(sylvester_matrix(a, b)) == 0
+            assert resultant_mod_p(a, b, p) == 0
+    assert resultant_mod_p([4], [7], p) == 1
+    assert resultant_mod_p([2, 1], [5], p) == 5 % p
+    if p == 3:
+        assert zeros > 0
+
+
+def test_resultant_mod_p_refuses_leading_zeros():
+    p = (1 << 61) - 1
+    for a, b in (([0, 1, 2], [1, 1]), ([1, 1], [p, 1]), ([], [1]), ([1, 2], [])):
+        with pytest.raises(ValueError, match="leading coefficient"):
+            resultant_mod_p(a, b, p)
+
+
+DOUBLE_PLANE = SurfaceForm({(2, 0, 0, 0): 1})
+
+
+def pencil_cases():
+    """Pencils whose D(0) = 0 (seeds 3080, 2828) or whose D drops degree (507, 900)."""
+    yield from (
+        random_pencil_instance(random.Random(seed), degree)
+        for degree, seed in ((2, 3080), (3, 2828), (2, 507), (3, 900))
+    )
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return bareiss_det(matrix)
+
+    monkeypatch.setattr(oracle, "bareiss_det", counted)
+    return calls
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_pencil_count_decides_exactly_when_residues_vanish(monkeypatch, bareiss_calls, prime):
+    # a tiny prime kills many residues, and at degree n = prime the
+    # derivative's lead n*f(V) vanishes mod it, so the count must reach the
+    # exact second pass and still certify n(n-1)
+    monkeypatch.setattr(oracle, "_PRIME", prime)
+    checks._check_pencil_counts()
+    for f, plane, vertex in pencil_cases():
+        assert pencil_tangency_count(f, plane, vertex) == f.degree * (f.degree - 1)
+    assert bareiss_calls
+    with pytest.raises(DegeneratePencil):
+        pencil_tangency_count(DOUBLE_PLANE, [0, 0, 1, 0], point(1, 0, 0, 0))
+
+
+def test_pencil_count_needs_no_determinant_at_the_real_prime(bareiss_calls):
+    checks._check_pencil_counts()
+    for f, plane, vertex in pencil_cases():
+        assert pencil_tangency_count(f, plane, vertex) == f.degree * (f.degree - 1)
+    f, plane, vertex = random_pencil_instance(random.Random(32), 32)
+    assert pencil_tangency_count(f, plane, vertex) == 992
+    assert bareiss_calls == []
+    # only the exact determinant can prove a pencil degenerate
+    with pytest.raises(DegeneratePencil):
+        pencil_tangency_count(DOUBLE_PLANE, [0, 0, 1, 0], point(1, 0, 0, 0))
+    assert len(bareiss_calls) == 3
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_line_section_digits_at_their_edge(sign):
+    # (s + sign*u)^n: the largest digit is C(n, n/2), and with sign -1 the
+    # digits alternate in sign, so both halves of the signed digit range occur
+    for n in range(1, 41):
+        f = SurfaceForm({(n, 0, 0, 0): 1})
+        section = oracle._line_section(f, (1, 0, 0, 0), (sign, 0, 0, 0))
+        assert section == [comb(n, i) * sign**i for i in range(n + 1)]
+        # (sign*s)^n on the line through V = (sign, 0, 0, 0) and W = (0, 1, 0, 0)
+        # reaches the digit bound sum |c| * max(|v| + |w|)^n = 1 exactly
+        section = oracle._line_section(f, (sign, 0, 0, 0), (0, 1, 0, 0))
+        assert section == [sign**n] + [0] * n
+
+
+def lagrange(xs, ys):
+    """Ascending coefficients of the interpolating polynomial, in Fractions."""
+    coeffs = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, scale = [Fraction(1)], Fraction(yi)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = [0] + basis
+                for t in range(len(basis) - 1):
+                    basis[t] -= xj * basis[t + 1]
+                scale /= xi - xj
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def test_line_section_is_the_interpolated_restriction():
+    rng = random.Random(517)
+    for degree in range(1, 13):
+        f = random_surface_form(rng, degree)
+        for _ in range(3):
+            v = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(4)]
+            w = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(4)]
+            v[rng.randrange(4)] = rng.choice((-3, -1, 2))
+            values = [f.value([s * a + b for a, b in zip(v, w)]) for s in range(degree + 1)]
+            expected = lagrange(range(degree + 1), values)[::-1]
+            assert oracle._line_section(f, v, w) == expected
 
 
 def test_generators_are_deterministic():
