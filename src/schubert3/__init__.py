@@ -40,7 +40,6 @@ _PUBLIC = {
         "SurfaceForm",
         "incidence_form",
         "lines_meeting_four",
-        "pencil_discriminant",
         "pencil_tangency_count",
         "plucker_from_points",
         "random_four_lines",

@@ -208,9 +208,10 @@ def _cmd_oracle_pencil(args: argparse.Namespace) -> int:
 
     from . import oracle
 
-    if args.degree > MAX_PENCIL_DEGREE:
+    if not 1 <= args.degree <= MAX_PENCIL_DEGREE:
         raise ValueError(
-            f"--degree {args.degree} exceeds the oracle pencil limit of {MAX_PENCIL_DEGREE}"
+            f"oracle pencil: --degree {args.degree} is outside the domain "
+            f"1 to {MAX_PENCIL_DEGREE}"
         )
     f, plane, vertex = oracle.random_pencil_instance(random.Random(args.seed), args.degree)
     count = oracle.pencil_tangency_count(f, plane, vertex)

@@ -11,7 +11,8 @@ resultant of that form with its derivative: a vanishing discriminant is a
 certified double root, not a numerical coincidence.  One resultant that is
 nonzero modulo the prime 2^61 - 1 certifies the count n(n-1); only when
 every such residue vanishes does an exact Sylvester determinant decide.
-Nothing here uses the symbolic rings.
+The discriminant is never expanded in the pencil parameter: the count needs
+only one of its values.  Nothing here uses the symbolic rings.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 import random
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .linalg import bareiss_det, resultant_mod_p, rref
 
@@ -36,7 +37,6 @@ __all__ = [
     "SurfaceForm",
     "incidence_form",
     "lines_meeting_four",
-    "pencil_discriminant",
     "pencil_tangency_count",
     "plucker_from_points",
     "random_four_lines",
@@ -495,33 +495,6 @@ def _plane_frame(
     return v, w1, w2
 
 
-def _differences(values: Sequence[int]) -> list[int]:
-    """Forward differences at 0: entry k is the k-th difference of values at 0."""
-    out = []
-    while values:
-        out.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return out
-
-
-def _interpolate(values: Sequence[int]) -> list[int]:
-    """Ascending coefficients of the polynomial taking values[x] at x = 0, 1, ...
-
-    The k-th difference at 0 is k! times the k-th Newton coefficient, so
-    the division is exact when the values come from an integer polynomial.
-    """
-    newton = [d // factorial(k) for k, d in enumerate(_differences(values))]
-    # sum_k newton[k] * x (x - 1) ... (x - k + 1), expanded by Horner
-    poly: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):
-        shifted = [0] + poly
-        for i, c in enumerate(poly):
-            shifted[i] -= k * c
-        shifted[0] += newton[k]
-        poly = shifted
-    return poly
-
-
 def _line_section(f: SurfaceForm, v: Sequence[int], w: Sequence[int]) -> list[int]:
     """Coefficients p of the section f(s*V + u*W) = sum p[i] s^(n-i) u^i.
 
@@ -564,58 +537,6 @@ def _sylvester_det(p: Sequence[int]) -> int:
     return bareiss_det(matrix)
 
 
-def _pencil_sections(
-    f: SurfaceForm,
-    plane: Sequence[Rational],
-    vertex: Union[ProjectivePoint, Sequence[Rational]],
-    count: int,
-) -> Iterator[list[int]]:
-    """Sections of f on the lines through V and W1 + lam*W2, lam = 0..count-1."""
-    v, w1, w2 = _plane_frame(plane, vertex)
-
-    def section(lam: int) -> list[int]:
-        return _line_section(f, v, [a + lam * b for a, b in zip(w1, w2)])
-
-    for lam in range(count):
-        p = section(lam)
-        if p[0] == 0:
-            # every section leads with f(V); the restriction to the plane has
-            # degree at most n in lam, so n + 1 zero sections make it zero
-            if not any(any(section(k)) for k in range(f.degree + 1)):
-                raise ValueError("the plane section of the surface is identically zero")
-            raise ValueError("the vertex lies on the section curve")
-        yield p
-
-
-def pencil_discriminant(
-    f: SurfaceForm,
-    plane: Sequence[Rational],
-    vertex: Union[ProjectivePoint, Sequence[Rational]],
-) -> tuple[int, ...]:
-    """Ascending integer coefficients of the tangency discriminant of a pencil.
-
-    Lines in the plane through the vertex are parameterized by lam; the
-    surface restricts to each line as a binary form in s whose resultant
-    with its own derivative detects tangency.  The discriminant D(lam) has
-    integer coefficients and degree at most n(n-1).  Each section
-    coefficient has degree at most n in lam: sections on the lines lam = 0..n
-    start its difference table, which carries it on to lam = n(n-1) by
-    additions alone.  D is sampled there and interpolated exactly.
-    """
-    n = f.degree
-    tables = [_differences(c) for c in zip(*_pencil_sections(f, plane, vertex, n + 1))]
-    values = []
-    for _ in range(n * (n - 1) + 1):
-        values.append(_sylvester_det([t[0] for t in tables]))
-        for t in tables:
-            for k in range(n):
-                t[k] += t[k + 1]
-    poly = _interpolate(values)
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
-
-
 def pencil_tangency_count(
     f: SurfaceForm,
     plane: Sequence[Rational],
@@ -635,13 +556,28 @@ def pencil_tangency_count(
     when no lam in 0..n(n-1) is certified does a second pass take the exact
     Sylvester determinant of each section.  D vanishes identically exactly
     when it vanishes at lam = 0..n(n-1); then DegeneratePencil is raised.
+    The lines run through V and W1 + lam*W2 for the frame (V, W1, W2) of the
+    plane, and a vertex on the surface is refused.
     """
     n = f.degree
     expected = n * (n - 1)
+    v, w1, w2 = _plane_frame(plane, vertex)
+
+    def section(lam: int) -> list[int]:
+        return _line_section(f, v, [a + lam * b for a, b in zip(w1, w2)])
+
     undecided = []
-    for p in _pencil_sections(f, plane, vertex, expected + 1):
+    for lam in range(expected + 1):
+        p = section(lam)
+        if p[0] == 0:
+            # every section leads with f(V); the restriction to the plane has
+            # degree at most n in lam, so n + 1 zero sections make it zero
+            if not any(any(section(k)) for k in range(n + 1)):
+                raise ValueError("the plane section of the surface is identically zero")
+            raise ValueError("the vertex lies on the section curve")
+        # dp[0] = n*p[0], so a nonzero residue of it leaves both leads nonzero
         dp = [(n - i) * c for i, c in enumerate(p[:-1])]
-        if p[0] % _PRIME and dp[0] % _PRIME and resultant_mod_p(p, dp, _PRIME):
+        if dp[0] % _PRIME and resultant_mod_p(p, dp, _PRIME):
             return expected
         undecided.append(p)
     if any(map(_sylvester_det, undecided)):

@@ -28,7 +28,6 @@ from schubert3.oracle import (
     SurfaceForm,
     incidence_form,
     lines_meeting_four,
-    pencil_discriminant,
     pencil_tangency_count,
     plucker_from_points,
     random_four_lines,
@@ -172,6 +171,10 @@ def test_qnum_arithmetic():
     assert half == QNum(1, 1, 7)
     assert type(QNum("1/2").a) is Fraction
     assert repr(QNum(3, -1, 5)) == "QNum(3, -1, 5)"
+    # the solver's checks (q != 0 on the quadric, incidence_form(...) != 0)
+    # go through equality, so a differing radical part must count
+    assert QNum(1, 2, 5) != QNum(1, 3, 5)
+    assert QNum(1, 2, 5) != 1
 
 
 def test_rational_kernel_annihilates_its_rows():
@@ -649,8 +652,27 @@ def test_pencil_preconditions():
     split = SurfaceForm({(0, 0, 1, 1): 1})
     with pytest.raises(ValueError, match="identically zero"):
         pencil_tangency_count(split, [0, 0, 1, 0], point(1, 0, 0, 0))
+    # f = prod_{k<n} (k*y - w) cuts z = 0 in n concurrent lines through V:
+    # the sections on lam = 0..n-1 vanish, and the one on lam = n does not
+    for n in range(1, 6):
+        coeffs = [1]
+        for k in range(n):
+            coeffs = poly_mul(coeffs, [k, -1])
+        lines = SurfaceForm({(0, n - j, 0, j): c for j, c in enumerate(coeffs)})
+        with pytest.raises(ValueError, match="^the vertex lies on the section curve$"):
+            pencil_tangency_count(lines, [0, 0, 1, 0], point(1, 0, 0, 0))
     with pytest.raises(ValueError, match="not all zero"):
         pencil_tangency_count(f, [0, 0, 0, 0], point(1, 0, 0, 0))
+
+
+def test_random_pencil_instance_keeps_the_vertex_off_the_surface():
+    # seeds 76 and 192 at degree 1, and 67 and 169 at degree 3, redraw a
+    # surface through the vertex
+    for degree in (1, 2, 3):
+        for seed in range(200):
+            f, plane, vertex = random_pencil_instance(random.Random(seed), degree)
+            assert sum(a * x for a, x in zip(plane, vertex.coords)) == 0
+            assert f.value(vertex) != 0, (degree, seed)
 
 
 def test_pencil_degenerate_double_plane():
@@ -791,6 +813,26 @@ def lagrange(xs, ys):
                 scale /= xi - xj
         coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
     return coeffs
+
+
+def pencil_discriminant(f, plane, vertex):
+    """Ascending integer coefficients of the pencil's tangency discriminant D.
+
+    D(lam), the Sylvester determinant of the section on the line through V
+    and W1 + lam*W2, has degree at most n(n-1): its values at lam = 0..n(n-1)
+    determine it.  Trailing zero coefficients are trimmed.
+    """
+    v, w1, w2 = oracle._plane_frame(plane, vertex)
+    lams = range(f.degree * (f.degree - 1) + 1)
+    values = [
+        oracle._sylvester_det(oracle._line_section(f, v, [a + lam * b for a, b in zip(w1, w2)]))
+        for lam in lams
+    ]
+    coeffs = lagrange(lams, values)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assert all(c.denominator == 1 for c in coeffs)
+    return tuple(c.numerator for c in coeffs)
 
 
 def test_line_section_is_the_interpolated_restriction():
