@@ -26,10 +26,11 @@ __all__ = ["build_parser", "main", "run_cli"]
 
 _SURFACE_VARS = ("x", "y", "z", "w")
 
-# Highest surface degree `oracle pencil` accepts.  At degree 40 a count takes
-# from about 30 to 300 ms, depending on the seed: the frame's entries set the
-# size of the one big-integer evaluation of f per line.  The cost grows
-# steeply with the degree, so the limit keeps every run bounded.
+# Highest surface degree `oracle pencil` accepts.  At degree 40 (seeds 0-3) a
+# count takes from about 40 to 350 ms and a whole run from about 150 to
+# 500 ms, depending on the seed: the frame's entries set the size of the one
+# big-integer evaluation of f per line and of its exact resultant.  The cost
+# grows steeply with the degree, so the limit keeps every run bounded.
 MAX_PENCIL_DEGREE = 40
 
 # One row per count command: its help, the help for n and its `coincidence`

@@ -1,4 +1,4 @@
-"""Exact elimination over the integers, and one resultant modulo a prime.
+"""Exact elimination and one resultant, all over the integers.
 
 Two eliminations live here on purpose, one for each side of the check.
 The symbolic side (`graded_ring` and `spaces`) uses only `int_echelon`, an
@@ -6,12 +6,11 @@ integer lattice echelon by extended-gcd row operations that keeps the row
 lattice over Z, and `reduce_mod_echelon`: normal forms, ideal membership
 and the inverse of each render basis.  The geometry oracle uses only
 `rref`, a fraction-free Gauss-Jordan reduction that keeps the row space
-over Q, `bareiss_det`, the fraction-free determinant of Bareiss (1968),
-and `resultant_mod_p`, the Euclidean resultant of two polynomials over
-Z/p (Collins 1967; von zur Gathen-Gerhard, Modern Computer Algebra,
-ch. 6).  So a symbolic count and its oracle check never share an
-elimination routine; `test_linalg_routines_stay_on_their_side` in
-tests/test_oracle.py enforces the split.  Every entry stays an int.
+over Q, and `resultant`, the subresultant remainder sequence of two
+integer polynomials (Collins 1967; Brown-Traub 1971).  So a symbolic count
+and its oracle check never share an elimination routine;
+`test_linalg_routines_stay_on_their_side` in tests/test_oracle.py enforces
+the split.  Every entry stays an int.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from math import gcd
 from typing import Iterable, Sequence
 
 __all__ = [
-    "bareiss_det",
     "int_echelon",
     "reduce_mod_echelon",
-    "resultant_mod_p",
+    "resultant",
     "rref",
 ]
 
@@ -132,60 +130,44 @@ def reduce_mod_echelon(vec: list[int], echelon: Sequence[tuple[int, list[int]]])
     return out
 
 
-def bareiss_det(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Resultant of two integer polynomials: the determinant of their Sylvester matrix.
 
-
-def resultant_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> int:
-    """Resultant of two polynomials modulo a prime p, in the range 0..p-1.
-
-    a and b are descending coefficient lists whose leading coefficients are
-    nonzero mod p, so the degrees are len - 1 both over Z and over Z/p, and
-    the result is the determinant of their Sylvester matrix reduced mod p.
-    The Euclidean remainder sequence uses Res(a, b) = (-1)^(deg a deg b)
-    lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, down to
-    Res(a, c) = c^(deg a) for a constant c; a zero remainder before that
-    means a common factor and resultant 0.
+    a and b are descending coefficient lists with nonzero leading
+    coefficients.  The subresultant remainder sequence (Collins 1967;
+    Brown-Traub 1971; Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 3.3.7) replaces each a by the pseudo-remainder of a by b,
+    divided exactly by g*h^delta, which keeps every entry the size of a
+    subresultant.  Res(a, b) = (-1)^(deg a deg b) Res(b, a), a zero
+    remainder means a common factor and resultant 0, and the last step
+    reads the resultant off the leading coefficient of the constant b.
     """
-    if not a or not b or a[0] % p == 0 or b[0] % p == 0:
-        raise ValueError("both polynomials need a leading coefficient nonzero mod p")
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    result = 1
+    if not a or not b or not a[0] or not b[0]:
+        raise ValueError("both polynomials need a nonzero leading coefficient")
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    g = h = 1
     while len(b) > 1:
         m, n = len(a) - 1, len(b) - 1
-        inverse = pow(b[0], -1, p)
-        r = a[:]
-        for i in range(m - n + 1):
-            q = r[i] * inverse % p
-            if q:
-                r[i + 1 : i + n + 1] = [
-                    (x - q * y) % p for x, y in zip(r[i + 1 : i + n + 1], b[1:])
-                ]
-        r = r[max(m - n + 1, 0) :]
-        lead = next((i for i, c in enumerate(r) if c), None)
-        if lead is None:
-            return 0
-        r = r[lead:]
+        delta = m - n
         if m * n % 2:
-            result = -result
-        result = result * pow(b[0], m - (len(r) - 1), p) % p
-        a, b = b, r
-    return result * pow(b[0], len(a) - 1, p) % p
+            sign = -sign
+        # pseudo-remainder: b[0]^(delta+1) * a mod b
+        lead, tail = b[0], b[1:]
+        r = list(a)
+        for _ in range(delta + 1):
+            q = r[0]
+            r = [lead * x - q * y for x, y in zip(r[1:], tail)] + [lead * x for x in r[n + 1 :]]
+        top = next((i for i, c in enumerate(r) if c), None)
+        if top is None:
+            return 0
+        divisor = g * h**delta
+        a, b = b, [c // divisor for c in r[top:]]
+        g = a[0]
+        # h^(1 - delta) * g^delta, written so that delta = 0 stays integral
+        h = g**delta * h // h**delta
+    m = len(a) - 1
+    return sign * (b[0] ** m * h // h**m)

@@ -7,12 +7,11 @@ four-lines problem is solved by exact kernel computation plus one binary
 quadratic.  Tangency counting for pencils restricts the surface to one
 line of the pencil at a time, by one exact evaluation of f at a Kronecker
 point whose base-2^k digits are the integer binary form, and takes the
-resultant of that form with its derivative: a vanishing discriminant is a
-certified double root, not a numerical coincidence.  One resultant that is
-nonzero modulo the prime 2^61 - 1 certifies the count n(n-1); only when
-every such residue vanishes does an exact Sylvester determinant decide.
-The discriminant is never expanded in the pencil parameter: the count needs
-only one of its values.  Nothing here uses the symbolic rings.
+resultant of that form with its derivative over the integers: a vanishing
+discriminant is a certified double root, not a numerical coincidence, and
+the first nonzero one certifies the count n(n-1).  The discriminant is
+never expanded in the pencil parameter: the count needs only one of its
+values.  Nothing here uses the symbolic rings.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from operator import mul
 import random
 from typing import Iterable, Mapping, Sequence, Union
 
-from .linalg import bareiss_det, resultant_mod_p, rref
+from .linalg import resultant, rref
 
 __all__ = [
     "DegeneratePencil",
@@ -62,7 +61,8 @@ class QNum:
 
     d may be negative; nothing here takes real parts.  Arithmetic mixes
     freely with ints and Fractions, and two QNums can combine only when
-    their radicands agree.  a and b are ints whenever they are integral.
+    their radicands agree; equality and hashing hold across radicands.  a
+    and b are ints whenever they are integral.
     """
 
     __slots__ = ("a", "b", "d")
@@ -129,13 +129,21 @@ class QNum:
         return bool(self.a) or bool(self.b)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
+        # total across radicands: b*sqrt(d) is fixed by b^2*d and the sign of b
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.a == other
+        if not isinstance(other, QNum):
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return (
+            self.a == other.a
+            and self.b * self.b * self.d == other.b * other.b * other.d
+            and (self.b > 0) == (other.b > 0)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d))
+        if not self.b:
+            return hash(self.a)
+        return hash((self.a, self.b * self.b * self.d, self.b > 0))
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -462,12 +470,6 @@ class SurfaceForm:
         return f"SurfaceForm({self.terms!r})"
 
 
-# Prime of the pencil count's certificate.  Surface degrees stay far below
-# it, so the derivative of a section leads with n*f(V), nonzero mod _PRIME
-# whenever f(V) is.
-_PRIME = (1 << 61) - 1
-
-
 class DegeneratePencil(ValueError):
     """The tangency discriminant vanishes identically; the configuration is special."""
 
@@ -524,19 +526,6 @@ def _line_section(f: SurfaceForm, v: Sequence[int], w: Sequence[int]) -> list[in
     return digits[::-1]
 
 
-def _sylvester_det(p: Sequence[int]) -> int:
-    """Resultant of the binary form sum p[i] s^(n-i) u^i and its s-derivative."""
-    n = len(p) - 1
-    dp = [(n - i) * p[i] for i in range(n)]
-    size = 2 * n - 1
-    matrix = []
-    for i in range(n - 1):
-        matrix.append([0] * i + list(p) + [0] * (size - i - n - 1))
-    for i in range(n):
-        matrix.append([0] * i + dp + [0] * (size - i - n))
-    return bareiss_det(matrix)
-
-
 def pencil_tangency_count(
     f: SurfaceForm,
     plane: Sequence[Rational],
@@ -549,13 +538,10 @@ def pencil_tangency_count(
     Homogenized to degree n(n-1), D has exactly n(n-1) roots whenever it
     is not identically zero, which a single nonzero value D(lam) certifies.
     D(lam) is the resultant of the section p on the line lam and its
-    derivative p'.  The first pass restricts f to the lines lam = 0, 1, ...
-    one at a time: when both leading coefficients are nonzero mod the prime
-    _PRIME, the resultant of the residues is the residue of D(lam), so a
-    nonzero Res(p, p') mod _PRIME proves D(lam) != 0 and the count.  Only
-    when no lam in 0..n(n-1) is certified does a second pass take the exact
-    Sylvester determinant of each section.  D vanishes identically exactly
-    when it vanishes at lam = 0..n(n-1); then DegeneratePencil is raised.
+    derivative p', taken exactly over Z.  The count restricts f to the lines
+    lam = 0, 1, ... one at a time and returns at the first nonzero D(lam).
+    D vanishes identically exactly when it vanishes at lam = 0..n(n-1); then
+    DegeneratePencil is raised.
     The lines run through V and W1 + lam*W2 for the frame (V, W1, W2) of the
     plane, and a vertex on the surface is refused.
     """
@@ -566,7 +552,6 @@ def pencil_tangency_count(
     def section(lam: int) -> list[int]:
         return _line_section(f, v, [a + lam * b for a, b in zip(w1, w2)])
 
-    undecided = []
     for lam in range(expected + 1):
         p = section(lam)
         if p[0] == 0:
@@ -575,13 +560,9 @@ def pencil_tangency_count(
             if not any(any(section(k)) for k in range(n + 1)):
                 raise ValueError("the plane section of the surface is identically zero")
             raise ValueError("the vertex lies on the section curve")
-        # dp[0] = n*p[0], so a nonzero residue of it leaves both leads nonzero
-        dp = [(n - i) * c for i, c in enumerate(p[:-1])]
-        if dp[0] % _PRIME and resultant_mod_p(p, dp, _PRIME):
+        # p' leads with n*f(V), so both leading coefficients are nonzero
+        if resultant(p, [(n - i) * c for i, c in enumerate(p[:-1])]):
             return expected
-        undecided.append(p)
-    if any(map(_sylvester_det, undecided)):
-        return expected
     raise DegeneratePencil(
         "the tangency discriminant vanishes identically; the pencil is not generic"
     )

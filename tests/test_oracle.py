@@ -17,8 +17,8 @@ import re
 
 import pytest
 
-from schubert3 import checks, oracle
-from schubert3.linalg import bareiss_det, resultant_mod_p, rref
+from schubert3 import checks, linalg, oracle
+from schubert3.linalg import resultant, rref
 from schubert3.oracle import (
     DegeneratePencil,
     PlueckerLine,
@@ -175,6 +175,38 @@ def test_qnum_arithmetic():
     # go through equality, so a differing radical part must count
     assert QNum(1, 2, 5) != QNum(1, 3, 5)
     assert QNum(1, 2, 5) != 1
+
+
+def test_qnum_equality_is_total_and_hashes_agree():
+    # 2*sqrt(2) and sqrt(8) are one number; b^2*d and the sign of b decide
+    assert QNum(0, 2, 2) == QNum(0, 1, 8)
+    assert hash(QNum(0, 2, 2)) == hash(QNum(0, 1, 8))
+    assert QNum(0, 2, 2) != QNum(0, -1, 8)
+    assert QNum(1, 1, 2) != QNum(1, 1, 3)
+    assert QNum(1, 1, 2) != QNum(1)
+    # a rational QNum is its rational part, as a key too
+    assert QNum(2) == 2 and hash(QNum(2)) == hash(2) and 2 in {QNum(2)}
+    half = Fraction(1, 2)
+    assert QNum(half) == half and hash(QNum(half)) == hash(half)
+    assert QNum(1, 1, 2) != 1 and QNum(0) == 0
+    # arithmetic still refuses to mix radicands
+    with pytest.raises(ValueError, match="different quadratic extensions"):
+        QNum(1, 1, 2) + QNum(1, 1, 3)
+
+    def radicand(line):
+        return next(c.d for c in line.coords if c.d)
+
+    # irrational solutions of two four-lines problems over different
+    # radicands compare without raising
+    rng = random.Random(0)
+    found = []
+    while len(set(map(radicand, found))) < 2:
+        result = lines_meeting_four(*random_four_lines(rng))
+        found += [line for line, _ in result.solutions if not line.is_rational]
+    line_a, line_b = found[0], found[-1]
+    assert radicand(line_a) != radicand(line_b)
+    assert line_a != line_b and line_a == found[0]
+    assert len({line_a, line_b, found[1]}) == 3
 
 
 def test_rational_kernel_annihilates_its_rows():
@@ -492,7 +524,7 @@ def test_pencil_discriminant_top_coefficient_is_one_determinant():
             v, w1, w2 = oracle._plane_frame(plane, vertex)
 
             def direct(w):
-                return oracle._sylvester_det(oracle._line_section(f, v, w))
+                return sylvester_det(oracle._line_section(f, v, w))
 
             # the top coefficient is the determinant on the lam = infinity line
             expected = degree * (degree - 1)
@@ -592,10 +624,12 @@ def test_oracle_imports_no_symbolic_ring():
 
 
 def test_linalg_routines_stay_on_their_side():
-    # only the oracle eliminates with rref and bareiss_det, and it never
-    # uses the rings' integer echelon: a count and its check share no routine
-    oracle_side = {"rref", "bareiss_det", "resultant_mod_p"}
+    # only the oracle eliminates with rref and resultant, and it never uses
+    # the rings' integer echelon: a count and its check share no routine;
+    # every routine in linalg belongs to one side, so none lacks a caller
+    oracle_side = {"rref", "resultant"}
     ring_side = {"int_echelon", "reduce_mod_echelon"}
+    assert set(linalg.__all__) == oracle_side | ring_side
     for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
         imported = {
             alias.name
@@ -681,12 +715,39 @@ def test_pencil_degenerate_double_plane():
         pencil_tangency_count(f, [0, 0, 1, 0], point(1, 0, 0, 0))
 
 
+def bareiss_det(matrix):
+    """Fraction-free determinant of a square integer matrix (Bareiss 1968)."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def sylvester_matrix(a, b):
     """Sylvester matrix of two descending coefficient lists, rows of a first."""
     m, n = len(a) - 1, len(b) - 1
     size = m + n
     rows = [[0] * i + list(a) + [0] * (size - i - m - 1) for i in range(n)]
     return rows + [[0] * i + list(b) + [0] * (size - i - n - 1) for i in range(m)]
+
+
+def sylvester_det(p):
+    """Resultant of the binary form sum p[i] s^(n-i) u^i and its s-derivative."""
+    n = len(p) - 1
+    return bareiss_det(sylvester_matrix(p, [(n - i) * c for i, c in enumerate(p[:-1])]))
 
 
 def poly_mul(a, b):
@@ -697,43 +758,43 @@ def poly_mul(a, b):
     return out
 
 
-@pytest.mark.parametrize("p", [(1 << 61) - 1, 101, 3])
-def test_resultant_mod_p_is_the_sylvester_determinant(p):
+def test_resultant_is_the_sylvester_determinant():
     rng = random.Random(61)
 
     def poly(degree):
         coeffs = [rng.randint(-50, 50) for _ in range(degree + 1)]
-        while coeffs[0] % p == 0:
+        while coeffs[0] == 0:
             coeffs[0] = rng.randint(-50, 50)
         return coeffs
 
-    zeros = 0
     for _ in range(150):
         a, b = poly(rng.randint(0, 12)), poly(rng.randint(0, 12))
         if len(a) + len(b) == 2:
             continue
-        expected = bareiss_det(sylvester_matrix(a, b)) % p
-        assert resultant_mod_p(a, b, p) == expected, (a, b)
-        zeros += expected == 0
-    # a shared root x = r makes the integer resultant, and so every residue, 0
+        for x, y in ((a, b), (b, a)):
+            expected = bareiss_det(sylvester_matrix(x, y))
+            assert resultant(x, y) == expected, (x, y)
+    # odd times odd degree: swapping the arguments flips the sign
+    for m, n in ((1, 1), (1, 3), (3, 5), (5, 7), (7, 3)):
+        a, b = poly(m), poly(n)
+        expected = bareiss_det(sylvester_matrix(a, b))
+        assert resultant(a, b) == expected == -resultant(b, a), (a, b)
+    # a shared root x = r makes the resultant 0
     for _ in range(40):
         root = [1, -rng.randint(-9, 9)]
         a = poly_mul(root, poly(rng.randint(0, 11)))
         b = poly_mul(root, poly(rng.randint(0, 11)))
-        if a[0] % p and b[0] % p:
-            assert bareiss_det(sylvester_matrix(a, b)) == 0
-            assert resultant_mod_p(a, b, p) == 0
-    assert resultant_mod_p([4], [7], p) == 1
-    assert resultant_mod_p([2, 1], [5], p) == 5 % p
-    if p == 3:
-        assert zeros > 0
+        assert bareiss_det(sylvester_matrix(a, b)) == 0
+        assert resultant(a, b) == 0 == resultant(b, a)
+    # two constants have the empty Sylvester matrix, and Res(a, c) = c^(deg a)
+    assert resultant([4], [7]) == 1 and type(resultant([4], [7])) is int
+    assert resultant([2, 1], [5]) == 5 == resultant([5], [2, 1])
 
 
-def test_resultant_mod_p_refuses_leading_zeros():
-    p = (1 << 61) - 1
-    for a, b in (([0, 1, 2], [1, 1]), ([1, 1], [p, 1]), ([], [1]), ([1, 2], [])):
+def test_resultant_refuses_leading_zeros():
+    for a, b in (([0, 1, 2], [1, 1]), ([1, 1], [0, 1]), ([], [1]), ([1, 2], [])):
         with pytest.raises(ValueError, match="leading coefficient"):
-            resultant_mod_p(a, b, p)
+            resultant(a, b)
 
 
 DOUBLE_PLANE = SurfaceForm({(2, 0, 0, 0): 1})
@@ -747,43 +808,31 @@ def pencil_cases():
     )
 
 
-@pytest.fixture
-def bareiss_calls(monkeypatch):
-    calls = []
-
-    def counted(matrix):
-        calls.append(len(matrix))
-        return bareiss_det(matrix)
-
-    monkeypatch.setattr(oracle, "bareiss_det", counted)
-    return calls
+def square(g):
+    """The surface form g^2."""
+    terms = {}
+    for m1, c1 in g.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            terms[mono] = terms.get(mono, 0) + c1 * c2
+    return SurfaceForm(terms)
 
 
-@pytest.mark.parametrize("prime", [2, 3])
-def test_pencil_count_decides_exactly_when_residues_vanish(monkeypatch, bareiss_calls, prime):
-    # a tiny prime kills many residues, and at degree n = prime the
-    # derivative's lead n*f(V) vanishes mod it, so the count must reach the
-    # exact second pass and still certify n(n-1)
-    monkeypatch.setattr(oracle, "_PRIME", prime)
-    checks._check_pencil_counts()
-    for f, plane, vertex in pencil_cases():
-        assert pencil_tangency_count(f, plane, vertex) == f.degree * (f.degree - 1)
-    assert bareiss_calls
-    with pytest.raises(DegeneratePencil):
-        pencil_tangency_count(DOUBLE_PLANE, [0, 0, 1, 0], point(1, 0, 0, 0))
-
-
-def test_pencil_count_needs_no_determinant_at_the_real_prime(bareiss_calls):
+def test_pencil_count_certifies_or_proves_degenerate():
     checks._check_pencil_counts()
     for f, plane, vertex in pencil_cases():
         assert pencil_tangency_count(f, plane, vertex) == f.degree * (f.degree - 1)
     f, plane, vertex = random_pencil_instance(random.Random(32), 32)
     assert pencil_tangency_count(f, plane, vertex) == 992
-    assert bareiss_calls == []
-    # only the exact determinant can prove a pencil degenerate
+    # every section of a double surface g^2 is a square, so D vanishes on
+    # every line the count tries
     with pytest.raises(DegeneratePencil):
         pencil_tangency_count(DOUBLE_PLANE, [0, 0, 1, 0], point(1, 0, 0, 0))
-    assert len(bareiss_calls) == 3
+    g = random_surface_form(random.Random(4), 4)
+    double = square(g)
+    assert double.degree == 8 and double.value([1, 0, 1, 0]) != 0
+    with pytest.raises(DegeneratePencil):
+        pencil_tangency_count(double, (1, 2, -1, 3), point(1, 0, 1, 0))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -825,7 +874,7 @@ def pencil_discriminant(f, plane, vertex):
     v, w1, w2 = oracle._plane_frame(plane, vertex)
     lams = range(f.degree * (f.degree - 1) + 1)
     values = [
-        oracle._sylvester_det(oracle._line_section(f, v, [a + lam * b for a, b in zip(w1, w2)]))
+        sylvester_det(oracle._line_section(f, v, [a + lam * b for a, b in zip(w1, w2)]))
         for lam in lams
     ]
     coeffs = lagrange(lams, values)
