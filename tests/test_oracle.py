@@ -791,6 +791,43 @@ def test_resultant_is_the_sylvester_determinant():
     assert resultant([2, 1], [5]) == 5 == resultant([5], [2, 1])
 
 
+@pytest.mark.parametrize("p", [(1 << 61) - 1, 101, 3])
+def test_resultant_mod_p_is_the_sylvester_determinant(p):
+    # the resultant is a polynomial in the coefficients: reducing them mod p
+    # first keeps it mod p, which a residue check of D(lam) relies on
+    rng = random.Random(61)
+
+    def poly(degree):
+        coeffs = [rng.randint(-50, 50) for _ in range(degree + 1)]
+        while coeffs[0] % p == 0:
+            coeffs[0] = rng.randint(-50, 50)
+        return coeffs
+
+    def reduced(coeffs):
+        return [c % p for c in coeffs]
+
+    zeros = 0
+    for _ in range(150):
+        a, b = poly(rng.randint(0, 12)), poly(rng.randint(0, 12))
+        if len(a) + len(b) == 2:
+            continue
+        expected = bareiss_det(sylvester_matrix(a, b))
+        assert resultant(reduced(a), reduced(b)) % p == expected % p, (a, b)
+        zeros += expected != 0 and expected % p == 0
+    # a shared root x = r makes the integer resultant, and so every residue, 0
+    for _ in range(40):
+        root = [1, -rng.randint(-9, 9)]
+        a = poly_mul(root, poly(rng.randint(0, 11)))
+        b = poly_mul(root, poly(rng.randint(0, 11)))
+        if a[0] % p and b[0] % p:
+            assert resultant(reduced(a), reduced(b)) % p == 0
+    assert resultant(reduced([4]), reduced([7])) % p == 1
+    assert resultant(reduced([2, 1]), reduced([5])) % p == 5 % p
+    # at p = 3 some nonzero resultants have residue 0
+    if p == 3:
+        assert zeros > 0
+
+
 def test_resultant_refuses_leading_zeros():
     for a, b in (([0, 1, 2], [1, 1]), ([1, 1], [0, 1]), ([], [1]), ([1, 2], [])):
         with pytest.raises(ValueError, match="leading coefficient"):
@@ -818,16 +855,56 @@ def square(g):
     return SurfaceForm(terms)
 
 
-def test_pencil_count_certifies_or_proves_degenerate():
+@pytest.fixture
+def resultant_values(monkeypatch):
+    """Every value of Res(p, p') the count takes, in the order it takes them."""
+    values = []
+
+    def recorded(a, b):
+        values.append(resultant(a, b))
+        return values[-1]
+
+    monkeypatch.setattr(oracle, "resultant", recorded)
+    return values
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_pencil_count_decides_exactly_when_residues_vanish(resultant_values, prime):
+    # the count decides on the exact D(lam): on these pencils a nonzero
+    # D(lam) it certifies with is 0 mod a tiny prime, where a residue alone
+    # could not tell it from a degenerate pencil, and n(n-1) still comes back
     checks._check_pencil_counts()
+    resultant_values.clear()
     for f, plane, vertex in pencil_cases():
         assert pencil_tangency_count(f, plane, vertex) == f.degree * (f.degree - 1)
-    f, plane, vertex = random_pencil_instance(random.Random(32), 32)
-    assert pencil_tangency_count(f, plane, vertex) == 992
-    # every section of a double surface g^2 is a square, so D vanishes on
-    # every line the count tries
+    assert any(value and value % prime == 0 for value in resultant_values)
     with pytest.raises(DegeneratePencil):
         pencil_tangency_count(DOUBLE_PLANE, [0, 0, 1, 0], point(1, 0, 0, 0))
+
+
+def test_pencil_count_needs_no_determinant_at_the_real_prime(resultant_values):
+    # one exact resultant per line and no determinant: the count stops at the
+    # first nonzero D(lam), and that value is nonzero mod P = 2^61 - 1 too, so
+    # reducing it mod P would decide the same
+    assert not hasattr(oracle, "_sylvester_det") and not hasattr(oracle, "_PRIME")
+    P = (1 << 61) - 1
+    instances = [*pencil_cases(), random_pencil_instance(random.Random(32), 32)]
+    for f, plane, vertex in instances:
+        resultant_values.clear()
+        assert pencil_tangency_count(f, plane, vertex) == f.degree * (f.degree - 1)
+        *zeros, last = resultant_values
+        assert not any(zeros) and last % P, (f.degree, resultant_values)
+    assert instances[-1][0].degree == 32
+    # only a degenerate pencil takes D on all n(n-1) + 1 lines
+    resultant_values.clear()
+    with pytest.raises(DegeneratePencil):
+        pencil_tangency_count(DOUBLE_PLANE, [0, 0, 1, 0], point(1, 0, 0, 0))
+    assert resultant_values == [0, 0, 0]
+
+
+def test_pencil_count_proves_a_double_surface_degenerate():
+    # every section of a double surface g^2 is a square, so D vanishes on
+    # every line the count tries
     g = random_surface_form(random.Random(4), 4)
     double = square(g)
     assert double.degree == 8 and double.value([1, 0, 1, 0]) != 0
