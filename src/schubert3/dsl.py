@@ -7,6 +7,10 @@ Grammar, with insignificant whitespace:
     factor := base ('^' nat)?
     base   := int | ident | '-' base | '(' expr ')'
 
+One table, `_BINARY`, gives each binary operator its node, binding power and
+printed form.  The parser climbs precedence over it (Pratt, POPL 1973), and the
+printer parenthesises an operand only when it binds less tightly than its slot.
+
 Multiplication is always spelled '*'; juxtaposition is a syntax error.
 Exponents are literal non-negative integers up to MAX_EXPONENT, integer
 literals have at most MAX_LITERAL_DIGITS digits, expressions nest at most
@@ -114,13 +118,22 @@ class Pow(_Node, namedtuple("Pow", "base exp")):
 
 Expr = Union[IntLit, Sym, Neg, Add, Sub, Mul, Pow]
 
-_OPS = set("+-*^()")
+# Each binary operator once: its node, its binding power and its printed form.
+# A power binds at 3, and a number, a name or a negation at 4.
+_BINARY = {
+    "+": (Add, 1, " + "),
+    "-": (Sub, 1, " - "),
+    "*": (Mul, 2, "*"),
+}
+_INFIX = {cls: (bind, shown) for cls, bind, shown in _BINARY.values()}
+_OPS = {*_BINARY, *"^()"}
 
 # Deepest expression `parse` accepts.  A number or a name has depth 1, and
 # every unary minus, binary operator, power and pair of parentheses adds one
 # level above its deepest operand, so a flat chain g+g+...+g of k terms has
-# depth k.  The parser, `evaluate` and `to_source` recurse a few frames per
-# level, and this bound keeps them well inside Python's recursion limit.
+# depth k.  Per level the parser recurses about 3 frames for parentheses,
+# `to_source` 2 and `evaluate` 1, so a recursion limit of 3*MAX_DEPTH + 50
+# holds every accepted expression, far inside Python's default of 1000.
 MAX_DEPTH = 100
 
 # Largest exponent `parse` accepts.  A power is evaluated by square-and-multiply,
@@ -172,7 +185,7 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    yield ("end", "", n)
+    yield ("end", "end of input", n)  # its text is what error messages show
 
 
 class _Parser:
@@ -181,20 +194,10 @@ class _Parser:
         self.pos = 0
         self.groups = 0  # parentheses and unary minus signs open at the cursor
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
     def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, value, at = self.peek()
-        if kind != "op" or value != op:
-            shown = value if kind != "end" else "end of input"
-            raise ParseError(f"expected {op!r}, found {shown!r}", at)
-        self.advance()
 
     def literal(self, value: str, at: int) -> int:
         digits = value.lstrip("0") or "0"
@@ -202,59 +205,41 @@ class _Parser:
             raise ParseError(f"literal of {len(digits)} digits exceeds the limit {MAX_LITERAL_DIGITS}", at)
         return int(digits)
 
-    def too_deep(self, at: int) -> ParseError:
-        return ParseError(f"expression nested more than {MAX_DEPTH} levels deep", at)
+    def check_depth(self, depth: int, at: int) -> None:
+        if self.groups + depth > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", at)
 
     # Each method returns (node, depth of the node's subtree); a subtree inside
     # `groups` open groups sits that many levels deeper in the whole tree.
-    def expr(self) -> tuple[Expr, int]:
-        node, depth = self.term()
-        while True:
-            kind, value, at = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs, rdepth = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-                depth = (depth if depth > rdepth else rdepth) + 1
-                if self.groups + depth > MAX_DEPTH:
-                    raise self.too_deep(at)
-            else:
-                return node, depth
-
-    def term(self) -> tuple[Expr, int]:
+    def expr(self, tighter: int = 1) -> tuple[Expr, int]:
+        """Precedence climbing: take each operator that binds at least `tighter`."""
         node, depth = self.factor()
         while True:
-            kind, value, at = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                rhs, rdepth = self.factor()
-                node = Mul(node, rhs)
-                depth = (depth if depth > rdepth else rdepth) + 1
-                if self.groups + depth > MAX_DEPTH:
-                    raise self.too_deep(at)
-            else:
+            _, value, at = self.tokens[self.pos]
+            op = _BINARY.get(value)  # only operator tokens spell an operator
+            if op is None or op[1] < tighter:
                 return node, depth
+            cls, bind, _ = op
+            self.pos += 1
+            rhs, rdepth = self.expr(bind + 1)  # bind + 1: every operator is left-associative
+            node = cls(node, rhs)
+            depth = (depth if depth > rdepth else rdepth) + 1
+            self.check_depth(depth, at)
 
     def factor(self) -> tuple[Expr, int]:
         node, depth = self.base()
-        kind, value, _ = self.peek()
+        kind, value, _ = self.tokens[self.pos]
         if kind == "op" and value == "^":
-            self.advance()
-            kind, value, at = self.peek()
+            self.pos += 1
+            kind, value, at = self.advance()
             if kind != "int":
-                shown = value if kind != "end" else "end of input"
-                raise ParseError(
-                    f"exponent must be a non-negative integer literal, found {shown!r}",
-                    at,
-                )
+                raise ParseError(f"exponent must be a non-negative integer literal, found {value!r}", at)
             exp = self.literal(value, at)
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {value} exceeds the limit {MAX_EXPONENT}", at)
-            self.advance()
             node = Pow(node, exp)
             depth += 1
-            if self.groups + depth > MAX_DEPTH:
-                raise self.too_deep(at)
+            self.check_depth(depth, at)
         return node, depth
 
     def base(self) -> tuple[Expr, int]:
@@ -265,34 +250,35 @@ class _Parser:
             return Sym(value), 1
         if kind == "op" and value in "-(":
             self.groups += 1
-            if self.groups >= MAX_DEPTH:
-                raise self.too_deep(at)
+            self.check_depth(1, at)
             if value == "-":
                 node, depth = self.base()
                 node = Neg(node)
             else:
                 node, depth = self.expr()
-                self.expect_op(")")
+                _, value, at = self.advance()
+                if value != ")":
+                    raise ParseError(f"expected ')', found {value!r}", at)
             self.groups -= 1
             return node, depth + 1
-        shown = value if kind != "end" else "end of input"
-        raise ParseError(f"expected a value, found {shown!r}", at)
+        raise ParseError(f"expected a value, found {value!r}", at)
 
 
 def parse(text: str) -> Expr:
     parser = _Parser(text)
     node, _ = parser.expr()
-    kind, value, at = parser.peek()
+    kind, value, at = parser.tokens[parser.pos]
     if kind != "end":
         raise ParseError(f"unexpected {value!r} after complete expression", at)
     return node
 
 
-def _base_source(node: Expr) -> str:
-    # anything that is not already a grammar `base` needs parentheses
-    if isinstance(node, (IntLit, Sym, Neg)):
-        return to_source(node)
-    return f"({to_source(node)})"
+def _operand(node: Expr, needs: int) -> str:
+    # parenthesised exactly when the operand binds less tightly than its slot needs
+    text = to_source(node)
+    infix = _INFIX.get(type(node))
+    binds = infix[0] if infix else 3 if isinstance(node, Pow) else 4
+    return text if binds >= needs else f"({text})"
 
 
 def to_source(node: Expr) -> str:
@@ -302,26 +288,14 @@ def to_source(node: Expr) -> str:
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, Neg):
-        return "-" + _base_source(node.op)
+        return "-" + _operand(node.op, 4)
     if isinstance(node, Pow):
-        return f"{_base_source(node.base)}^{node.exp}"
-    if isinstance(node, Mul):
-        left = f"({to_source(node.left)})" if isinstance(node.left, (Add, Sub)) else to_source(node.left)
-        right = (
-            f"({to_source(node.right)})"
-            if isinstance(node.right, (Add, Sub, Mul))
-            else to_source(node.right)
-        )
-        return f"{left}*{right}"
-    if isinstance(node, (Add, Sub)):
-        op = " + " if isinstance(node, Add) else " - "
-        right = (
-            f"({to_source(node.right)})"
-            if isinstance(node.right, (Add, Sub))
-            else to_source(node.right)
-        )
-        return f"{to_source(node.left)}{op}{right}"
-    raise TypeError(f"not an expression node: {node!r}")
+        return f"{_operand(node.base, 4)}^{node.exp}"
+    infix = _INFIX.get(type(node))
+    if infix is None:
+        raise TypeError(f"not an expression node: {node!r}")
+    bind, shown = infix
+    return _operand(node.left, bind) + shown + _operand(node.right, bind + 1)
 
 
 def evaluate(node: Expr, space):

@@ -251,7 +251,7 @@ class RingElement:
         by_deg: dict[int, dict[Monomial, int]] = {}
         for m, c in self.terms.items():
             by_deg.setdefault(self.ring.monomial_degree(m), {})[m] = c
-        return {d: RingElement(self.ring, t) for d, t in sorted(by_deg.items())}
+        return {d: RingElement._trusted(self.ring, t) for d, t in sorted(by_deg.items())}
 
     def is_homogeneous(self) -> bool:
         degs = {self.ring.monomial_degree(m) for m in self.terms}
@@ -267,7 +267,7 @@ class RingElement:
         return degs.pop()
 
     def homogeneous_component(self, d: int) -> "RingElement":
-        return RingElement(
+        return RingElement._trusted(
             self.ring,
             {m: c for m, c in self.terms.items() if self.ring.monomial_degree(m) == d},
         )

@@ -49,9 +49,14 @@ Rational = Union[int, Fraction]
 
 
 def _rational(x) -> Rational:
-    """Exact value of x: an int when it is integral, otherwise a Fraction."""
+    """Exact value of x: an int when it is integral, otherwise a Fraction.
+
+    bool and float are refused: True is not a coordinate, and 0.1 is not 1/10.
+    """
     if type(x) is int:
         return x
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"not an exact number: {x!r}")
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -62,18 +67,32 @@ class QNum:
     d may be negative; nothing here takes real parts.  Arithmetic mixes
     freely with ints and Fractions, and two QNums can combine only when
     their radicands agree; equality and hashing hold across radicands.  a
-    and b are ints whenever they are integral.
+    and b are ints whenever they are integral, and a radicand that is a
+    perfect square folds into a, so QNum(0, 1, 4) is 2.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rational, b: Rational = 0, d: int = 0) -> None:
         a, b = _rational(a), _rational(b)
-        if b == 0:
-            d = 0
-        if d == 0:
-            b = 0
-        self.a, self.b, self.d = a, b, int(d)
+        if type(d) is not int:
+            raise ValueError(f"a radicand is an int, not {d!r}")
+        if b and d > 0:
+            root = isqrt(d)
+            if root * root == d:  # a perfect square folds into the rational part
+                a, b = _rational(a + b * root), 0
+        if not b or not d:
+            b, d = 0, 0
+        self.a, self.b, self.d = a, b, d
+
+    @classmethod
+    def _trusted(cls, a: Rational, b: Rational, d: int) -> "QNum":
+        """Arithmetic's result, unchecked: its radicand is 0 or already not a square."""
+        q = object.__new__(cls)
+        if not b or not d:
+            b, d = 0, 0
+        q.a, q.b, q.d = _rational(a), _rational(b), d
+        return q
 
     def _coerce(self, other) -> "QNum | None":
         if isinstance(other, QNum):
@@ -88,12 +107,12 @@ class QNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QNum(self.a + other.a, self.b + other.b, self.d or other.d)
+        return QNum._trusted(self.a + other.a, self.b + other.b, self.d or other.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QNum(-self.a, -self.b, self.d)
+        return QNum._trusted(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -108,13 +127,13 @@ class QNum:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QNum(self.a * other, self.b * other, self.d)
+        if type(other) in (int, Fraction):  # a bool goes through _coerce, which refuses it
+            return QNum._trusted(self.a * other, self.b * other, self.d)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         d = self.d or other.d
-        return QNum(
+        return QNum._trusted(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -123,7 +142,7 @@ class QNum:
     __rmul__ = __mul__
 
     def conjugate(self) -> "QNum":
-        return QNum(self.a, -self.b, self.d)
+        return QNum._trusted(self.a, -self.b, self.d)
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
@@ -185,7 +204,7 @@ def _canonical_qnum_vector(vec: Sequence[QNum]) -> tuple[QNum, ...]:
     # (a, b) < (0, 0) exactly when a < 0, or a == 0 and b < 0
     if next(p for p in pairs if p != (0, 0)) < (0, 0):
         content = -content
-    return tuple(QNum(a // content, b // content, x.d) for (a, b), x in zip(pairs, vec))
+    return tuple(QNum._trusted(a // content, b // content, x.d) for (a, b), x in zip(pairs, vec))
 
 
 class ProjectivePoint:

@@ -1,10 +1,15 @@
 """Parser, printer and evaluator for the expression language."""
 
+import os
+from pathlib import Path
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+import schubert3
 from schubert3.dsl import (
     MAX_COEFFICIENT_BITS,
     MAX_DEPTH,
@@ -71,24 +76,48 @@ def test_parse_errors_carry_positions():
         parse("g +")
 
 
+# the deepest accepted input of each shape
+AT_LIMIT = [
+    "(" * (MAX_DEPTH - 1) + "g" + ")" * (MAX_DEPTH - 1),
+    "-" * (MAX_DEPTH - 1) + "g",
+    "+".join(["g"] * MAX_DEPTH),
+    "*".join(["g"] * MAX_DEPTH),
+    "(" * (MAX_DEPTH - 3) + "g^2+g" + ")" * (MAX_DEPTH - 3),
+]
+
+
 def test_parse_depth_limit():
     """Parentheses, unary minus and binary operators each add one level."""
-    at_limit = [
-        "(" * (MAX_DEPTH - 1) + "g" + ")" * (MAX_DEPTH - 1),
-        "-" * (MAX_DEPTH - 1) + "g",
-        "+".join(["g"] * MAX_DEPTH),
-        "*".join(["g"] * MAX_DEPTH),
-        "(" * (MAX_DEPTH - 3) + "g^2+g" + ")" * (MAX_DEPTH - 3),
-    ]
-    for text in at_limit:
+    for text in AT_LIMIT:
         parse(text)
-    for text in at_limit:
+    for text in AT_LIMIT:
         deeper = text.replace("g", "(g)", 1)
         with pytest.raises(ParseError, match="nested more than"):
             parse(deeper)
     with pytest.raises(ParseError) as err:
         parse("+".join(["g"] * (MAX_DEPTH + 1)))
     assert err.value.position == 2 * MAX_DEPTH - 1
+
+
+def test_max_depth_fits_its_recursion_budget():
+    # MAX_DEPTH promises about 3 frames per level to the parser, 2 to the
+    # printer and 1 to evaluate; a fresh interpreter holds them to that budget
+    code = f"""
+import sys
+from schubert3.dsl import evaluate, parse, to_source
+from schubert3.spaces import space
+G = space("G")
+sys.setrecursionlimit({3 * MAX_DEPTH + 50})
+for text in {AT_LIMIT!r}:
+    tree = parse(text)
+    assert parse(to_source(tree)) == tree
+    evaluate(tree, G)
+print("ok")
+"""
+    src = str(Path(schubert3.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 def test_parse_exponent_limit():
@@ -120,6 +149,33 @@ def test_printer_frozen():
     assert to_source(Sub(Sym("a"), Sub(Sym("b"), Sym("c")))) == "a - (b - c)"
     assert to_source(Pow(Pow(Sym("g"), 2), 3)) == "(g^2)^3"
     assert to_source(parse("g*(p + 1)")) == "g*(p + 1)"
+
+
+def test_printer_prints_the_fewest_parentheses():
+    # every tree with one or two levels of operators over the leaves a and b
+    def grow(kids):
+        return (
+            [Neg(k) for k in kids]
+            + [Pow(k, 2) for k in kids]
+            + [cls(x, y) for cls in (Add, Sub, Mul) for x in kids for y in kids]
+        )
+
+    trees = grow([Sym("a"), Sym("b"), *grow([Sym("a"), Sym("b")])])
+    assert len(set(trees)) == 1008
+    for tree in trees:
+        text = to_source(tree)
+        assert parse(text) == tree
+        opened = []
+        for j, ch in enumerate(text):
+            if ch == "(":
+                opened.append(j)
+            elif ch == ")":
+                i = opened.pop()
+                fewer = text[:i] + text[i + 1 : j] + text[j + 1 :]
+                try:
+                    assert parse(fewer) != tree, f"{text} needs no parentheses at {i}"
+                except ParseError:
+                    pass
 
 
 _names = st.sampled_from(["g", "g_e", "g_p", "g_s", "G", "p", "e", "t", "c1", "x_0"])

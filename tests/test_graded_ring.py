@@ -26,9 +26,10 @@ from schubert3.graded_ring import (
     TorsionError,
     in_ideal_span,
     power,
+    series_inverse,
     substitute,
 )
-from schubert3.spaces import SPACE_NAMES, space
+from schubert3.spaces import SPACE_NAMES, render_in_classes, space
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +428,8 @@ def test_arithmetic_builds_no_validated_elements(monkeypatch):
     )
     evaluate(parse("(2*g + g_p)^7 - 3*g*g_e + 1"), G)
     x**5
+    render_in_classes(G, evaluate(parse("1 + g + g^2 - g_e + G"), G))
+    series_inverse(x + 2, 4)
     assert calls == []
     G.ring.element({})
     assert calls == [1]

@@ -170,6 +170,9 @@ def test_qnum_arithmetic():
     assert (type(half.a), type(half.b)) == (int, int)
     assert half == QNum(1, 1, 7)
     assert type(QNum("1/2").a) is Fraction
+    # a result that turns rational leaves its radicand behind
+    zero = QNum(1, 2, 5) - QNum(1, 2, 5)
+    assert (zero.b, zero.d) == (0, 0) and zero + QNum(1, 1, 3) == QNum(1, 1, 3)
     assert repr(QNum(3, -1, 5)) == "QNum(3, -1, 5)"
     # the solver's checks (q != 0 on the quadric, incidence_form(...) != 0)
     # go through equality, so a differing radical part must count
@@ -207,6 +210,38 @@ def test_qnum_equality_is_total_and_hashes_agree():
     assert radicand(line_a) != radicand(line_b)
     assert line_a != line_b and line_a == found[0]
     assert len({line_a, line_b, found[1]}) == 3
+
+
+def test_qnum_folds_a_perfect_square_radicand():
+    assert QNum(0, 1, 4) == 2 and hash(QNum(0, 1, 4)) == hash(2)
+    assert str(QNum(3, 2, 9)) == "9" and str(QNum(0, 1, 1)) == "1"
+    assert repr(QNum(Fraction(1, 2), Fraction(1, 2), 1)) == "QNum(1, 0, 0)"
+    # equality is transitive again: sqrt(4), 2*sqrt(1) and 2 are one number
+    assert QNum(0, 1, 4) == QNum(0, 2, 1) == 2 == QNum(0, 1, 4)
+    assert QNum(0, -1, 4) == -2 and QNum(1, 1, -4) != -1
+    assert QNum(0, 1, 4) + QNum(0, 1, 2) == QNum(2, 1, 2)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, 0.1, 1.0])
+def test_oracle_refuses_inexact_numbers(bad):
+    def refused(build):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            build()
+
+    refused(lambda: ProjectivePoint([bad, 0, 0, 1]))
+    refused(lambda: PlueckerLine([bad, 0, 0, 0, 0, 1]))
+    refused(lambda: QNum(bad))
+    refused(lambda: QNum(1, bad, 2))
+    refused(lambda: QNum(1, 1, bad))
+    if type(bad) is bool:  # a float is no operand at all, so it raises TypeError
+        refused(lambda: QNum(1, 1, 2) * bad)
+        refused(lambda: QNum(1, 1, 2) + bad)
+    refused(lambda: SurfaceForm({(1, 0, 0, 0): bad, (0, 1, 0, 0): 1}))
+    f = SurfaceForm({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1})
+    refused(lambda: f.value([bad, 0, 0, 1]))
+    refused(lambda: pencil_tangency_count(f, [0, 0, bad, 0], point(1, 0, 0, 1)))
+    # strings stay exact input
+    assert QNum("1/2").a == Fraction(1, 2) and ProjectivePoint(["2", 4, 0, 0]) == point(1, 2, 0, 0)
 
 
 def test_rational_kernel_annihilates_its_rows():
