@@ -26,11 +26,11 @@ __all__ = ["build_parser", "main", "run_cli"]
 
 _SURFACE_VARS = ("x", "y", "z", "w")
 
-# Highest surface degree `oracle pencil` accepts.  At degree 40 (seeds 0-3) a
-# count takes from about 40 to 350 ms and a whole run from about 150 to
-# 500 ms, depending on the seed: the frame's entries set the size of the one
-# big-integer evaluation of f per line and of its exact resultant.  The cost
-# grows steeply with the degree, so the limit keeps every run bounded.
+# Highest surface degree `oracle pencil` accepts.  A count takes about 10 to
+# 70 ms at degree 32 and 25 to 210 ms at degree 40 (seeds 0-3), and a whole
+# run about 160 to 350 ms at degree 40.  The exact resultant now sets most of
+# that cost, not the Horner evaluation of f, and it grows steeply with the
+# degree, so the limit stays at 40 and keeps every run bounded.
 MAX_PENCIL_DEGREE = 40
 
 # One row per count command: its help, the help for n and its `coincidence`
@@ -55,7 +55,7 @@ MAX_INPUT_DIGITS = 40
 
 def _surface_source(f: oracle.SurfaceForm) -> str:
     return format_signed_sum(
-        (f.terms[mono], monomial_source(_SURFACE_VARS, mono)) for mono in sorted(f.terms)
+        (c, monomial_source(_SURFACE_VARS, mono)) for mono, c in f.terms.items()
     )
 
 

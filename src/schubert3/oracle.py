@@ -5,13 +5,13 @@ discriminant is not a perfect square): points and lines carry canonical
 integer coordinates, incidence is the polarized Pluecker pairing, and the
 four-lines problem is solved by exact kernel computation plus one binary
 quadratic.  Tangency counting for pencils restricts the surface to one
-line of the pencil at a time, by one exact evaluation of f at a Kronecker
-point whose base-2^k digits are the integer binary form, and takes the
-resultant of that form with its derivative over the integers: a vanishing
-discriminant is a certified double root, not a numerical coincidence, and
-the first nonzero one certifies the count n(n-1).  The discriminant is
-never expanded in the pencil parameter: the count needs only one of its
-values.  Nothing here uses the symbolic rings.
+line of the pencil at a time, by one Horner walk over the sorted terms of
+f at a Kronecker point whose base-2^k digits are the integer binary form,
+and takes the resultant of that form with its derivative over the
+integers: a vanishing discriminant is a certified double root, not a
+numerical coincidence, and the first nonzero one certifies the count
+n(n-1).  The discriminant is never expanded in the pencil parameter: the
+count needs only one of its values.  Nothing here uses the symbolic rings.
 """
 
 from __future__ import annotations
@@ -435,55 +435,62 @@ def lines_meeting_four(
 class SurfaceForm:
     """Homogeneous form of degree n in x, y, z, w with exact coefficients.
 
-    Coefficients are canonicalized to coprime integers with the first
-    monomial (in the internal order) positive; surfaces are projective, so
-    scaling is immaterial.
+    Coefficients are coprime integers, the first positive (surfaces are
+    projective, so scaling is immaterial), and `terms` runs in ascending
+    lex order, which the Horner walk `_horner` relies on.
     """
 
     __slots__ = ("degree", "terms")
 
     def __init__(self, coeffs: Mapping[tuple[int, int, int, int], Rational]) -> None:
         clean: dict[tuple[int, int, int, int], Rational] = {}
+        fractional = False
         for mono, value in coeffs.items():
-            mono = tuple(mono)
-            if len(mono) != 4 or any(type(e) is not int or e < 0 for e in mono):
+            if type(mono) is not tuple:
+                mono = tuple(mono)
+            if len(mono) != 4 or not (
+                type(mono[0]) is type(mono[1]) is type(mono[2]) is type(mono[3]) is int
+            ) or min(mono) < 0:
                 raise ValueError(f"bad monomial exponents {mono!r}")
-            value = _rational(value)
+            if type(value) is not int:
+                value = _rational(value)
+                fractional = fractional or type(value) is not int
+            if value and mono in clean:  # keys equal after tuple(); a zero sum drops out
+                value += clean.pop(mono)
             if value:
-                clean[mono] = clean.get(mono, 0) + value
-        clean = {m: c for m, c in clean.items() if c}
+                clean[mono] = value
         if not clean:
             raise ValueError("a surface form must be nonzero")
-        degrees = {sum(m) for m in clean}
+        terms = dict(sorted(clean.items()))
+        degrees = set(map(sum, terms))
         if len(degrees) != 1:
             raise ValueError("a surface form must be homogeneous")
         (degree,) = degrees
         if degree < 1:
             raise ValueError("a surface form must have degree at least 1")
-        monos = sorted(clean)
-        ints = _canonical_int_vector([clean[m] for m in monos])
+        if fractional:
+            terms = dict(zip(terms, _canonical_int_vector(list(terms.values()))))
+        else:
+            content = gcd(*terms.values())
+            if next(iter(terms.values())) < 0:
+                content = -content
+            if content != 1:
+                terms = {m: c // content for m, c in terms.items()}
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", dict(zip(monos, ints)))
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceForm is immutable")
 
     def value(self, point: Union[ProjectivePoint, Sequence[Rational]]):
-        if isinstance(point, ProjectivePoint):
-            coords = point.coords
-        else:
-            coords = [_rational(x) for x in point]
-        x, y, z, w = coords
-        total = 0
-        for (a, b, c, d), coeff in self.terms.items():
-            total += coeff * x**a * y**b * z**c * w**d
-        return _rational(total)
+        coords = point.coords if isinstance(point, ProjectivePoint) else [*map(_rational, point)]
+        return _rational(_horner(self, coords))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SurfaceForm) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
+        return hash(tuple(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"SurfaceForm({self.terms!r})"
@@ -516,6 +523,31 @@ def _plane_frame(
     return v, w1, w2
 
 
+def _horner(f: SurfaceForm, coords: Sequence[Rational]) -> Rational:
+    """f at coords, by a Horner walk over the sorted terms of f.
+
+    Reversed, the terms visit x's exponent i, then y's j, then z's l in
+    descending order, and the terms walked so far sum to
+    (ax + (ay + az*z^cl)*y^cj)*x^ci.  A term adds c*w^m to az, and a change
+    of l, j or i folds one level into the next by the power of the gap.
+    """
+    px, py, pz, pw = (list(accumulate([x] * f.degree, mul, initial=1)) for x in coords)
+    ci, cj, cl, _ = next(reversed(f.terms))
+    ax = ay = az = 0
+    for (i, j, l, m), c in reversed(f.terms.items()):
+        if i != ci:
+            ax = (ax + (ay + az * pz[cl]) * py[cj]) * px[ci - i]
+            ay = az = 0
+        elif j != cj:
+            ay = (ay + az * pz[cl]) * py[cj - j]
+            az = 0
+        else:
+            az *= pz[cl - l]
+        az += c * pw[m]
+        ci, cj, cl = i, j, l
+    return (ax + (ay + az * pz[cl]) * py[cj]) * px[ci]
+
+
 def _line_section(f: SurfaceForm, v: Sequence[int], w: Sequence[int]) -> list[int]:
     """Coefficients p of the section f(s*V + u*W) = sum p[i] s^(n-i) u^i.
 
@@ -525,15 +557,13 @@ def _line_section(f: SurfaceForm, v: Sequence[int], w: Sequence[int]) -> list[in
     the product of the (v_x s + w_x)^e_x in a monomial is at most the
     product of the (|v_x| + |w_x|)^e_x.  With 2^(k-1) > B the coefficients
     are the n + 1 signed base-2^k digits of the one integer f(2^k V + W),
-    read from the lowest; p[0] = f(V).
+    read from the lowest; p[0] = f(V).  That integer is one Horner walk
+    over the sorted terms of f (`_horner`).
     """
     n = f.degree
     reach = max(abs(a) + abs(b) for a, b in zip(v, w))
     k = (sum(map(abs, f.terms.values())) * reach**n).bit_length() + 1
-    px, py, pz, pw = (
-        list(accumulate([(a << k) + b] * n, mul, initial=1)) for a, b in zip(v, w)
-    )
-    value = sum(c * px[i] * py[j] * pz[l] * pw[m] for (i, j, l, m), c in f.terms.items())
+    value = _horner(f, [(a << k) + b for a, b in zip(v, w)])
     mask, half = (1 << k) - 1, 1 << (k - 1)
     digits = []
     for _ in range(n + 1):

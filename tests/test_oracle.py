@@ -510,6 +510,71 @@ def test_surface_form_canonicalization():
             SurfaceForm({mono: 1, (0, 1, 0, 0): 2})
 
 
+class ExponentSeq:
+    """A hashable sequence of exponents that is not a tuple and never equals one."""
+
+    def __init__(self, *exponents):
+        self.exponents = exponents
+
+    def __iter__(self):
+        return iter(self.exponents)
+
+    def __hash__(self):
+        return hash(("ExponentSeq", self.exponents))
+
+    def __eq__(self, other):
+        return isinstance(other, ExponentSeq) and other.exponents == self.exponents
+
+
+def test_surface_form_contract():
+    def refused(coeffs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SurfaceForm(coeffs)
+
+    for mono in [(1, 0, 0), (1, 0, 0, 0, 0), (2, 0, -1, 0), (1.0, 0, 0, 0), (0, 0, 0, True)]:
+        refused({(0, 0, 2, 0): 1, mono: 1}, f"bad monomial exponents {mono!r}")
+    # the first bad item refuses, whether its key or its value is bad
+    refused({(1, 0, 0, 0): 0.5, (1, 0, 0): 1}, "not an exact number: 0.5")
+    refused({(1, 0, 0): 0.5, (1, 0, 0, 0): 1}, "bad monomial exponents (1, 0, 0)")
+    for bad in (True, 2.0):
+        refused({(1, 0, 0, 0): 1, (0, 1, 0, 0): bad}, f"not an exact number: {bad!r}")
+    refused({}, "a surface form must be nonzero")
+    refused({(1, 0, 0, 0): 0, (0, 1, 0, 0): Fraction(0)}, "a surface form must be nonzero")
+    refused({(1, 0, 0, 0): 1, (0, 1, 1, 0): 1}, "a surface form must be homogeneous")
+    refused({(0, 0, 0, 0): 3}, "a surface form must have degree at least 1")
+    # a zero coefficient does not count against homogeneity
+    assert SurfaceForm({(1, 0, 0, 0): 2, (0, 0, 0, 5): 0}).terms == {(1, 0, 0, 0): 1}
+
+    # keys are read with tuple(); two keys equal after tuple() add up, and a
+    # sum that cancels leaves the form
+    f = SurfaceForm({ExponentSeq(0, 0, 1, 1): 4, (1, 0, 0, 1): 6, ExponentSeq(0, 2, 0, 0): -2})
+    assert f.terms == {(0, 0, 1, 1): 2, (0, 2, 0, 0): -1, (1, 0, 0, 1): 3}
+    assert all(type(m) is tuple for m in f.terms)
+    cancelled = {(1, 0, 0, 0): 3, ExponentSeq(1, 0, 0, 0): -3, (0, 1, 0, 0): -2}
+    assert SurfaceForm(cancelled).terms == {(0, 1, 0, 0): 1}
+    refused({(1, 0, 0, 0): 3, ExponentSeq(1, 0, 0, 0): -3}, "a surface form must be nonzero")
+    refused({ExponentSeq(1, 0, 0): 3}, "bad monomial exponents (1, 0, 0)")
+
+    # Fractions scale to coprime integers with the first term positive
+    g = SurfaceForm(
+        {(0, 2, 0, 0): Fraction(-3, 4), (2, 0, 0, 0): Fraction(9, 2), (1, 1, 0, 0): "3/2"}
+    )
+    assert list(g.terms.items()) == [((0, 2, 0, 0), 1), ((1, 1, 0, 0), -2), ((2, 0, 0, 0), -6)]
+    assert all(type(c) is int for c in g.terms.values())
+    h = SurfaceForm({(0, 0, 0, 1): -6, (0, 0, 1, 0): 4, (1, 0, 0, 0): Fraction(10, 5)})
+    assert list(h.terms.items()) == [((0, 0, 0, 1), 3), ((0, 0, 1, 0), -2), ((1, 0, 0, 0), -1)]
+    assert g == SurfaceForm({(2, 0, 0, 0): 6, (1, 1, 0, 0): 2, (0, 2, 0, 0): -1})
+
+    # the Horner walk reads the terms in this order
+    rng = random.Random(31)
+    for degree in range(1, 9):
+        coeffs = {m: rng.randint(-9, 9) for m in rng.sample(oracle._surface_monomials(degree), 4)}
+        coeffs[(degree, 0, 0, 0)] = 1
+        f = SurfaceForm(coeffs)
+        assert list(f.terms) == sorted(f.terms)
+        assert hash(f) == hash(SurfaceForm(dict(reversed(coeffs.items()))))
+
+
 def test_pencil_quadric_section():
     f = SurfaceForm({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1})
     vertex = point(2, 0, 0, 1)
@@ -1007,6 +1072,81 @@ def test_line_section_is_the_interpolated_restriction():
             values = [f.value([s * a + b for a, b in zip(v, w)]) for s in range(degree + 1)]
             expected = lagrange(range(degree + 1), values)[::-1]
             assert oracle._line_section(f, v, w) == expected
+
+
+def reference_section(f, v, w):
+    """_line_section by its first formula: each monomial's product of powers."""
+    n = f.degree
+    reach = max(abs(a) + abs(b) for a, b in zip(v, w))
+    k = (sum(map(abs, f.terms.values())) * reach**n).bit_length() + 1
+    px, py, pz, pw = ([((a << k) + b) ** e for e in range(n + 1)] for a, b in zip(v, w))
+    value = sum(c * px[i] * py[j] * pz[l] * pw[m] for (i, j, l, m), c in f.terms.items())
+    digits = []
+    for _ in range(n + 1):
+        digit = value % (1 << k)
+        if digit >= 1 << (k - 1):
+            digit -= 1 << k
+        digits.append(digit)
+        value = (value - digit) >> k
+    return digits[::-1]
+
+
+def test_line_section_is_the_reference_formula():
+    rng = random.Random(2900)
+    for degree in range(1, 13):
+        for density in (1.0, 0.15):
+            monos = oracle._surface_monomials(degree)
+            coeffs = {m: rng.randint(-9, 9) for m in monos if rng.random() < density}
+            coeffs[rng.choice(monos)] = rng.choice((-7, 5))
+            f = SurfaceForm(coeffs)
+            for _ in range(2):
+                plane = [rng.randint(-4, 4) for _ in range(3)] + [1]
+                vertex = [rng.randint(-3, 3) for _ in range(3)]
+                vertex.append(-sum(a * x for a, x in zip(plane, vertex)))
+                if not any(vertex):
+                    continue
+                v, w1, w2 = oracle._plane_frame(plane, vertex)
+                for lam in range(degree + 1):
+                    w = [a + lam * b for a, b in zip(w1, w2)]
+                    assert oracle._line_section(f, v, w) == reference_section(f, v, w)
+    # forms whose exponents skip levels of the walk
+    skipping = [
+        {(7, 0, 0, 0): 3},
+        {(0, 0, 0, 7): -2},
+        {(2, 1, 3, 1): 5},
+        {(3, 4, 0, 0): 1, (3, 1, 3, 0): -2, (3, 0, 0, 4): 3, (0, 7, 0, 0): 4},
+        {(1, 5, 1, 0): 2, (1, 5, 0, 1): -1, (1, 2, 4, 0): 6, (1, 2, 0, 4): 1, (1, 0, 0, 6): 9},
+        {(0, 5, 2, 0): 1, (0, 3, 0, 4): -8, (0, 0, 7, 0): 2, (0, 0, 1, 6): -3},
+        {(7, 0, 0, 0): 1, (0, 0, 0, 7): 1},
+        {(4, 3, 0, 0): 2, (2, 0, 5, 0): -5, (0, 0, 3, 4): 1},
+    ]
+    frames = [
+        ((1, 2, -1, 3), (2, -3, 0, 1)),
+        ((0, 0, 0, 1), (1, 1, 1, 0)),
+        ((-3, 1, 2, 2), (0, 5, -4, 1)),
+    ]
+    for coeffs in skipping:
+        f = SurfaceForm(coeffs)
+        for v, w in frames:
+            assert oracle._line_section(f, v, w) == reference_section(f, v, w)
+
+
+def test_value_is_the_sum_of_its_terms():
+    rng = random.Random(2901)
+    for degree in range(1, 9):
+        f = random_surface_form(rng, degree)
+        for _ in range(3):
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)]
+            x, y, z, w = point
+            direct = sum(c * x**i * y**j * z**l * w**m for (i, j, l, m), c in f.terms.items())
+            assert f.value(point) == direct
+            assert f.value([str(c) for c in point]) == direct
+    f = SurfaceForm({(0, 1, 1, 0): 2, (2, 0, 0, 0): 1})
+    assert f.value([Fraction(1, 2), Fraction(1, 2), 1, 0]) == Fraction(5, 4)
+    assert type(f.value([1, Fraction(3, 4), Fraction(2, 3), 7])) is int
+    for bad in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(ValueError, match="values to unpack"):
+            f.value(bad)
 
 
 def test_generators_are_deterministic():
