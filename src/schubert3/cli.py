@@ -27,8 +27,8 @@ __all__ = ["build_parser", "main", "run_cli"]
 _SURFACE_VARS = ("x", "y", "z", "w")
 
 # Highest surface degree `oracle pencil` accepts.  A count takes about 10 to
-# 70 ms at degree 32 and 25 to 210 ms at degree 40 (seeds 0-3), and a whole
-# run about 160 to 350 ms at degree 40.  The exact resultant now sets most of
+# 70 ms at degree 32 and 25 to 230 ms at degree 40 (seeds 0-3), and a whole
+# run about 190 to 410 ms at degree 40.  The exact resultant now sets most of
 # that cost, not the Horner evaluation of f, and it grows steeply with the
 # degree, so the limit stays at 40 and keeps every run bounded.
 MAX_PENCIL_DEGREE = 40

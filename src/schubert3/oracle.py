@@ -181,7 +181,7 @@ class QNum:
 
 def _scaled_to_ints(vec: Sequence[Rational]) -> list[int]:
     """Multiply a vector of ints and Fractions by the lcm of its denominators."""
-    denom = lcm(*(x.denominator for x in vec))
+    denom = lcm(*{x.denominator for x in vec})
     if denom == 1:
         return [x.numerator for x in vec]
     return [x.numerator * (denom // x.denominator) for x in vec]
@@ -193,7 +193,7 @@ def _canonical_int_vector(vec: Sequence[Rational]) -> tuple[int, ...]:
     content = gcd(*ints)
     if next(v for v in ints if v) < 0:
         content = -content
-    return tuple(v // content for v in ints)
+    return tuple(ints) if content == 1 else tuple(v // content for v in ints)
 
 
 def _canonical_qnum_vector(vec: Sequence[QNum]) -> tuple[QNum, ...]:
@@ -444,7 +444,6 @@ class SurfaceForm:
 
     def __init__(self, coeffs: Mapping[tuple[int, int, int, int], Rational]) -> None:
         clean: dict[tuple[int, int, int, int], Rational] = {}
-        fractional = False
         for mono, value in coeffs.items():
             if type(mono) is not tuple:
                 mono = tuple(mono)
@@ -454,30 +453,22 @@ class SurfaceForm:
                 raise ValueError(f"bad monomial exponents {mono!r}")
             if type(value) is not int:
                 value = _rational(value)
-                fractional = fractional or type(value) is not int
             if value and mono in clean:  # keys equal after tuple(); a zero sum drops out
                 value += clean.pop(mono)
             if value:
                 clean[mono] = value
         if not clean:
             raise ValueError("a surface form must be nonzero")
-        terms = dict(sorted(clean.items()))
-        degrees = set(map(sum, terms))
+        monos = sorted(clean)
+        degrees = set(map(sum, monos))
         if len(degrees) != 1:
             raise ValueError("a surface form must be homogeneous")
         (degree,) = degrees
         if degree < 1:
             raise ValueError("a surface form must have degree at least 1")
-        if fractional:
-            terms = dict(zip(terms, _canonical_int_vector(list(terms.values()))))
-        else:
-            content = gcd(*terms.values())
-            if next(iter(terms.values())) < 0:
-                content = -content
-            if content != 1:
-                terms = {m: c // content for m, c in terms.items()}
+        ints = _canonical_int_vector([clean[m] for m in monos])
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", dict(zip(monos, ints)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceForm is immutable")
