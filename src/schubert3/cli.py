@@ -313,6 +313,9 @@ def run_cli(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -179,32 +179,17 @@ class QNum:
         return f"QNum({self.a!r}, {self.b!r}, {self.d!r})"
 
 
-def _scaled_to_ints(vec: Sequence[Rational]) -> list[int]:
-    """Multiply a vector of ints and Fractions by the lcm of its denominators."""
-    denom = lcm(*{x.denominator for x in vec})
-    if denom == 1:
-        return [x.numerator for x in vec]
-    return [x.numerator * (denom // x.denominator) for x in vec]
-
-
 def _canonical_int_vector(vec: Sequence[Rational]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first sign positive."""
-    ints = _scaled_to_ints(vec)
+    denom = lcm(*{x.denominator for x in vec})
+    if denom == 1:
+        ints = [x.numerator for x in vec]
+    else:
+        ints = [x.numerator * (denom // x.denominator) for x in vec]
     content = gcd(*ints)
     if next(v for v in ints if v) < 0:
         content = -content
     return tuple(ints) if content == 1 else tuple(v // content for v in ints)
-
-
-def _canonical_qnum_vector(vec: Sequence[QNum]) -> tuple[QNum, ...]:
-    """Scale so all a and b are coprime integers, first nonzero (a, b) positive."""
-    ints = _scaled_to_ints([x.a for x in vec] + [x.b for x in vec])
-    pairs = list(zip(ints[: len(vec)], ints[len(vec) :]))
-    content = gcd(*ints)
-    # (a, b) < (0, 0) exactly when a < 0, or a == 0 and b < 0
-    if next(p for p in pairs if p != (0, 0)) < (0, 0):
-        content = -content
-    return tuple(QNum._trusted(a // content, b // content, x.d) for (a, b), x in zip(pairs, vec))
 
 
 class ProjectivePoint:
@@ -269,9 +254,11 @@ class PlueckerLine:
         if len(raw) != 6:
             raise ValueError("a line has 6 Pluecker coordinates")
         if any(isinstance(x, QNum) and x.d for x in raw):
-            vec = _canonical_qnum_vector(
-                [x if isinstance(x, QNum) else QNum(x) for x in raw]
-            )
+            # a0, b0, a1, b1, ...: its first nonzero entry is positive exactly
+            # when the first nonzero (a, b) pair is
+            qnums = [x if isinstance(x, QNum) else QNum(x) for x in raw]
+            ints = _canonical_int_vector([c for x in qnums for c in (x.a, x.b)])
+            vec = [QNum._trusted(a, b, x.d) for a, b, x in zip(ints[::2], ints[1::2], qnums)]
         else:
             exact = [x.a if isinstance(x, QNum) else _rational(x) for x in raw]
             if not any(exact):

@@ -1,0 +1,94 @@
+"""Plain exact references the tests recompute against: stdlib only.
+
+Rational elimination, a fraction-free determinant and the graded ideal
+slice, written the straightforward way over Fractions and plain
+{exponents: coefficient} dicts.  Nothing here imports schubert3, so a bug
+in the package's linear algebra or rings cannot agree with itself here.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over Q: the nonzero rows and their pivot columns."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        lead = mat[r][col]
+        mat[r] = [x / lead for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def rank(rows):
+    """Rank over Q: the number of pivots."""
+    return len(rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def reduce_vector(vec, rows, pivots):
+    """vec minus the combination of rref rows that clears its pivot entries."""
+    out = [Fraction(x) for x in vec]
+    for row, col in zip(rows, pivots):
+        f = out[col]
+        if f:
+            out = [a - f * b for a, b in zip(out, row)]
+    return out
+
+
+def bareiss_det(matrix):
+    """Fraction-free determinant of a square integer matrix (Bareiss 1968)."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def monomials(degrees, d):
+    """All exponent vectors of weighted degree d, descending lex."""
+    if d < 0:
+        return []
+    ranges = [range(d // g + 1) for g in degrees]
+    out = [m for m in product(*ranges) if sum(e * g for e, g in zip(m, degrees)) == d]
+    out.sort(reverse=True)
+    return out
+
+
+def ideal_slice(degrees, relations, d):
+    """Degree-d monomials, and the degree-d monomial multiples of each relation as rows.
+
+    relations: homogeneous {exponents: coefficient} dicts; a zero one adds no row.
+    """
+    monos = monomials(degrees, d)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for rel in filter(None, relations):
+        rel_deg = sum(e * g for e, g in zip(next(iter(rel)), degrees))
+        for mult in monomials(degrees, d - rel_deg):
+            vec = [0] * len(monos)
+            for m, c in rel.items():
+                vec[index[tuple(a + b for a, b in zip(mult, m))]] += c
+            rows.append(vec)
+    return monos, rows

@@ -554,6 +554,24 @@ def test_verify_formulas_reports_a_false_identity(capsys, monkeypatch):
     assert lines[-1] == "1 of 14 identities failed"
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify-formulas"], ["eval", "--space", "G", "g^4"]], ids=["verify-formulas", "eval"]
+)
+def test_a_failed_construction_proof_exits_1_with_one_line(argv):
+    # the false identity joins the table before any space is built, so
+    # space("G") refuses to finish: one stderr line, not a traceback
+    done = _python(
+        "-c",
+        "import sys; from schubert3 import spaces; from schubert3.cli import run_cli; "
+        "spaces.FORMULAS += (spaces.Formula('F', 'G', (('g^2', 'g_p'),)),); "
+        "sys.exit(run_cli(sys.argv[1:]))",
+        *argv,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "verification failed: G: formula F failed at construction: g^2 != g_p\n"
+    assert "Traceback" not in done.stderr
+
+
 def test_oracle_pencil_rejects_nonpositive_degree():
     for degree in (0, -1):
         done = _python("-m", "schubert3", "oracle", "pencil", "--degree", str(degree), timeout=30)

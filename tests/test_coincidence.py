@@ -15,6 +15,7 @@ import re
 
 import pytest
 
+import reference
 from schubert3 import coincidence, linalg, spaces
 from schubert3.coincidence import (
     bitangent_derivation,
@@ -39,52 +40,6 @@ def free_relation_ideal():
     return [eps * t1 - eps * t2, rel3, rel4, t1 ** 4, t2 ** 4]
 
 
-def ideal_slice_rows(generators, d):
-    """Degree-d slice of the ideal as coefficient rows over the monomials."""
-    monos = FREE.monomials_of_degree(d)
-    rows = []
-    for g in generators:
-        dg = g.degree()
-        if dg > d:
-            continue
-        for m in FREE.monomials_of_degree(d - dg):
-            prod = g * FREE.monomial(m)
-            rows.append([prod.coefficient(mono) for mono in monos])
-    return rows, monos
-
-
-def rref(rows, ncols):
-    """Reduced row echelon form over the rationals; returns (rows, pivots)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        lead = mat[r][col]
-        mat[r] = [x / lead for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def reduce_vector(vec, echelon, pivots):
-    out = [Fraction(x) for x in vec]
-    for row, pc in zip(echelon, pivots):
-        f = out[pc]
-        if f:
-            out = [a - f * b for a, b in zip(out, row)]
-    return out
-
-
 def random_integer_matrix(rng, nrows, ncols, rank):
     """Product of random nrows x rank and rank x ncols integer matrices."""
     left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(nrows)]
@@ -95,14 +50,14 @@ def random_integer_matrix(rng, nrows, ncols, rank):
 
 
 def test_fraction_free_rref_matches_rational_reference():
-    """linalg.rref is the rational rref above, each row scaled to primitive integers."""
+    """linalg.rref is the reference rational rref, each row scaled to primitive integers."""
     rng = random.Random(20)
     deficient = 0
     for _ in range(300):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
         matrix = random_integer_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
         rows, pivots = linalg.rref(matrix, ncols)
-        ref_rows, ref_pivots = rref(matrix, ncols)
+        ref_rows, ref_pivots = reference.rref(matrix, ncols)
         assert pivots == ref_pivots
         deficient += len(pivots) < nrows
         for row, pc, ref_row in zip(rows, pivots, ref_rows):
@@ -224,12 +179,11 @@ def test_free_relation_expansion_frozen():
 
 def test_quotient_coranks():
     """The full ideal cuts the free ring down to ranks 1,3,5,6,5,3,1."""
-    generators = free_relation_ideal()
+    relations = [g.terms for g in free_relation_ideal()]
     coranks = []
     for d in range(7):
-        rows, monos = ideal_slice_rows(generators, d)
-        _, pivots = rref(rows, len(monos))
-        coranks.append(len(monos) - len(pivots))
+        monos, rows = reference.ideal_slice((1, 1, 1), relations, d)
+        coranks.append(len(monos) - reference.rank(rows))
     assert coranks == [1, 3, 5, 6, 5, 3, 1]
 
 
@@ -241,15 +195,15 @@ def test_total_integral_matches_quotient_functional():
     determined; the integral of Keel's presentation must agree with it on
     every class, canonical or not.
     """
-    generators = free_relation_ideal()
-    rows, monos = ideal_slice_rows(generators, 6)
-    echelon, pivots = rref(rows, len(monos))
+    relations = [g.terms for g in free_relation_ideal()]
+    monos, rows = reference.ideal_slice((1, 1, 1), relations, 6)
+    echelon, pivots = reference.rref(rows, len(monos))
     free_cols = [j for j in range(len(monos)) if j not in pivots]
     assert len(free_cols) == 1
     j0 = free_cols[0]
 
     def functional(vec):
-        return reduce_vector(vec, echelon, pivots)[j0]
+        return reference.reduce_vector(vec, echelon, pivots)[j0]
 
     unit = {m: i for i, m in enumerate(monos)}
     top = [0] * len(monos)

@@ -1,6 +1,6 @@
 """Engine tests: integer elimination, graded bases, normal forms, top evaluation.
 
-The rank oracle below recomputes every graded piece independently, using
+Every graded piece is recomputed independently by `reference.py`, with
 Fraction Gaussian elimination and its own monomial enumeration, so the
 engine's unit-pivot integer echelon path is checked against plain linear
 algebra over Q.
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from schubert3 import graded_ring
 from schubert3.coincidence import blowup_ring
 from schubert3.dsl import evaluate, parse
@@ -30,72 +31,6 @@ from schubert3.graded_ring import (
     substitute,
 )
 from schubert3.spaces import SPACE_NAMES, render_in_classes, space
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def oracle_monomials(degrees, d):
-    """All exponent vectors of weighted degree d, descending lex."""
-    if d < 0:
-        return []
-    ranges = [range(d // g + 1) for g in degrees]
-    out = [
-        m
-        for m in itertools.product(*ranges)
-        if sum(e * g for e, g in zip(m, degrees)) == d
-    ]
-    out.sort(reverse=True)
-    return out
-
-
-def oracle_rank_q(rows):
-    """Rank over Q by straightforward Gaussian elimination."""
-    rows = [[Fraction(v) for v in r] for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def oracle_ideal_rows(degrees, relations, d):
-    """Degree-d monomials and the relation multiples of degree d as vectors.
-
-    relations: list of dicts mapping exponent vectors to coefficients.
-    """
-    monos = oracle_monomials(degrees, d)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for rel in relations:
-        rel_deg = sum(e * g for e, g in zip(next(iter(rel)), degrees))
-        for mult in oracle_monomials(degrees, d - rel_deg):
-            vec = [0] * len(monos)
-            for m, c in rel.items():
-                vec[index[tuple(a + b for a, b in zip(mult, m))]] += c
-            rows.append(vec)
-    return monos, rows
-
-
-def oracle_corank(degrees, relations, d):
-    """Corank of the degree-d slice of the ideal, all arithmetic over Q."""
-    monos, rows = oracle_ideal_rows(degrees, relations, d)
-    return len(monos) - oracle_rank_q(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +106,7 @@ EXPECTED_RANKS = {
 def test_monomial_order_matches_oracle(degrees):
     ring = PolyRing([(f"x{i}", d) for i, d in enumerate(degrees)])
     for d in range(8):
-        assert list(ring.monomials_of_degree(d)) == oracle_monomials(degrees, d)
+        assert list(ring.monomials_of_degree(d)) == reference.monomials(degrees, d)
 
 
 def test_monomial_order_frozen_examples():
@@ -197,9 +132,9 @@ def test_ranks_match_rational_elimination(name):
     ring = ALL_RINGS[name]()
     window = max(ring.degrees)
     for d in range(ring.top_degree + window + 1):
-        corank = oracle_corank(ring.degrees, [r.terms for r in ring.relations], d)
+        monos, rows = reference.ideal_slice(ring.degrees, [r.terms for r in ring.relations], d)
         expected = len(ring.graded_basis(d)) if d <= ring.top_degree else 0
-        assert corank == expected, f"{name} degree {d}"
+        assert len(monos) - reference.rank(rows) == expected, f"{name} degree {d}"
 
 
 def test_graded_basis_bounds(G):
@@ -265,16 +200,16 @@ def test_normal_form_t_exponent_bounded(PS):
 def test_every_monomial_normal_form_is_a_basis_combination_mod_the_ideal(name):
     ring = ALL_RINGS[name]()
     for d in range(ring.top_degree + 1):
-        monos, rows = oracle_ideal_rows(ring.degrees, [r.terms for r in ring.relations], d)
+        monos, rows = reference.ideal_slice(ring.degrees, [r.terms for r in ring.relations], d)
         basis = ring.graded_basis(d)
-        rank = oracle_rank_q(rows)
+        rank = reference.rank(rows)
         for m in monos:
             nf = ring.monomial(m).terms
             assert set(nf) <= set(basis), (name, m)
             if m in basis:
                 assert nf == {m: 1}, (name, m)
             difference = [(mono == m) - nf.get(mono, 0) for mono in monos]
-            assert oracle_rank_q(rows + [difference]) == rank, (name, m)
+            assert reference.rank(rows + [difference]) == rank, (name, m)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_RINGS))

@@ -9,7 +9,7 @@ discriminant degree reproduces the tangency counts of plane sections.
 import ast
 from fractions import Fraction
 import hashlib
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from pathlib import Path
 import random
@@ -17,8 +17,9 @@ import re
 
 import pytest
 
+from reference import bareiss_det, rank
 from schubert3 import checks, linalg, oracle
-from schubert3.linalg import resultant, rref
+from schubert3.linalg import resultant
 from schubert3.oracle import (
     DegeneratePencil,
     PlueckerLine,
@@ -36,21 +37,6 @@ from schubert3.oracle import (
     random_projective_point,
     random_surface_form,
 )
-
-
-def det4(rows):
-    total = Fraction(0)
-    for perm in permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Fraction(sign)
-        for i in range(4):
-            term *= rows[i][perm[i]]
-        total += term
-    return total
 
 
 def poly_gcd(a, b):
@@ -143,7 +129,7 @@ def test_incidence_form_matches_determinant():
             l1, l2 = plucker_from_points(p, q), plucker_from_points(r, s)
         except ValueError:
             continue
-        d = det4([p.coords, q.coords, r.coords, s.coords])
+        d = bareiss_det([list(x.coords) for x in (p, q, r, s)])
         value = incidence_form(l1, l2)
         assert (value == 0) == (d == 0)
         assert value == incidence_form(l2, l1)
@@ -252,10 +238,9 @@ def test_rational_kernel_annihilates_its_rows():
         if rng.random() < 0.3:
             rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
         kernel = oracle._rational_kernel(rows, ncols)
-        _, pivots = rref(rows, ncols)
-        assert len(kernel) == ncols - len(pivots)
+        assert len(kernel) == ncols - rank(rows)
         if kernel:
-            assert len(rref(kernel, ncols)[1]) == len(kernel)
+            assert rank(kernel) == len(kernel)
         for v in kernel:
             assert all(type(x) is int for x in v)
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
@@ -430,7 +415,7 @@ def test_four_lines_printed_solutions_read_back_general():
         lines = [wedge(random_point(), random_point()) for _ in range(4)]
         if not all(any(ln) for ln in lines) or len({PlueckerLine(ln) for ln in lines}) < 4:
             continue
-        if fraction_rank([ln[3:] + ln[:3] for ln in lines]) < 4:
+        if rank([ln[3:] + ln[:3] for ln in lines]) < 4:
             continue
         result = lines_meeting_four(*map(PlueckerLine, lines))
         if result.infinite:
@@ -442,7 +427,7 @@ def test_four_lines_printed_solutions_read_back_general():
 def test_four_lines_printed_solutions_read_back_two_transversal():
     # every input joins a point of L to a point of M, so L and M are the answer
     a, b, c, d = (1, 2, 0, 1), (0, 1, 3, -1), (2, 0, 1, 1), (1, -1, 1, 0)
-    assert fraction_rank([a, b, c, d]) == 4
+    assert rank([a, b, c, d]) == 4
     transversals = [wedge(a, b), wedge(c, d)]
     rng = random.Random(2025)
 
@@ -473,7 +458,7 @@ def test_four_lines_printed_solutions_read_back_two_transversal():
         found = check_printed_solutions(lines, lines_meeting_four(*map(PlueckerLine, lines)))
         for t in transversals:
             assert any(
-                all(isinstance(x, int) for x in coords) and fraction_rank([coords, t]) == 1
+                all(isinstance(x, int) for x in coords) and rank([coords, t]) == 1
                 for coords in found
             ), (t, found)
 
@@ -729,22 +714,6 @@ def test_linalg_routines_stay_on_their_side():
         assert not imported & forbidden, path.name
 
 
-def fraction_rank(rows):
-    """Rank over Q by Gaussian elimination in Fractions."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / rows[rank][col]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def test_plane_frame_completes_the_vertex():
     # the plane's first nonzero dual coordinate sits in each column in turn,
     # and the vertex is nonzero on every nonempty subset of the free columns
@@ -762,7 +731,7 @@ def test_plane_frame_completes_the_vertex():
                 assert v == ProjectivePoint(vertex).coords
                 for w in (w1, w2):
                     assert sum(a * x for a, x in zip(plane, w)) == 0
-                assert fraction_rank([v, w1, w2]) == 3
+                assert rank([v, w1, w2]) == 3
 
 
 def test_pencil_preconditions():
@@ -801,27 +770,6 @@ def test_pencil_degenerate_double_plane():
     f = SurfaceForm({(2, 0, 0, 0): 1})
     with pytest.raises(DegeneratePencil):
         pencil_tangency_count(f, [0, 0, 1, 0], point(1, 0, 0, 0))
-
-
-def bareiss_det(matrix):
-    """Fraction-free determinant of a square integer matrix (Bareiss 1968)."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def sylvester_matrix(a, b):

@@ -1,0 +1,98 @@
+"""The shared exact references, pinned on facts that need no second elimination.
+
+`reference.py` is what the ring, blow-up, oracle and acceptance tests
+recompute against, so its rank, determinant and reduction are checked
+here against each other and against matrices whose answer is known.
+"""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+import random
+
+import pytest
+
+from reference import bareiss_det, ideal_slice, rank, reduce_vector, rref
+
+HERE = Path(__file__).parent
+
+
+def random_matrix(rng, nrows, ncols):
+    return [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_rank_of_known_matrices():
+    for n in range(1, 7):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert rank(identity) == n
+        assert rank([[0] * n for _ in range(n + 1)]) == 0
+    assert rank([]) == 0
+
+
+def test_rank_of_the_transpose():
+    rng = random.Random(31)
+    for _ in range(200):
+        matrix = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        if rng.random() < 0.4:
+            matrix.append([2 * a - b for a, b in zip(matrix[0], matrix[-1])])
+        assert rank(matrix) == rank([list(col) for col in zip(*matrix)])
+
+
+def test_full_rank_exactly_when_the_determinant_is_nonzero():
+    rng = random.Random(32)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        matrix = random_matrix(rng, n, n)
+        if n > 1 and rng.random() < 0.4:
+            # force one row to be a combination of the others
+            i = rng.randrange(n)
+            others = matrix[:i] + matrix[i + 1 :]
+            weights = [rng.randint(-3, 3) for _ in others]
+            matrix[i] = [sum(w * row[k] for w, row in zip(weights, others)) for k in range(n)]
+        det = bareiss_det(matrix)
+        singular += det == 0
+        assert (rank(matrix) == n) == (det != 0), matrix
+    assert singular > 80
+
+
+def test_bareiss_det_of_known_matrices():
+    assert bareiss_det([[7]]) == 7
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+
+
+def test_reduce_vector_kills_the_row_space():
+    rng = random.Random(33)
+    for _ in range(200):
+        ncols = rng.randint(1, 7)
+        rows = random_matrix(rng, rng.randint(1, 5), ncols)
+        echelon, pivots = rref(rows, ncols)
+        weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in rows]
+        combination = [sum(w * row[k] for w, row in zip(weights, rows)) for k in range(ncols)]
+        assert not any(reduce_vector(combination, echelon, pivots))
+        for row in rows:
+            assert not any(reduce_vector(row, echelon, pivots))
+
+
+@pytest.mark.parametrize("name", ["reference.py", "localization.py"])
+def test_the_references_import_nothing_from_the_package(name):
+    tree = ast.parse((HERE / name).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.level, name
+            imported.add(node.module)
+    assert not {m for m in imported if m.split(".")[0] == "schubert3"}, name
+    assert imported, name
+
+
+def test_ideal_slice_rows_are_the_relation_multiples():
+    # x^2 - y, zero and y in degrees (1, 2): at degree 3 the multiples are
+    # x^3 - x*y and x*y, and the zero relation adds no row
+    monos, rows = ideal_slice((1, 2), [{(2, 0): 1, (0, 1): -1}, {}, {(0, 1): 1}], 3)
+    assert monos == [(3, 0), (1, 1)]
+    assert rows == [[1, -1], [0, 1]]
