@@ -27,7 +27,6 @@ _PUBLIC = {
         "PolyRing",
         "RingElement",
         "TorsionError",
-        "in_ideal_span",
         "series_inverse",
         "substitute",
     ),

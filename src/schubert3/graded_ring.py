@@ -39,7 +39,6 @@ __all__ = [
     "PolyRing",
     "RingElement",
     "TorsionError",
-    "in_ideal_span",
     "power",
     "series_inverse",
     "substitute",
@@ -528,22 +527,3 @@ def _relation_echelon(
             rows.append(vec)
     return int_echelon(rows, len(monos))
 
-
-def in_ideal_span(e: RingElement, relations: Sequence[RingElement]) -> bool:
-    """Exact membership of e in the ideal generated by homogeneous relations.
-
-    Works degree by degree over Z in the ambient free ring: the degree-d slice
-    of the ideal is spanned by monomial multiples of the relations, and
-    membership is integer reduction against its echelon form.
-    """
-    ring = e.ring
-    for r in relations:
-        if r.ring is not ring:
-            raise ValueError("relations must live in the same ring as the element")
-        if not r.is_homogeneous() or r.is_zero():
-            raise ValueError("relations must be nonzero homogeneous elements")
-    for d, comp in e.homogeneous_components().items():
-        vec = [comp.terms.get(m, 0) for m in ring.monomials_of_degree(d)]
-        if any(reduce_mod_echelon(vec, _relation_echelon(ring, relations, d))):
-            return False
-    return True

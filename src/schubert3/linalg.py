@@ -3,8 +3,8 @@
 Two eliminations live here on purpose, one for each side of the check.
 The symbolic side (`graded_ring` and `spaces`) uses only `int_echelon`, an
 integer lattice echelon by extended-gcd row operations that keeps the row
-lattice over Z, and `reduce_mod_echelon`: normal forms, ideal membership
-and the inverse of each render basis.  The geometry oracle uses only
+lattice over Z, and `reduce_mod_echelon`: normal forms and the inverse of
+each render basis.  The geometry oracle uses only
 `rref`, a fraction-free Gauss-Jordan reduction that keeps the row space
 over Q, and `resultant`, the subresultant remainder sequence of two
 integer polynomials (Collins 1967; Brown-Traub 1971).  So a symbolic count

@@ -213,17 +213,27 @@ def _build_flag_space() -> SchubertSpace:
 
 
 @lru_cache(maxsize=None)
-def space(name: str) -> SchubertSpace:
+def _build_space(name: str) -> SchubertSpace:
+    """The named space, its formulas not yet proven."""
     if name == "P3":
-        sp = _build_point_space(dual=False)
-    elif name == "P3dual":
-        sp = _build_point_space(dual=True)
-    elif name == "G":
-        sp = _build_line_space()
-    elif name == "PS":
-        sp = _build_flag_space()
-    else:
-        raise ValueError(f"unknown space {name!r}; available: {', '.join(SPACE_NAMES)}")
+        return _build_point_space(dual=False)
+    if name == "P3dual":
+        return _build_point_space(dual=True)
+    if name == "G":
+        return _build_line_space()
+    if name == "PS":
+        return _build_flag_space()
+    raise ValueError(f"unknown space {name!r}; available: {', '.join(SPACE_NAMES)}")
+
+
+@lru_cache(maxsize=None)
+def space(name: str) -> SchubertSpace:
+    """The named space, once its labeled formulas are proven in its ring.
+
+    Raises ValueError for an unknown name and AssertionError naming the
+    first formula that fails.
+    """
+    sp = _build_space(name)
     for check in _formula_checks(sp):
         if not check.holds:
             raise AssertionError(
@@ -306,7 +316,7 @@ class FormulaCheck(NamedTuple):
 
 
 def _formula_checks(sp: SchubertSpace) -> list[FormulaCheck]:
-    """The labeled formulas of one space, rechecked in `sp`, registered or not."""
+    """Evaluate both sides of each labeled formula of `sp`'s space in `sp`."""
     checks: list[FormulaCheck] = []
     for f in FORMULAS:
         if f.space != sp.name:
@@ -319,9 +329,13 @@ def _formula_checks(sp: SchubertSpace) -> list[FormulaCheck]:
 
 
 def verify_formula_suite(name: Optional[str] = None) -> list[FormulaCheck]:
-    """Recheck every labeled incidence formula inside its ring, or those of one space."""
+    """Recheck every labeled incidence formula inside its ring, or those of one space.
+
+    Each call evaluates the identities afresh.  A false one is returned as a
+    check that does not hold; it never raises.
+    """
     names = SPACE_NAMES if name is None else (name,)
-    return [c for n in names for c in _formula_checks(space(n))]
+    return [c for n in names for c in _formula_checks(_build_space(n))]
 
 
 class EvalResult(NamedTuple):

@@ -1,8 +1,8 @@
 """Plain exact references the tests recompute against: stdlib only.
 
-Rational elimination, a fraction-free determinant and the graded ideal
-slice, written the straightforward way over Fractions and plain
-{exponents: coefficient} dicts.  Nothing here imports schubert3, so a bug
+Rational elimination, a fraction-free determinant, the graded ideal slice
+and integer ideal membership, written the straightforward way over
+Fractions, ints and plain {exponents: coefficient} dicts.  Nothing here imports schubert3, so a bug
 in the package's linear algebra or rings cannot agree with itself here.
 """
 
@@ -92,3 +92,69 @@ def ideal_slice(degrees, relations, d):
                 vec[index[tuple(a + b for a, b in zip(mult, m))]] += c
             rows.append(vec)
     return monos, rows
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
+    if not b:
+        return abs(a), -1 if a < 0 else 1, 0
+    g, x, y = _xgcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def hermite_echelon(rows, ncols):
+    """Integer row echelon form spanning the same lattice over Z, as (pivot column, row).
+
+    Each step replaces the pivot row p and a row r by x*p + y*r and
+    a*r - b*p, where g = x*p[col] + y*r[col] is the gcd of their entries and
+    a, b are those entries over g.  The change has determinant x*a + y*b = 1,
+    so it keeps the lattice, and r's entry becomes 0.  Pivots are positive.
+    """
+    work = [list(row) for row in rows if any(row)]
+    echelon = []
+    for col in range(ncols):
+        live = [row for row in work if row[col]]
+        if not live:
+            continue
+        pivot, rest = live[0], [row for row in work if not row[col]]
+        for row in live[1:]:
+            g, x, y = _xgcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            pivot, row = (
+                [x * p + y * q for p, q in zip(pivot, row)],
+                [a * q - b * p for p, q in zip(pivot, row)],
+            )
+            if any(row):
+                rest.append(row)
+        if pivot[col] < 0:
+            pivot = [-v for v in pivot]
+        echelon.append((col, pivot))
+        work = rest
+    return echelon
+
+
+def in_ideal(degrees, element, relations):
+    """Whether the {exponents: coefficient} element lies in the ideal of the relations over Z.
+
+    Each homogeneous component must be an integer combination of the rows
+    of its degree's ideal slice; relations must be homogeneous.
+    """
+    def degree(m):
+        return sum(e * g for e, g in zip(m, degrees))
+
+    if any(len({degree(m) for m in rel}) > 1 for rel in relations):
+        raise ValueError("relations must be homogeneous")
+    components = {}
+    for m, c in element.items():
+        if c:
+            components.setdefault(degree(m), {})[m] = c
+    for d, component in components.items():
+        monos, rows = ideal_slice(degrees, relations, d)
+        vec = [component.get(m, 0) for m in monos]
+        # a remainder left at a pivot column stays there: later rows are zero in it
+        for col, row in hermite_echelon(rows, len(monos)):
+            q = vec[col] // row[col]
+            vec = [v - q * e for v, e in zip(vec, row)]
+        if any(vec):
+            return False
+    return True

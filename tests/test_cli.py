@@ -544,7 +544,6 @@ def test_selftest_reports_a_failing_check(capsys, monkeypatch):
 
 
 def test_verify_formulas_reports_a_false_identity(capsys, monkeypatch):
-    spaces.space("G")  # built before the false identity joins the table
     false = spaces.Formula("F", "G", (("g^2", "g_p"),))
     monkeypatch.setattr(spaces, "FORMULAS", spaces.FORMULAS + (false,))
     code, out, _ = run(capsys, "verify-formulas", "--space", "G")
@@ -554,22 +553,86 @@ def test_verify_formulas_reports_a_false_identity(capsys, monkeypatch):
     assert lines[-1] == "1 of 14 identities failed"
 
 
+def _cli_after(setup, *argv):
+    """Run the CLI in a fresh process once `setup`, Python that can use `spaces`, has run."""
+    return _python(
+        "-c",
+        "import sys\nfrom schubert3 import spaces\nfrom schubert3.cli import run_cli\n"
+        f"{setup}\nsys.exit(run_cli(sys.argv[1:]))\n",
+        *argv,
+    )
+
+
+FALSE_F = "spaces.FORMULAS += (spaces.Formula('F', 'G', (('g^2', 'g_p'),)),)"
+
+
 @pytest.mark.parametrize(
-    "argv", [["verify-formulas"], ["eval", "--space", "G", "g^4"]], ids=["verify-formulas", "eval"]
+    "argv",
+    [["eval", "--space", "G", "g^4"], ["tangent-count", "3"]],
+    ids=["eval", "tangent-count"],
 )
 def test_a_failed_construction_proof_exits_1_with_one_line(argv):
     # the false identity joins the table before any space is built, so
     # space("G") refuses to finish: one stderr line, not a traceback
-    done = _python(
-        "-c",
-        "import sys; from schubert3 import spaces; from schubert3.cli import run_cli; "
-        "spaces.FORMULAS += (spaces.Formula('F', 'G', (('g^2', 'g_p'),)),); "
-        "sys.exit(run_cli(sys.argv[1:]))",
-        *argv,
-    )
+    done = _cli_after(FALSE_F, *argv)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "verification failed: G: formula F failed at construction: g^2 != g_p\n"
     assert "Traceback" not in done.stderr
+
+
+def test_verify_formulas_prints_its_fail_table_in_a_fresh_process(capsys):
+    # verify-formulas rechecks the spaces before their construction proof,
+    # so a false identity reaches its row: F follows G's rows, before PS's
+    code, table, _ = run(capsys, "verify-formulas")
+    assert code == 0
+    rows = table.splitlines()
+    done = _cli_after(FALSE_F, "verify-formulas")
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines() == [
+        *rows[:21],
+        "  F  G       g^2 = g_p  FAIL",
+        *rows[21:],
+        "1 of 28 identities failed",
+    ]
+
+
+def test_selftest_names_a_false_formula_in_a_fresh_process():
+    false_9 = (
+        "spaces.FORMULAS = tuple(spaces.Formula('9', 'G', (('g^2', 'g_p'),)) "
+        "if f.label == '9' else f for f in spaces.FORMULAS)"
+    )
+    done = _cli_after(false_9, "selftest")
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[0] == (
+        "FAIL formula suite (27 identities): failed identities: [('9', 'g^2')]"
+    )
+
+
+COUNT_FORMULA_CHECKS = """\
+import atexit
+
+class Counted(spaces.FormulaCheck):
+    made = 0
+
+    def __new__(cls, *fields):
+        Counted.made += 1
+        return super().__new__(cls, *fields)
+
+spaces.FormulaCheck = Counted
+atexit.register(lambda: print(Counted.made, file=sys.stderr))"""
+
+
+@pytest.mark.parametrize(
+    "argv, made",
+    [(["verify-formulas"], 27), (["eval", "--space", "G", "g^4"], 13), (["selftest"], 54)],
+    ids=["verify-formulas", "eval", "selftest"],
+)
+def test_each_command_evaluates_each_identity_once(argv, made):
+    # verify-formulas checks all 27 identities and proves no space; eval
+    # proves G's 13; selftest checks the 27, then proves the spaces it uses
+    done = _cli_after(COUNT_FORMULA_CHECKS, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == f"{made}\n"
 
 
 def test_oracle_pencil_rejects_nonpositive_degree():

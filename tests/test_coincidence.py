@@ -25,19 +25,28 @@ from schubert3.coincidence import (
     tangent_count,
     tangent_derivation,
 )
-from schubert3.graded_ring import PolyRing, in_ideal_span, series_inverse, substitute
+from schubert3.graded_ring import PolyRing, series_inverse, substitute
 
 FREE = PolyRing([("eps", 1), ("t1", 1), ("t2", 1)])
 
 
 def free_relation_ideal():
-    """Generators of the full relation ideal in the free ring."""
-    eps, t1, t2 = FREE.gens()
-    c1 = eps - t1 - t2
-    c2 = t1 * t2 - eps * t2
-    rel3 = 2 * c1 * c2 - c1 ** 3
-    rel4 = c1 ** 4 - 3 * c1 ** 2 * c2 + c2 ** 2
-    return [eps * t1 - eps * t2, rel3, rel4, t1 ** 4, t2 ** 4]
+    """Generators of the full relation ideal in the free ring, as literals.
+
+    eps*(t1 - t2), the images rel3 = 2*c1*c2 - c1^3 and rel4 = c1^4 -
+    3*c1^2*c2 + c2^2 of the line-space relations under c1 = eps - t1 - t2,
+    c2 = t1*t2 - eps*t2, then t1^4 and t2^4; keys are (eps, t1, t2) exponents.
+    """
+    rel3 = {
+        (3, 0, 0): -1, (2, 1, 0): 3, (2, 0, 1): 1, (1, 2, 0): -3, (1, 1, 1): -2,
+        (1, 0, 2): -1, (0, 3, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1, (0, 0, 3): 1,
+    }
+    rel4 = {
+        (4, 0, 0): 1, (3, 1, 0): -4, (3, 0, 1): -1, (2, 2, 0): 6, (2, 1, 1): 3,
+        (2, 0, 2): 1, (1, 3, 0): -4, (1, 2, 1): -3, (1, 1, 2): -2, (1, 0, 3): -1,
+        (0, 4, 0): 1, (0, 3, 1): 1, (0, 2, 2): 1, (0, 1, 3): 1, (0, 0, 4): 1,
+    }
+    return [{(1, 1, 0): 1, (1, 0, 1): -1}, rel3, rel4, {(0, 4, 0): 1}, {(0, 0, 4): 1}]
 
 
 def random_integer_matrix(rng, nrows, ncols, rank):
@@ -127,18 +136,16 @@ def test_pullback_images_frozen():
         (0, 2, 1): 1,
         (0, 3, 0): 1,
     }
-    folded4 = cubic.ring.element(
-        {
-            (4, 0, 0): 1,
-            (3, 0, 1): -5,
-            (2, 0, 2): 10,
-            (1, 0, 3): -10,
-            (0, 1, 3): 1,
-            (0, 2, 2): 1,
-            (0, 3, 1): 1,
-        }
-    )
-    assert in_ideal_span(folded4, keel)
+    folded4 = {
+        (4, 0, 0): 1,
+        (3, 0, 1): -5,
+        (2, 0, 2): 10,
+        (1, 0, 3): -10,
+        (0, 1, 3): 1,
+        (0, 2, 2): 1,
+        (0, 3, 1): 1,
+    }
+    assert reference.in_ideal((1, 1, 1), folded4, [r.terms for r in keel])
     with pytest.raises(ValueError):
         phi_pullback(spaces.space("P3").ring.gen("t"))
 
@@ -162,24 +169,19 @@ def test_relation_images_invisible_to_integrals():
 
 
 def test_free_relation_expansion_frozen():
-    rel3 = free_relation_ideal()[1]
-    assert rel3.terms == {
-        (3, 0, 0): -1,
-        (2, 1, 0): 3,
-        (2, 0, 1): 1,
-        (1, 2, 0): -3,
-        (1, 1, 1): -2,
-        (1, 0, 2): -1,
-        (0, 3, 0): 1,
-        (0, 2, 1): 1,
-        (0, 1, 2): 1,
-        (0, 0, 3): 1,
-    }
+    # the one place PolyRing's products meet the literal generators
+    eps, t1, t2 = FREE.gens()
+    c1 = eps - t1 - t2
+    c2 = t1 * t2 - eps * t2
+    rel3 = 2 * c1 * c2 - c1 ** 3
+    rel4 = c1 ** 4 - 3 * c1 ** 2 * c2 + c2 ** 2
+    expanded = [eps * t1 - eps * t2, rel3, rel4, t1 ** 4, t2 ** 4]
+    assert [g.terms for g in expanded] == free_relation_ideal()
 
 
 def test_quotient_coranks():
     """The full ideal cuts the free ring down to ranks 1,3,5,6,5,3,1."""
-    relations = [g.terms for g in free_relation_ideal()]
+    relations = free_relation_ideal()
     coranks = []
     for d in range(7):
         monos, rows = reference.ideal_slice((1, 1, 1), relations, d)
@@ -195,7 +197,7 @@ def test_total_integral_matches_quotient_functional():
     determined; the integral of Keel's presentation must agree with it on
     every class, canonical or not.
     """
-    relations = [g.terms for g in free_relation_ideal()]
+    relations = free_relation_ideal()
     monos, rows = reference.ideal_slice((1, 1, 1), relations, 6)
     echelon, pivots = reference.rref(rows, len(monos))
     free_cols = [j for j in range(len(monos)) if j not in pivots]

@@ -25,7 +25,6 @@ from schubert3.graded_ring import (
     PolyRing,
     RingElement,
     TorsionError,
-    in_ideal_span,
     power,
     series_inverse,
     substitute,
@@ -558,16 +557,3 @@ def test_substitute_missing_image(G):
     free = PolyRing([("x1", 1), ("x2", 2)])
     with pytest.raises(ValueError, match="x2"):
         substitute(free.gen("x2"), G, {"x1": G.gen("c1")})
-
-
-def test_in_ideal_span_basics():
-    free = PolyRing([("x1", 1), ("x2", 2)])
-    x1, x2 = free.gens()
-    assert in_ideal_span(x1**3, [x1**2])
-    assert in_ideal_span(x1**3 - 2 * x1 * x2 + x2 * x1, [x1**2 - x2])
-    assert not in_ideal_span(x1 * x2, [x1**2])
-    # integer exactness: 2*x1^2 is not an integer multiple of 4*x1^2
-    assert not in_ideal_span(2 * x1**2, [4 * x1**2])
-    assert in_ideal_span(free.zero(), [x1**2])
-    with pytest.raises(ValueError):
-        in_ideal_span(x1, [x1 + x1**2])

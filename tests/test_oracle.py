@@ -714,6 +714,22 @@ def test_linalg_routines_stay_on_their_side():
         assert not imported & forbidden, path.name
 
 
+def test_tests_check_the_rings_eliminations_only_through_the_reference():
+    # a test that reduced with the rings' own echelon would agree with a bug
+    # in it, so no test module imports or reaches for those routines
+    forbidden = {"int_echelon", "reduce_mod_echelon", "_relation_echelon"}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not named & forbidden, path.name
+
+
 def test_plane_frame_completes_the_vertex():
     # the plane's first nonzero dual coordinate sits in each column in turn,
     # and the vertex is nonzero on every nonempty subset of the free columns

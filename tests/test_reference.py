@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from reference import bareiss_det, ideal_slice, rank, reduce_vector, rref
+from reference import bareiss_det, hermite_echelon, ideal_slice, in_ideal, rank, reduce_vector, rref
 
 HERE = Path(__file__).parent
 
@@ -96,3 +96,32 @@ def test_ideal_slice_rows_are_the_relation_multiples():
     monos, rows = ideal_slice((1, 2), [{(2, 0): 1, (0, 1): -1}, {}, {(0, 1): 1}], 3)
     assert monos == [(3, 0), (1, 1)]
     assert rows == [[1, -1], [0, 1]]
+
+
+def test_ideal_membership_basics():
+    # x1 of degree 1 and x2 of degree 2; the key (i, j) is x1^i*x2^j
+    degrees = (1, 2)
+    assert in_ideal(degrees, {(3, 0): 1}, [{(2, 0): 1}])
+    # x1^3 - 2*x1*x2 + x2*x1 = x1*(x1^2 - x2)
+    assert in_ideal(degrees, {(3, 0): 1, (1, 1): -1}, [{(2, 0): 1, (0, 1): -1}])
+    assert not in_ideal(degrees, {(1, 1): 1}, [{(2, 0): 1}])
+    # integer exactness: 2*x1^2 is not an integer multiple of 4*x1^2
+    assert not in_ideal(degrees, {(2, 0): 2}, [{(2, 0): 4}])
+    assert in_ideal(degrees, {}, [{(2, 0): 1}])
+    with pytest.raises(ValueError):
+        in_ideal(degrees, {(1, 0): 1}, [{(1, 0): 1, (2, 0): 1}])
+
+
+def test_hermite_echelon_pivots_multiply_to_the_determinant():
+    # each step has determinant 1, so on a square matrix the echelon is
+    # triangular with |det| as the product of its positive pivots
+    rng = random.Random(34)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        matrix = random_matrix(rng, n, n)
+        echelon = hermite_echelon(matrix, n)
+        assert all(row[col] > 0 and not any(row[:col]) for col, row in echelon)
+        product = 1
+        for col, row in echelon:
+            product *= row[col]
+        assert (product if len(echelon) == n else 0) == abs(bareiss_det(matrix)), matrix
