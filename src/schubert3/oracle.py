@@ -462,6 +462,11 @@ class SurfaceForm:
 
     def value(self, point: Union[ProjectivePoint, Sequence[Rational]]):
         coords = point.coords if isinstance(point, ProjectivePoint) else [*map(_rational, point)]
+        if len(coords) != 4:
+            raise ValueError(
+                f"a projective point has 4 homogeneous coordinates, not {len(coords)}: "
+                f"[{', '.join(map(str, coords))}]"
+            )
         return _rational(_horner(self, coords))
 
     def __eq__(self, other) -> bool:

@@ -1,11 +1,13 @@
 """Integrals by torus localization: the Bott residue formula, with no relations.
 
-A torus acting on C^4 with integer weights w0..w3 on the coordinates acts
-on P3, on the line space G and on the blown-up double space with finitely
-many fixed points.  A class that is a polynomial in the generators
-integrates to the sum, over the fixed points, of that polynomial evaluated
-at the generators' equivariant values there, divided by the product of the
-tangent weights there (the equivariant Euler class of the tangent space).
+A torus acting on C^4 with integer weights w0..w3 on the coordinates
+acts on P3, on its dual P3dual, on the line space G, on the point-line
+flags PS and on the blown-up double space with finitely many fixed
+points.  A class that is a polynomial in the generators integrates to
+the sum, over the fixed points, of that polynomial evaluated at the
+generators' equivariant values there, divided by the product of the
+tangent weights there (the equivariant Euler class of the tangent
+space).
 
 Each space below is a list of fixed points, each a pair (values, tangent
 weights); `integrate` sums exact Fractions over it.  Nothing here knows a
@@ -28,6 +30,14 @@ def point_space(w):
     ]
 
 
+def plane_space(w):
+    """P3dual: the coordinate planes, where e = w_i."""
+    return [
+        ({"e": w[i]}, [w[i] - w[m] for m in range(4) if m != i])
+        for i in range(4)
+    ]
+
+
 def line_space(w):
     """G: the coordinate lines span(e_i, e_j), with c1 and c2 of the subbundle."""
     return [
@@ -36,6 +46,22 @@ def line_space(w):
             [w[k] - w[l] for k in range(4) if k not in (i, j) for l in (i, j)],
         )
         for i, j in combinations(range(4), 2)
+    ]
+
+
+def flag_space(w):
+    """PS: the flags e_i in span(e_i, e_j), i != j.
+
+    c1 and c2 are as on G, and t = +w_i, the opposite sign to P3's, since
+    the point class of PS is p = -t.  The tangent space is G's plus the
+    direction of the point along its line, of weight w_j - w_i.
+    """
+    return [
+        (
+            {"t": w[i], "c1": w[i] + w[j], "c2": w[i] * w[j]},
+            [w[k] - w[l] for k in range(4) if k not in (i, j) for l in (i, j)] + [w[j] - w[i]],
+        )
+        for i, j in permutations(range(4), 2)
     ]
 
 

@@ -1,9 +1,11 @@
 """Exit codes, output formats and determinism of the command line interface."""
 
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -453,19 +455,23 @@ def test_package_import_loads_no_submodule():
     assert done.stdout == "[]\n"
 
 
-def test_package_exports_resolve_on_demand():
-    done = _python(
-        "-c",
-        "from schubert3 import evaluate_expression; import schubert3; "
-        "print(evaluate_expression('G', 'g^4').top); "
-        "print(all(getattr(schubert3, name) is not None for name in schubert3.__all__)); "
-        "print(sorted(set(schubert3.__all__) - set(dir(schubert3))))",
-    )
+def test_package_import_binds_no_public_name():
+    # each public name is imported from its submodule, never from the package
+    done = _python("-c", "import schubert3; print([n for n in dir(schubert3) if n[0] != '_'])")
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "2\nTrue\n[]\n"
-    assert "evaluate_expression" in schubert3.__all__ and "SolutionSet" in schubert3.__all__
-    with pytest.raises(AttributeError, match="no attribute 'missing'"):
-        schubert3.missing
+    assert done.stdout == "[]\n"
+
+
+def test_each_module_exports_bound_names_once():
+    names = sorted(m.name for m in pkgutil.iter_modules(schubert3.__path__))
+    assert "spaces" in names and "oracle" in names
+    for name in names:
+        if name == "__main__":
+            continue
+        module = importlib.import_module(f"schubert3.{name}")
+        exported = module.__all__
+        assert len(set(exported)) == len(exported), name
+        assert [x for x in exported if not hasattr(module, x)] == [], name
 
 
 RING_MODULES = [

@@ -1096,8 +1096,12 @@ def test_value_is_the_sum_of_its_terms():
     f = SurfaceForm({(0, 1, 1, 0): 2, (2, 0, 0, 0): 1})
     assert f.value([Fraction(1, 2), Fraction(1, 2), 1, 0]) == Fraction(5, 4)
     assert type(f.value([1, Fraction(3, 4), Fraction(2, 3), 7])) is int
-    for bad in ([1, 2, 3], [1, 2, 3, 4, 5]):
-        with pytest.raises(ValueError, match="values to unpack"):
+    for bad, shown in (
+        ([1, 2], "2: [1, 2]"),
+        ([1, "1/2", 3], "3: [1, 1/2, 3]"),
+        ([1, 2, 3, 4, 5], "5: [1, 2, 3, 4, 5]"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"4 homogeneous coordinates, not {shown}")):
             f.value(bad)
 
 
