@@ -4,7 +4,11 @@ Everything runs over the rationals (or a quadratic extension when a
 discriminant is not a perfect square): points and lines carry canonical
 integer coordinates, incidence is the polarized Pluecker pairing, and the
 four-lines problem is solved by exact kernel computation plus one binary
-quadratic.  Tangency counting for pencils restricts the surface to one
+quadratic.  A line a + b*sqrt(d) is validated and checked on its two
+integer parts a and b: QNum never holds a square radicand, so
+x + y*sqrt(d) vanishes exactly when x and y both do.
+
+Tangency counting for pencils restricts the surface to one
 line of the pencil at a time, by one Horner walk over the sorted terms of
 f at a Kronecker point whose base-2^k digits are the integer binary form,
 and takes the resultant of that form with its derivative over the
@@ -179,15 +183,21 @@ class QNum:
         return f"QNum({self.a!r}, {self.b!r}, {self.d!r})"
 
 
+def _wrong_count(expected: str, vec: Sequence) -> ValueError:
+    """Refusal of a coordinate list of the wrong length, naming its count and entries."""
+    return ValueError(f"{expected}, not {len(vec)}: [{', '.join(map(str, vec))}]")
+
+
 def _canonical_int_vector(vec: Sequence[Rational]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first sign positive."""
-    denom = lcm(*{x.denominator for x in vec})
-    if denom == 1:
-        ints = [x.numerator for x in vec]
-    else:
-        ints = [x.numerator * (denom // x.denominator) for x in vec]
+    ints = vec
+    for x in vec:
+        if type(x) is not int:  # an all-int vector has no denominators to clear
+            denom = lcm(*{y.denominator for y in vec})
+            ints = [y.numerator * (denom // y.denominator) for y in vec]
+            break
     content = gcd(*ints)
-    if next(v for v in ints if v) < 0:
+    if next(filter(None, ints)) < 0:
         content = -content
     return tuple(ints) if content == 1 else tuple(v // content for v in ints)
 
@@ -200,7 +210,7 @@ class ProjectivePoint:
     def __init__(self, coords: Iterable[Rational]) -> None:
         vec = [_rational(x) for x in coords]
         if len(vec) != 4:
-            raise ValueError("a projective point has 4 homogeneous coordinates")
+            raise _wrong_count("a projective point has 4 homogeneous coordinates", vec)
         if not any(vec):
             raise ValueError("homogeneous coordinates must not all vanish")
         object.__setattr__(self, "coords", _canonical_int_vector(vec))
@@ -244,7 +254,10 @@ class PlueckerLine:
 
     Coordinates are canonical coprime integers when rational; solutions of
     a four-lines problem with irrational discriminant carry QNum entries
-    instead.  Construction rejects vectors off the Pluecker quadric.
+    a + b*sqrt(d) over one radicand d instead.  Construction rejects vectors
+    off the Pluecker quadric, a quadratic one on its two integer parts:
+    Q(a) + d*Q(b) and the polar pairing of a and b must both vanish, which
+    is exact because QNum never holds a square radicand.
     """
 
     __slots__ = ("coords",)
@@ -252,22 +265,28 @@ class PlueckerLine:
     def __init__(self, coords: Iterable[Union[Rational, QNum]]) -> None:
         raw = list(coords)
         if len(raw) != 6:
-            raise ValueError("a line has 6 Pluecker coordinates")
+            raise _wrong_count("a line has 6 Pluecker coordinates", raw)
         if any(isinstance(x, QNum) and x.d for x in raw):
+            qnums = [x if isinstance(x, QNum) else QNum(x) for x in raw]
+            d, *others = {x.d for x in qnums if x.d}
+            if others:
+                raise ValueError("cannot mix different quadratic extensions")
             # a0, b0, a1, b1, ...: its first nonzero entry is positive exactly
             # when the first nonzero (a, b) pair is
-            qnums = [x if isinstance(x, QNum) else QNum(x) for x in raw]
             ints = _canonical_int_vector([c for x in qnums for c in (x.a, x.b)])
-            vec = [QNum._trusted(a, b, x.d) for a, b, x in zip(ints[::2], ints[1::2], qnums)]
+            a, b = ints[::2], ints[1::2]
+            # sqrt(d) is irrational, so Q(a + b*sqrt(d)) splits into two integers
+            q = QNum._trusted(_quadric_on(a) + d * _quadric_on(b), _polar_on(a, b), d)
+            vec = tuple(QNum._trusted(x, y, d) for x, y in zip(a, b))
         else:
             exact = [x.a if isinstance(x, QNum) else _rational(x) for x in raw]
             if not any(exact):
                 raise ValueError("Pluecker coordinates must not all vanish")
             vec = _canonical_int_vector(exact)
-        object.__setattr__(self, "coords", tuple(vec))
-        q = self.quadric_value()
+            q = _quadric_on(vec)
         if q != 0:
             raise ValueError(f"coordinates violate the Pluecker quadric: {q}")
+        object.__setattr__(self, "coords", vec)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlueckerLine is immutable")
@@ -367,6 +386,8 @@ def lines_meeting_four(
     3 or more, or a kernel pencil lying inside the quadric, gives an
     infinite family; otherwise the binary quadratic has exactly two roots
     counted with multiplicity, possibly conjugate over a square root.
+    Each returned line a + b*sqrt(d) is checked on its integer parts: it
+    meets an input exactly when a and b both do (QNum's d is never a square).
     """
     lines = (l1, l2, l3, l4)
     for i in range(4):
@@ -405,14 +426,16 @@ def lines_meeting_four(
                 minus = [(-b - root) * x + 2 * a * y for x, y in zip(va, vb)]
                 pairs = [(PlueckerLine(plus), 1), (PlueckerLine(minus), 1)]
             else:
-                plus = [QNum(-b * x + 2 * a * y, x, disc) for x, y in zip(va, vb)]
+                # disc is not a square, so the radicand needs no folding
+                plus = [QNum._trusted(-b * x + 2 * a * y, x, disc) for x, y in zip(va, vb)]
                 line = PlueckerLine(plus)
                 pairs = [(line, 1), (line.conjugate(), 1)]
 
     for solution, _ in pairs:
-        for line in lines:
-            if incidence_form(solution, line) != 0:
-                raise AssertionError("solver produced a line missing an input line")
+        coords = solution.coords
+        parts = [coords] if solution.is_rational else [[x.a for x in coords], [x.b for x in coords]]
+        if any(_polar_on(part, line.coords) for part in parts for line in lines):
+            raise AssertionError("solver produced a line missing an input line")
     result = SolutionSet.finite(pairs)
     if result.total_multiplicity != 2:
         raise AssertionError("finite solution sets must have total multiplicity 2")
@@ -463,10 +486,7 @@ class SurfaceForm:
     def value(self, point: Union[ProjectivePoint, Sequence[Rational]]):
         coords = point.coords if isinstance(point, ProjectivePoint) else [*map(_rational, point)]
         if len(coords) != 4:
-            raise ValueError(
-                f"a projective point has 4 homogeneous coordinates, not {len(coords)}: "
-                f"[{', '.join(map(str, coords))}]"
-            )
+            raise _wrong_count("a projective point has 4 homogeneous coordinates", coords)
         return _rational(_horner(self, coords))
 
     def __eq__(self, other) -> bool:

@@ -1,13 +1,15 @@
 """Plain exact references the tests recompute against: stdlib only.
 
-Rational elimination, a fraction-free determinant, the graded ideal slice
-and integer ideal membership, written the straightforward way over
-Fractions, ints and plain {exponents: coefficient} dicts.  Nothing here imports schubert3, so a bug
-in the package's linear algebra or rings cannot agree with itself here.
+Rational elimination, canonical integer vectors, a fraction-free
+determinant, the graded ideal slice and integer ideal membership, written
+the straightforward way over Fractions, ints and plain {exponents:
+coefficient} dicts.  Nothing here imports schubert3, so a bug in the
+package's linear algebra or rings cannot agree with itself here.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 
 def rref(rows, ncols):
@@ -33,6 +35,16 @@ def rref(rows, ncols):
 def rank(rows):
     """Rank over Q: the number of pivots."""
     return len(rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def canonical_int_vector(vec):
+    """A nonzero rational vector scaled to coprime integers, first nonzero entry positive."""
+    fracs = [Fraction(x) for x in vec]
+    denom = lcm(*(x.denominator for x in fracs))
+    ints = [int(x * denom) for x in fracs]
+    sign = 1 if next(v for v in ints if v) > 0 else -1
+    content = gcd(*ints)
+    return tuple(sign * v // content for v in ints)
 
 
 def reduce_vector(vec, rows, pivots):

@@ -866,6 +866,16 @@ def test_oracle_four_lines_input_at_the_digit_limit(capsys, tmp_path):
 _TETRAHEDRON = [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]]
 
 
+@pytest.mark.parametrize("entry", [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0], [], "001000"])
+def test_oracle_four_lines_input_length_refusal_is_the_commands_own(capsys, tmp_path, entry):
+    # the command checks each line's length before the oracle sees it, so
+    # the oracle's own length message never reaches its stderr
+    path = _write_lines(tmp_path, _TETRAHEDRON[:3] + [entry])
+    code, out, err = run(capsys, "oracle", "four-lines", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == "error: each line must be a 6-entry array [p01, p02, p03, p23, p31, p12]\n"
+
+
 @pytest.mark.parametrize(
     "entry, reason",
     [

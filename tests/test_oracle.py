@@ -10,14 +10,14 @@ import ast
 from fractions import Fraction
 import hashlib
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 import random
 import re
 
 import pytest
 
-from reference import bareiss_det, rank
+from reference import bareiss_det, canonical_int_vector, rank
 from schubert3 import checks, linalg, oracle
 from schubert3.linalg import resultant
 from schubert3.oracle import (
@@ -84,8 +84,6 @@ def test_projective_point_canonical():
     assert hash(point(1, 1, 1, 1)) == hash(point(3, 3, 3, 3))
     with pytest.raises(ValueError):
         ProjectivePoint([0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        ProjectivePoint([1, 2, 3])
     with pytest.raises(AttributeError):
         point(1, 0, 0, 0).coords = (0, 0, 0, 1)
 
@@ -101,6 +99,134 @@ def test_plucker_from_points():
         PlueckerLine([1, 0, 0, 1, 0, 0])
     with pytest.raises(ValueError):
         PlueckerLine([0, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: ProjectivePoint([1, 2, 3]),
+            "a projective point has 4 homogeneous coordinates, not 3: [1, 2, 3]",
+        ),
+        (
+            lambda: ProjectivePoint(["1/2", 0, 0, 1, Fraction(-2, 3)]),
+            "a projective point has 4 homogeneous coordinates, not 5: [1/2, 0, 0, 1, -2/3]",
+        ),
+        (lambda: PlueckerLine([1, 2, 3]), "a line has 6 Pluecker coordinates, not 3: [1, 2, 3]"),
+        (
+            lambda: PlueckerLine([QNum(1, 1, 2), 0, 0, 0, 0, 0, 7]),
+            "a line has 6 Pluecker coordinates, not 7: [1 + sqrt(2), 0, 0, 0, 0, 0, 7]",
+        ),
+    ],
+)
+def test_length_refusals_name_the_count_and_the_entries(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+OFF_QUADRIC = "coordinates violate the Pluecker quadric: "
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        # rational and off the quadric
+        ([1, 0, 0, 1, 0, 0], OFF_QUADRIC + "1"),
+        ([2, 0, 0, 1, 0, 0], OFF_QUADRIC + "2"),
+        # a + b*sqrt(2): Q(a) + 2*Q(b) = 1 fails, polar(a, b) = 0 holds
+        ([QNum(1, 0, 2), QNum(0, 1, 2), 0, 1, 0, 0], OFF_QUADRIC + "1"),
+        # Q(a) + 2*Q(b) = 0 holds, polar(a, b) = 1 fails
+        ([QNum(0, 1, 2), 0, 0, 1, 0, 0], OFF_QUADRIC + "sqrt(2)"),
+        ([QNum(1, 1, 2), 0, 0, 1, 0, 0], OFF_QUADRIC + "1 + sqrt(2)"),
+        ([QNum(1, 1, 2), 0, 0, QNum(1, 1, 2), 0, 0], OFF_QUADRIC + "3 + 2*sqrt(2)"),
+        ([QNum(1, 1, -3), 0, 0, QNum(2, -1, -3), 0, 0], OFF_QUADRIC + "5 + sqrt(-3)"),
+        # the quadric value is reported on the canonical coordinates
+        ([QNum(0, 2, 5), 0, 0, 4, 0, 0], OFF_QUADRIC + "2*sqrt(5)"),
+        # mixed radicands are refused whatever the quadric says
+        ([QNum(1, 1, 2), 0, 0, QNum(1, 1, 3), 0, 0], "cannot mix different quadratic extensions"),
+        ([QNum(0, 1, 2), QNum(0, 1, 3), 0, 0, 0, 0], "cannot mix different quadratic extensions"),
+    ],
+)
+def test_quadric_refusal_is_pinned(coords, message):
+    with pytest.raises(ValueError) as refused:
+        PlueckerLine(coords)
+    assert str(refused.value) == message
+
+
+def qnum_quadric(vec):
+    """The Pluecker quadric evaluated in QNum arithmetic, entry by entry."""
+    return vec[0] * vec[3] + vec[1] * vec[4] + vec[2] * vec[5]
+
+
+def test_quadratic_lines_are_accepted_exactly_when_qnum_arithmetic_accepts():
+    rng = random.Random(3401)
+    radicands = [d for d in range(-12, 40) if d and (d < 0 or isqrt(d) ** 2 != d)]
+    verdicts = {"accepted": 0, "refused": 0}
+    for trial in range(1500):
+        d = rng.choice(radicands)
+        if trial % 3:
+            # a wedge of two points over Q(sqrt(d)) lies on the quadric; a
+            # near miss moves one integer of it
+            p, q = ([QNum(rng.randint(-5, 5), rng.randint(-5, 5), d) for _ in range(4)] for _ in "pq")
+            wedge = [p[i] * q[j] - p[j] * q[i] for i, j in WEDGE_PAIRS]
+            a, b = [x.a for x in wedge], [x.b for x in wedge]
+            if trial % 3 == 2:
+                (a, b)[rng.randrange(2)][rng.randrange(6)] += rng.choice((-1, 1))
+        else:
+            a, b = ([rng.randint(-3, 3) for _ in range(6)] for _ in "ab")
+        if not any(b):
+            continue
+        vec = [QNum(x, y, d) for x, y in zip(a, b)]
+        accepted = qnum_quadric(vec) == 0
+        try:
+            line = PlueckerLine(vec)
+        except ValueError as refused:
+            assert not accepted, vec
+            ints = canonical_int_vector([c for pair in zip(a, b) for c in pair])
+            canonical = [QNum(x, y, d) for x, y in zip(ints[::2], ints[1::2])]
+            assert str(refused) == OFF_QUADRIC + str(qnum_quadric(canonical))
+            verdicts["refused"] += 1
+        else:
+            assert accepted, vec
+            assert line.quadric_value() == qnum_quadric(line.coords) == 0
+            verdicts["accepted"] += 1
+    assert min(verdicts.values()) > 300, verdicts
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        [3, 6, -9, 12],
+        (3, 6, -9, 12),
+        (-4, 0, 6, 0, 10, 0),
+        [0, 0, -7, 14, 0, 21],
+        [0, 5, 0, 0],
+        (1, -1, 0, 0, 0, 0),
+        [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)],
+        [Fraction(-2, 3), 4, 0, Fraction(8, 9)],
+        [0, Fraction(-10, 7), 20, Fraction(30, 7)],
+        [2**70, -(2**71), 3 * 2**70],
+    ],
+)
+def test_canonical_int_vector_is_the_reference_formula(vec):
+    got = oracle._canonical_int_vector(vec)
+    assert type(got) is tuple and all(type(x) is int for x in got)
+    assert got == canonical_int_vector(vec)
+
+
+def test_canonical_int_vector_random_against_the_reference():
+    rng = random.Random(3402)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        scale = rng.randint(1, 6)
+        vec = [scale * rng.randint(-9, 9) for _ in range(n)]
+        if rng.random() < 0.5:
+            vec = [Fraction(x, rng.randint(1, 8)) if rng.random() < 0.5 else x for x in vec]
+        if not any(vec):
+            continue
+        assert oracle._canonical_int_vector(vec) == canonical_int_vector(vec)
+        assert oracle._canonical_int_vector(tuple(vec)) == canonical_int_vector(vec)
 
 
 def test_incidence_form_matches_determinant():
@@ -304,6 +430,20 @@ def test_four_lines_coplanar_is_infinite():
             ((1, -5, 5, 8), (-7, -5, 5, 9)),
             ((6, 1, -1, 4), (-8, -3, 3, 0)),
         ],
+        # the last three lines lie in the plane x0 = -x3
+        [
+            ((0, -2, 5, 9), (-9, 0, -6, -7)),
+            ((9, 1, 8, -9), (1, 0, 2, -1)),
+            ((0, -6, 1, 0), (-6, -9, 6, 6)),
+            ((-8, 2, 3, 8), (-8, 1, 7, 8)),
+        ],
+        # the first, second and fourth lines lie in the plane x1 - x2 + x3 = 0
+        [
+            ((-4, -9, -6, 3), (4, 4, 0, -4)),
+            ((9, -3, 1, 4), (-1, 0, 8, 8)),
+            ((-7, 8, -5, -5), (-1, 6, 9, 3)),
+            ((5, -5, 3, 8), (5, -6, -4, 2)),
+        ],
     ],
 )
 def test_four_lines_three_coplanar_is_infinite(pairs):
@@ -311,6 +451,31 @@ def test_four_lines_three_coplanar_is_infinite(pairs):
     # three in one point, so every line of that plane through it meets all four.
     lines = [line(p, q) for p, q in pairs]
     assert lines_meeting_four(*lines).infinite
+
+
+def test_four_lines_solver_needs_no_qnum_arithmetic(monkeypatch):
+    # a quadratic answer is built, validated and checked on its integer parts
+    rng = random.Random(3403)
+    solved = []
+    while len(solved) < 20:
+        lines = random_four_lines(rng)
+        result = lines_meeting_four(*lines)
+        if not result.infinite and not result.solutions[0][0].is_rational:
+            solved.append((lines, result))
+
+    def refuse(*args):
+        raise AssertionError("QNum arithmetic on the four-lines solver's path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(QNum, name, refuse)
+    with pytest.raises(AssertionError, match="QNum arithmetic"):
+        QNum(1, 1, 2) * 2
+    for lines, expected in solved:
+        result = lines_meeting_four(*lines)
+        assert result == expected
+        assert [repr(line) for line, _ in result.solutions] == [
+            repr(line) for line, _ in expected.solutions
+        ]
 
 
 def test_four_lines_tangent_gives_double_line():
