@@ -430,7 +430,8 @@ def test_four_lines_coplanar_is_infinite():
             ((1, -5, 5, 8), (-7, -5, 5, 9)),
             ((6, 1, -1, 4), (-8, -3, 3, 0)),
         ],
-        # the last three lines lie in the plane x0 = -x3
+        # the last three lines lie in the plane x0 = -x3 (perfbench four_lines,
+        # seed 106, round 1,516)
         [
             ((0, -2, 5, 9), (-9, 0, -6, -7)),
             ((9, 1, 8, -9), (1, 0, 2, -1)),
@@ -438,6 +439,7 @@ def test_four_lines_coplanar_is_infinite():
             ((-8, 2, 3, 8), (-8, 1, 7, 8)),
         ],
         # the first, second and fourth lines lie in the plane x1 - x2 + x3 = 0
+        # (perfbench four_lines, seed 106, round 1,768)
         [
             ((-4, -9, -6, 3), (4, 4, 0, -4)),
             ((9, -3, 1, 4), (-1, 0, 8, 8)),
