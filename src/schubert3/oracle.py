@@ -4,9 +4,10 @@ Everything runs over the rationals (or a quadratic extension when a
 discriminant is not a perfect square): points and lines carry canonical
 integer coordinates, incidence is the polarized Pluecker pairing, and the
 four-lines problem is solved by exact kernel computation plus one binary
-quadratic.  A line a + b*sqrt(d) is validated and checked on its two
-integer parts a and b: QNum never holds a square radicand, so
-x + y*sqrt(d) vanishes exactly when x and y both do.
+quadratic.  A line a + b*sqrt(d) is validated, paired and checked on its
+two integer parts a and b: QNum never holds a square radicand, so
+x + y*sqrt(d) vanishes exactly when x and y both do.  A QNum is the exact
+value of one coordinate, for printing and comparing only.
 
 Tangency counting for pencils restricts the surface to one
 line of the pencil at a time, by one Horner walk over the sorted terms of
@@ -66,13 +67,12 @@ def _rational(x) -> Rational:
 
 
 class QNum:
-    """Exact number a + b*sqrt(d) in a quadratic extension of the rationals.
+    """Exact value a + b*sqrt(d) of a coordinate in a quadratic extension of Q.
 
-    d may be negative; nothing here takes real parts.  Arithmetic mixes
-    freely with ints and Fractions, and two QNums can combine only when
-    their radicands agree; equality and hashing hold across radicands.  a
-    and b are ints whenever they are integral, and a radicand that is a
-    perfect square folds into a, so QNum(0, 1, 4) is 2.
+    It prints and compares but has no arithmetic: lines compute on their
+    integer parts.  d may be negative.  Equality and hashing hold across
+    radicands and with ints and Fractions.  a and b are ints when integral,
+    and a perfect-square radicand folds into a, so QNum(0, 1, 4) is 2.
     """
 
     __slots__ = ("a", "b", "d")
@@ -91,59 +91,12 @@ class QNum:
 
     @classmethod
     def _trusted(cls, a: Rational, b: Rational, d: int) -> "QNum":
-        """Arithmetic's result, unchecked: its radicand is 0 or already not a square."""
+        """A QNum from canonical parts, unchecked: d is 0 or already not a square."""
         q = object.__new__(cls)
         if not b or not d:
             b, d = 0, 0
-        q.a, q.b, q.d = _rational(a), _rational(b), d
+        q.a, q.b, q.d = a, b, d
         return q
-
-    def _coerce(self, other) -> "QNum | None":
-        if isinstance(other, QNum):
-            if self.d and other.d and self.d != other.d:
-                raise ValueError("cannot mix different quadratic extensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QNum(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QNum._trusted(self.a + other.a, self.b + other.b, self.d or other.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QNum._trusted(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if type(other) in (int, Fraction):  # a bool goes through _coerce, which refuses it
-            return QNum._trusted(self.a * other, self.b * other, self.d)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        d = self.d or other.d
-        return QNum._trusted(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> "QNum":
         return QNum._trusted(self.a, -self.b, self.d)
@@ -253,11 +206,12 @@ class PlueckerLine:
     """Line of projective 3-space in Pluecker coordinates.
 
     Coordinates are canonical coprime integers when rational; solutions of
-    a four-lines problem with irrational discriminant carry QNum entries
-    a + b*sqrt(d) over one radicand d instead.  Construction rejects vectors
-    off the Pluecker quadric, a quadratic one on its two integer parts:
-    Q(a) + d*Q(b) and the polar pairing of a and b must both vanish, which
-    is exact because QNum never holds a square radicand.
+    a four-lines problem with irrational discriminant carry a QNum
+    a + b*sqrt(d) in every entry, over one radicand d, instead.
+    Construction rejects vectors off the Pluecker quadric, a quadratic one
+    on its two integer parts: Q(a) + d*Q(b) and the polar pairing of a and
+    b must both vanish, which is exact because QNum never holds a square
+    radicand.
     """
 
     __slots__ = ("coords",)
@@ -291,17 +245,12 @@ class PlueckerLine:
     def __setattr__(self, name, value):
         raise AttributeError("PlueckerLine is immutable")
 
-    def quadric_value(self):
-        return _quadric_on(self.coords)
-
     @property
     def is_rational(self) -> bool:
-        return all(not isinstance(x, QNum) for x in self.coords)
+        return not isinstance(self.coords[0], QNum)
 
     def conjugate(self) -> "PlueckerLine":
-        return PlueckerLine(
-            [x.conjugate() if isinstance(x, QNum) else x for x in self.coords]
-        )
+        return self if self.is_rational else PlueckerLine([x.conjugate() for x in self.coords])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PlueckerLine) and self.coords == other.coords
@@ -327,9 +276,29 @@ def plucker_from_points(p: ProjectivePoint, q: ProjectivePoint) -> PlueckerLine:
     return PlueckerLine(wedge)
 
 
+def _integer_parts(line: PlueckerLine) -> tuple[Sequence[int], Sequence[int], int]:
+    """(a, b, d) with coordinates a + b*sqrt(d); a rational line has b = 0 and d = 0."""
+    coords = line.coords
+    if line.is_rational:
+        return coords, (0,) * 6, 0
+    return [x.a for x in coords], [x.b for x in coords], next(x.d for x in coords if x.d)
+
+
 def incidence_form(l1: PlueckerLine, l2: PlueckerLine):
-    """Polarized quadric pairing; zero exactly when the lines meet."""
-    return _polar_on(l1.coords, l2.coords)
+    """Polarized quadric pairing; zero exactly when the lines meet.
+
+    An int for two rational lines; otherwise a1 + b1*sqrt(d) and a2 + b2*sqrt(d)
+    pair to polar(a1, a2) + d*polar(b1, b2) + (polar(a1, b2) + polar(b1, a2))*sqrt(d).
+    """
+    (a1, b1, d1), (a2, b2, d2) = _integer_parts(l1), _integer_parts(l2)
+    if not (d1 or d2):
+        return _polar_on(a1, a2)
+    if d1 and d2 and d1 != d2:
+        raise ValueError("cannot mix different quadratic extensions")
+    d = d1 or d2
+    return QNum._trusted(
+        _polar_on(a1, a2) + d * _polar_on(b1, b2), _polar_on(a1, b2) + _polar_on(b1, a2), d
+    )
 
 
 class SolutionSet(namedtuple("SolutionSet", "infinite solutions")):
@@ -342,8 +311,11 @@ class SolutionSet(namedtuple("SolutionSet", "infinite solutions")):
     ) -> "SolutionSet":
         if infinite and solutions:
             raise ValueError("an infinite family carries no solution list")
-        if any(mult < 1 for _, mult in solutions):
-            raise ValueError("multiplicities must be positive")
+        for _, mult in solutions:
+            if type(mult) is not int:
+                raise ValueError(f"a multiplicity is an int, not {mult!r}")
+            if mult < 1:
+                raise ValueError("multiplicities must be positive")
         return tuple.__new__(cls, (infinite, solutions))
 
     @classmethod
@@ -379,7 +351,7 @@ def _rational_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
 def lines_meeting_four(
     l1: PlueckerLine, l2: PlueckerLine, l3: PlueckerLine, l4: PlueckerLine
 ) -> SolutionSet:
-    """All lines meeting four given pairwise distinct lines.
+    """All lines meeting four given pairwise distinct rational lines.
 
     The four incidence conditions are linear on the quadric; their exact
     rational kernel is intersected with the quadric.  A kernel of dimension
@@ -390,14 +362,13 @@ def lines_meeting_four(
     meets an input exactly when a and b both do (QNum's d is never a square).
     """
     lines = (l1, l2, l3, l4)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if lines[i] == lines[j]:
-                raise ValueError("the four lines must be pairwise distinct")
-    rows = []
     for line in lines:
-        p01, p02, p03, p23, p31, p12 = line.coords
-        rows.append((p23, p31, p12, p01, p02, p03))
+        if not line.is_rational:
+            raise ValueError(f"the four-lines solver takes rational lines, not {line}")
+    if len(set(lines)) < 4:
+        raise ValueError("the four lines must be pairwise distinct")
+    # the pairing with a line is the dot product with its swapped halves
+    rows = [line.coords[3:] + line.coords[:3] for line in lines]
     kernel = _rational_kernel(rows, 6)
     if len(kernel) != 2:
         return SolutionSet.infinite_family()
@@ -432,8 +403,7 @@ def lines_meeting_four(
                 pairs = [(line, 1), (line.conjugate(), 1)]
 
     for solution, _ in pairs:
-        coords = solution.coords
-        parts = [coords] if solution.is_rational else [[x.a for x in coords], [x.b for x in coords]]
+        parts = _integer_parts(solution)[:2]
         if any(_polar_on(part, line.coords) for part in parts for line in lines):
             raise AssertionError("solver produced a line missing an input line")
     result = SolutionSet.finite(pairs)

@@ -1,9 +1,10 @@
 """Plain exact references the tests recompute against: stdlib only.
 
 Rational elimination, canonical integer vectors, a fraction-free
-determinant, the graded ideal slice and integer ideal membership, written
-the straightforward way over Fractions, ints and plain {exponents:
-coefficient} dicts.  Nothing here imports schubert3, so a bug in the
+determinant, the graded ideal slice, integer ideal membership and the
+Pluecker quadric and pairing over Q(sqrt(d)), written the straightforward
+way over Fractions, ints, (a, b) pairs and plain {exponents: coefficient}
+dicts.  Nothing here imports schubert3, so a bug in the
 package's linear algebra or rings cannot agree with itself here.
 """
 
@@ -45,6 +46,42 @@ def canonical_int_vector(vec):
     sign = 1 if next(v for v in ints if v) > 0 else -1
     content = gcd(*ints)
     return tuple(sign * v // content for v in ints)
+
+
+def surd_add(x, y):
+    """Sum of two numbers of Q(sqrt(d)), each an (a, b) pair for a + b*sqrt(d)."""
+    return x[0] + y[0], x[1] + y[1]
+
+
+def surd_sub(x, y):
+    """Difference of two (a, b) pairs of Q(sqrt(d))."""
+    return x[0] - y[0], x[1] - y[1]
+
+
+def surd_mul(x, y, d):
+    """Product of two (a, b) pairs of Q(sqrt(d)): sqrt(d)*sqrt(d) = d."""
+    (a, b), (c, e) = x, y
+    return a * c + b * e * d, a * e + b * c
+
+
+def surd_pairing(u, v, d):
+    """Pluecker pairing of two 6-vectors of (a, b) pairs, as an (a, b) pair.
+
+    u01*v23 + u02*v31 + u03*v12 + u23*v01 + u31*v02 + u12*v03, one product
+    at a time.
+    """
+    total = (0, 0)
+    for i, j in ((0, 3), (1, 4), (2, 5), (3, 0), (4, 1), (5, 2)):
+        total = surd_add(total, surd_mul(u[i], v[j], d))
+    return total
+
+
+def surd_quadric(u, d):
+    """Pluecker quadric u01*u23 + u02*u31 + u03*u12 of a 6-vector of (a, b) pairs."""
+    total = (0, 0)
+    for i, j in ((0, 3), (1, 4), (2, 5)):
+        total = surd_add(total, surd_mul(u[i], u[j], d))
+    return total
 
 
 def reduce_vector(vec, rows, pivots):

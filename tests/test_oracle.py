@@ -11,13 +11,22 @@ from fractions import Fraction
 import hashlib
 from itertools import combinations
 from math import comb, isqrt
+from operator import add, mul, sub
 from pathlib import Path
 import random
 import re
 
 import pytest
 
-from reference import bareiss_det, canonical_int_vector, rank
+from reference import (
+    bareiss_det,
+    canonical_int_vector,
+    rank,
+    surd_mul,
+    surd_pairing,
+    surd_quadric,
+    surd_sub,
+)
 from schubert3 import checks, linalg, oracle
 from schubert3.linalg import resultant
 from schubert3.oracle import (
@@ -154,12 +163,13 @@ def test_quadric_refusal_is_pinned(coords, message):
     assert str(refused.value) == message
 
 
-def qnum_quadric(vec):
-    """The Pluecker quadric evaluated in QNum arithmetic, entry by entry."""
-    return vec[0] * vec[3] + vec[1] * vec[4] + vec[2] * vec[5]
+def surd_coords(line):
+    """A line's coordinates as (a, b) pairs for a + b*sqrt(d), and d (0 when rational)."""
+    d = next((c.d for c in line.coords if isinstance(c, QNum) and c.d), 0)
+    return [(c.a, c.b) if isinstance(c, QNum) else (c, 0) for c in line.coords], d
 
 
-def test_quadratic_lines_are_accepted_exactly_when_qnum_arithmetic_accepts():
+def test_quadratic_lines_are_accepted_exactly_when_the_reference_quadric_vanishes():
     rng = random.Random(3401)
     radicands = [d for d in range(-12, 40) if d and (d < 0 or isqrt(d) ** 2 != d)]
     verdicts = {"accepted": 0, "refused": 0}
@@ -168,28 +178,27 @@ def test_quadratic_lines_are_accepted_exactly_when_qnum_arithmetic_accepts():
         if trial % 3:
             # a wedge of two points over Q(sqrt(d)) lies on the quadric; a
             # near miss moves one integer of it
-            p, q = ([QNum(rng.randint(-5, 5), rng.randint(-5, 5), d) for _ in range(4)] for _ in "pq")
-            wedge = [p[i] * q[j] - p[j] * q[i] for i, j in WEDGE_PAIRS]
-            a, b = [x.a for x in wedge], [x.b for x in wedge]
+            p, q = ([(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)] for _ in "pq")
+            wedge = [surd_sub(surd_mul(p[i], q[j], d), surd_mul(p[j], q[i], d)) for i, j in WEDGE_PAIRS]
+            a, b = [x for x, _ in wedge], [y for _, y in wedge]
             if trial % 3 == 2:
                 (a, b)[rng.randrange(2)][rng.randrange(6)] += rng.choice((-1, 1))
         else:
             a, b = ([rng.randint(-3, 3) for _ in range(6)] for _ in "ab")
         if not any(b):
             continue
-        vec = [QNum(x, y, d) for x, y in zip(a, b)]
-        accepted = qnum_quadric(vec) == 0
+        accepted = surd_quadric(list(zip(a, b)), d) == (0, 0)
+        ints = canonical_int_vector([c for pair in zip(a, b) for c in pair])
+        canonical = list(zip(ints[::2], ints[1::2]))
         try:
-            line = PlueckerLine(vec)
+            line = PlueckerLine([QNum(x, y, d) for x, y in zip(a, b)])
         except ValueError as refused:
-            assert not accepted, vec
-            ints = canonical_int_vector([c for pair in zip(a, b) for c in pair])
-            canonical = [QNum(x, y, d) for x, y in zip(ints[::2], ints[1::2])]
-            assert str(refused) == OFF_QUADRIC + str(qnum_quadric(canonical))
+            assert not accepted, (a, b, d)
+            assert str(refused) == OFF_QUADRIC + str(QNum(*surd_quadric(canonical, d), d))
             verdicts["refused"] += 1
         else:
-            assert accepted, vec
-            assert line.quadric_value() == qnum_quadric(line.coords) == 0
+            assert accepted, (a, b, d)
+            assert surd_coords(line) == (canonical, d)
             verdicts["accepted"] += 1
     assert min(verdicts.values()) > 300, verdicts
 
@@ -263,31 +272,25 @@ def test_incidence_form_matches_determinant():
 
 
 def test_qnum_arithmetic():
+    # conjugation is the only arithmetic QNum keeps
     x = QNum(1, 2, 5)
-    y = QNum(3, -1, 5)
-    assert x + y == QNum(4, 1, 5)
-    assert x * y == QNum(3 - 10, 6 - 1, 5)
-    assert x - x == 0
-    assert x.conjugate() == QNum(1, -2, 5)
-    assert (x * x.conjugate()) == 1 - 4 * 5
-    assert QNum(Fraction(1, 2)) + Fraction(1, 2) == 1
+    assert x.conjugate() == QNum(1, -2, 5) and x.conjugate().conjugate() == x
+    assert QNum(7).conjugate() == 7 and QNum(Fraction(1, 2), 1, 3).conjugate().a == Fraction(1, 2)
     assert str(QNum(1, 2, 5)) == "1 + 2*sqrt(5)"
     assert str(QNum(0, -1, -11)) == "-sqrt(-11)"
     assert str(QNum(Fraction(1, 2), Fraction(-1, 3), 2)) == "1/2 - 1/3*sqrt(2)"
-    with pytest.raises(ValueError):
-        QNum(0, 1, 2) * QNum(0, 1, 3)
     # integral parts stay ints; only genuine fractions become Fraction
     assert type(QNum(Fraction(4, 2)).a) is int
-    half = QNum(Fraction(4, 2), Fraction(6, 3), 7) * Fraction(1, 2)
-    assert (type(half.a), type(half.b)) == (int, int)
-    assert half == QNum(1, 1, 7)
+    whole = QNum(Fraction(4, 2), Fraction(6, 3), 7)
+    assert (type(whole.a), type(whole.b)) == (int, int)
+    assert whole == QNum(2, 2, 7)
     assert type(QNum("1/2").a) is Fraction
-    # a result that turns rational leaves its radicand behind
-    zero = QNum(1, 2, 5) - QNum(1, 2, 5)
-    assert (zero.b, zero.d) == (0, 0) and zero + QNum(1, 1, 3) == QNum(1, 1, 3)
+    # a value with no radical part keeps no radicand
+    zero = QNum(1, 0, 5)
+    assert (zero.b, zero.d) == (0, 0) and zero == 1
     assert repr(QNum(3, -1, 5)) == "QNum(3, -1, 5)"
-    # the solver's checks (q != 0 on the quadric, incidence_form(...) != 0)
-    # go through equality, so a differing radical part must count
+    # the PlueckerLine quadric refusal (q != 0) goes through equality, so a
+    # differing radical part must count
     assert QNum(1, 2, 5) != QNum(1, 3, 5)
     assert QNum(1, 2, 5) != 1
 
@@ -304,9 +307,6 @@ def test_qnum_equality_is_total_and_hashes_agree():
     half = Fraction(1, 2)
     assert QNum(half) == half and hash(QNum(half)) == hash(half)
     assert QNum(1, 1, 2) != 1 and QNum(0) == 0
-    # arithmetic still refuses to mix radicands
-    with pytest.raises(ValueError, match="different quadratic extensions"):
-        QNum(1, 1, 2) + QNum(1, 1, 3)
 
     def radicand(line):
         return next(c.d for c in line.coords if c.d)
@@ -322,6 +322,9 @@ def test_qnum_equality_is_total_and_hashes_agree():
     assert radicand(line_a) != radicand(line_b)
     assert line_a != line_b and line_a == found[0]
     assert len({line_a, line_b, found[1]}) == 3
+    # pairing them would leave both extensions, so it is refused
+    with pytest.raises(ValueError, match="^cannot mix different quadratic extensions$"):
+        incidence_form(line_a, line_b)
 
 
 def test_qnum_folds_a_perfect_square_radicand():
@@ -331,7 +334,10 @@ def test_qnum_folds_a_perfect_square_radicand():
     # equality is transitive again: sqrt(4), 2*sqrt(1) and 2 are one number
     assert QNum(0, 1, 4) == QNum(0, 2, 1) == 2 == QNum(0, 1, 4)
     assert QNum(0, -1, 4) == -2 and QNum(1, 1, -4) != -1
-    assert QNum(0, 1, 4) + QNum(0, 1, 2) == QNum(2, 1, 2)
+    # a folded radicand is gone, so it mixes with any other in one line
+    line = PlueckerLine([QNum(0, 1, 4), QNum(0, 1, 2), 0, 0, 0, 0])
+    assert line.coords == (2, QNum(0, 1, 2), 0, 0, 0, 0)
+    assert [c.d for c in line.coords] == [0, 2, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("bad", [True, False, 0.5, 0.1, 1.0])
@@ -345,9 +351,7 @@ def test_oracle_refuses_inexact_numbers(bad):
     refused(lambda: QNum(bad))
     refused(lambda: QNum(1, bad, 2))
     refused(lambda: QNum(1, 1, bad))
-    if type(bad) is bool:  # a float is no operand at all, so it raises TypeError
-        refused(lambda: QNum(1, 1, 2) * bad)
-        refused(lambda: QNum(1, 1, 2) + bad)
+    refused(lambda: SolutionSet(False, ((ruling(1, 0), bad),)))
     refused(lambda: SurfaceForm({(1, 0, 0, 0): bad, (0, 1, 0, 0): 1}))
     f = SurfaceForm({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1})
     refused(lambda: f.value([bad, 0, 0, 1]))
@@ -455,29 +459,69 @@ def test_four_lines_three_coplanar_is_infinite(pairs):
     assert lines_meeting_four(*lines).infinite
 
 
-def test_four_lines_solver_needs_no_qnum_arithmetic(monkeypatch):
-    # a quadratic answer is built, validated and checked on its integer parts
+def test_four_lines_solver_needs_no_qnum_arithmetic():
+    # QNum has no +, - or *: a quadratic answer is built, validated and
+    # checked on its integer parts
+    x = QNum(1, 1, 2)
+    for other in (x, QNum(1, 1, 3), 2, Fraction(1, 2)):
+        for operation in (add, sub, mul):
+            for left, right in ((x, other), (other, x)):
+                with pytest.raises(TypeError):
+                    operation(left, right)
+    with pytest.raises(TypeError):
+        -x
     rng = random.Random(3403)
-    solved = []
-    while len(solved) < 20:
+    solved = 0
+    while solved < 20:
+        result = lines_meeting_four(*random_four_lines(rng))
+        if result.infinite or result.solutions[0][0].is_rational:
+            continue
+        solved += 1
+        # a quadratic line holds a QNum with int parts in every entry
+        for line, _ in result.solutions:
+            assert all(type(c) is QNum and type(c.a) is type(c.b) is int for c in line.coords)
+
+
+def test_four_lines_refuses_a_quadratic_input_line():
+    rng = random.Random(3405)
+    while True:
         lines = random_four_lines(rng)
         result = lines_meeting_four(*lines)
         if not result.infinite and not result.solutions[0][0].is_rational:
-            solved.append((lines, result))
+            break
+    for solution, _ in result.solutions:
+        for k in range(4):
+            given = [*lines[:k], solution, *lines[k + 1 :]]
+            with pytest.raises(ValueError) as refused:
+                lines_meeting_four(*given)
+            assert str(refused.value) == f"the four-lines solver takes rational lines, not {solution}"
 
-    def refuse(*args):
-        raise AssertionError("QNum arithmetic on the four-lines solver's path")
 
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(QNum, name, refuse)
-    with pytest.raises(AssertionError, match="QNum arithmetic"):
-        QNum(1, 1, 2) * 2
-    for lines, expected in solved:
+def test_incidence_form_pairs_quadratic_lines_on_integer_parts():
+    root2 = PlueckerLine([QNum(0, 1, 2), 0, 0, 0, 0, 0])
+    p23 = PlueckerLine([0, 0, 0, 1, 0, 0])
+    assert str(incidence_form(root2, p23)) == str(incidence_form(p23, root2)) == "sqrt(2)"
+    assert incidence_form(root2, root2) == 0
+    with pytest.raises(ValueError, match="^cannot mix different quadratic extensions$"):
+        incidence_form(root2, PlueckerLine([QNum(0, 1, 3), 0, 0, 0, 0, 0]))
+    rng = random.Random(3404)
+    quadratic = 0
+    while quadratic < 40:
+        lines = random_four_lines(rng)
+        value = incidence_form(lines[0], lines[1])
+        assert type(value) is int
+        assert (value, 0) == surd_pairing(*(surd_coords(line)[0] for line in lines[:2]), 0)
         result = lines_meeting_four(*lines)
-        assert result == expected
-        assert [repr(line) for line, _ in result.solutions] == [
-            repr(line) for line, _ in expected.solutions
-        ]
+        if result.infinite or result.solutions[0][0].is_rational:
+            continue
+        quadratic += 1
+        line, conjugate = (solution for solution, _ in result.solutions)
+        x, d = surd_coords(line)
+        for other in (*lines, conjugate, line):
+            a, b = surd_pairing(x, surd_coords(other)[0], d)
+            for value in (incidence_form(line, other), incidence_form(other, line)):
+                assert type(value) is QNum
+                assert (value.a, value.b, value.d) == (a, b, d if b else 0)
 
 
 def test_four_lines_tangent_gives_double_line():
@@ -511,9 +555,10 @@ def test_four_lines_random_conservation():
         finite += 1
         assert result.total_multiplicity == 2
         for solution, _ in result.solutions:
+            x, d = surd_coords(solution)
             for given in lines:
-                assert incidence_form(solution, given) == 0
-            assert solution.quadric_value() == 0
+                assert surd_pairing(x, surd_coords(given)[0], d) == (0, 0)
+            assert surd_quadric(x, d) == (0, 0)
         irrational = [ln for ln, _ in result.solutions if not ln.is_rational]
         if irrational:
             assert len(irrational) == 2
@@ -544,14 +589,6 @@ def read_printed(text):
     a, sign, minus, b, d = _SURD.fullmatch(text).groups()
     b = Fraction(b or 1)
     return Fraction(a or 0), -b if sign == "-" or minus else b, int(d)
-
-
-def surd_pairing(x, y, d):
-    """The Pluecker pairing of two vectors of (a, b) pairs in Q(sqrt(d)), as (a, b)."""
-    dual = [y[3], y[4], y[5], y[0], y[1], y[2]]
-    a = sum(xa * ya + xb * yb * d for (xa, xb), (ya, yb) in zip(x, dual))
-    b = sum(xa * yb + xb * ya for (xa, xb), (ya, yb) in zip(x, dual))
-    return a, b
 
 
 def check_printed_solutions(lines, result):

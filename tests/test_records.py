@@ -1,6 +1,7 @@
 """The immutable record types: construction, validation, equality and repr."""
 
 import ast
+from fractions import Fraction
 import random
 from pathlib import Path
 
@@ -124,7 +125,14 @@ def test_records_validate_their_fields():
     with pytest.raises(ValueError, match=r"^generator 'g': degree must be a positive integer$"):
         GeneratorSpec(name="g", degree=0)
     line = random_four_lines(random.Random(3))[0]
-    with pytest.raises(ValueError, match=r"^multiplicities must be positive$"):
-        SolutionSet(False, ((line, 0),))
+    for mult in (0, -1):
+        with pytest.raises(ValueError, match=r"^multiplicities must be positive$"):
+            SolutionSet(False, ((line, 1), (line, mult)))
+    # True would count as 1 and 1.0 would make the total 2.0
+    for mult, shown in ((True, "True"), (1.0, "1.0"), (Fraction(1), r"Fraction\(1, 1\)"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=rf"^a multiplicity is an int, not {shown}$"):
+            SolutionSet(False, ((line, 1), (line, mult)))
+    with pytest.raises(ValueError, match=r"^a multiplicity is an int, not True$"):
+        SolutionSet(False, ((line, True), (line, 1.0)))
     with pytest.raises(ValueError, match=r"^an infinite family carries no solution list$"):
         SolutionSet(infinite=True, solutions=((line, 1),))

@@ -12,7 +12,20 @@ import random
 
 import pytest
 
-from reference import bareiss_det, hermite_echelon, ideal_slice, in_ideal, rank, reduce_vector, rref
+from reference import (
+    bareiss_det,
+    hermite_echelon,
+    ideal_slice,
+    in_ideal,
+    rank,
+    reduce_vector,
+    rref,
+    surd_add,
+    surd_mul,
+    surd_pairing,
+    surd_quadric,
+    surd_sub,
+)
 
 HERE = Path(__file__).parent
 
@@ -125,3 +138,53 @@ def test_hermite_echelon_pivots_multiply_to_the_determinant():
         for col, row in echelon:
             product *= row[col]
         assert (product if len(echelon) == n else 0) == abs(bareiss_det(matrix)), matrix
+
+
+def norm(x, d):
+    """a^2 - d*b^2, the product of a + b*sqrt(d) and its conjugate."""
+    a, b = x
+    return a * a - d * b * b
+
+
+def test_surd_arithmetic_on_hand_worked_values():
+    assert surd_mul((1, 1), (1, -1), 2) == (-1, 0)  # (1 + sqrt(2))(1 - sqrt(2))
+    assert surd_mul((1, 1), (1, 1), 2) == (3, 2)  # (1 + sqrt(2))^2 = 3 + 2*sqrt(2)
+    assert surd_mul((0, 1), (0, 1), -3) == (-3, 0)
+    # (1/2 + 3*sqrt(5))(2 - sqrt(5)/3) = 1 - 5 + (-1/6 + 6)*sqrt(5)
+    assert surd_mul((Fraction(1, 2), 3), (2, Fraction(-1, 3)), 5) == (-4, Fraction(35, 6))
+    assert surd_add((1, 2), (3, -2)) == (4, 0)
+    assert surd_sub((1, 2), (Fraction(1, 2), 2)) == (Fraction(1, 2), 0)
+
+
+def test_surd_norm_is_multiplicative():
+    rng = random.Random(3406)
+
+    def surd():
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in "ab")
+
+    for _ in range(200):
+        d = rng.choice([-7, -3, -1, 2, 3, 5, 6, 10])
+        x, y = surd(), surd()
+        assert norm(surd_mul(x, y, d), d) == norm(x, d) * norm(y, d)
+        assert surd_mul(x, (x[0], -x[1]), d) == (norm(x, d), 0)
+        assert surd_mul(x, y, d) == surd_mul(y, x, d)
+
+
+def test_surd_pairing_and_quadric_on_hand_worked_lines():
+    # p01 = 1 + sqrt(2) and p23 = 1 - sqrt(2): the quadric is their product
+    u = [(1, 1), (0, 0), (0, 0), (1, -1), (0, 0), (0, 0)]
+    assert surd_quadric(u, 2) == (-1, 0)
+    assert surd_pairing(u, u, 2) == (-2, 0)
+    # against the rational line p23 = 1, only p01 pairs
+    assert surd_pairing(u, [(0, 0)] * 3 + [(1, 0)] + [(0, 0)] * 2, 2) == (1, 1)
+    # a wedge of two points over Q(sqrt(d)) lies on the quadric
+    rng = random.Random(3407)
+    wedge_pairs = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+    for _ in range(100):
+        d = rng.choice([-5, 2, 3, 7])
+        p, q = ([(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)] for _ in "pq")
+        w = [surd_sub(surd_mul(p[i], q[j], d), surd_mul(p[j], q[i], d)) for i, j in wedge_pairs]
+        assert surd_quadric(w, d) == (0, 0)
+        v = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(6)]
+        assert surd_pairing(v, v, d) == surd_add(surd_quadric(v, d), surd_quadric(v, d))
+        assert surd_pairing(v, w, d) == surd_pairing(w, v, d)
