@@ -3,7 +3,8 @@
 Everything runs over the rationals (or a quadratic extension when a
 discriminant is not a perfect square): points and lines carry canonical
 integer coordinates, incidence is the polarized Pluecker pairing, and the
-four-lines problem is solved by exact kernel computation plus one binary
+four-lines problem is solved by Cramer's rule on the 4 x 4 minors of the
+incidence rows, each a Laplace expansion in 2 x 2 minors, plus one binary
 quadratic.  A line a + b*sqrt(d) is validated, paired and checked on its
 two integer parts a and b: QNum never holds a square radicand, so
 x + y*sqrt(d) vanishes exactly when x and y both do.  A QNum is the exact
@@ -13,23 +14,23 @@ Tangency counting for pencils restricts the surface to one
 line of the pencil at a time, by one Horner walk over the sorted terms of
 f at a Kronecker point whose base-2^k digits are the integer binary form,
 and takes the resultant of that form with its derivative over the
-integers: a vanishing discriminant is a certified double root, not a
-numerical coincidence, and the first nonzero one certifies the count
-n(n-1).  The discriminant is never expanded in the pencil parameter: the
-count needs only one of its values.  Nothing here uses the symbolic rings.
+integers, by the subresultant remainder sequence (`resultant`): a
+vanishing discriminant is a certified double root, not a numerical
+coincidence, and the first nonzero one certifies the count n(n-1).  The
+discriminant is never expanded in the pencil parameter: the count needs
+only one of its values.  Nothing here imports from the rest of the
+package, so the symbolic rings and this check share no routine.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd, isqrt, lcm
 from operator import mul
 import random
 from typing import Iterable, Mapping, Sequence, Union
-
-from .linalg import resultant, rref
 
 __all__ = [
     "DegeneratePencil",
@@ -48,6 +49,7 @@ __all__ = [
     "random_pencil_instance",
     "random_projective_point",
     "random_surface_form",
+    "resultant",
 ]
 
 Rational = Union[int, Fraction]
@@ -311,7 +313,9 @@ class SolutionSet(namedtuple("SolutionSet", "infinite solutions")):
     ) -> "SolutionSet":
         if infinite and solutions:
             raise ValueError("an infinite family carries no solution list")
-        for _, mult in solutions:
+        for line, mult in solutions:
+            if not isinstance(line, PlueckerLine):
+                raise ValueError(f"a solution is a PlueckerLine, not {line!r}")
             if type(mult) is not int:
                 raise ValueError(f"a multiplicity is an int, not {mult!r}")
             if mult < 1:
@@ -331,21 +335,55 @@ class SolutionSet(namedtuple("SolutionSet", "infinite solutions")):
         return sum(mult for _, mult in self.solutions)
 
 
-def _rational_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Canonical integer basis of the right kernel, one vector per free column."""
-    mat, pivots = rref(rows, ncols)
-    # scaling by the lcm of the pivot entries keeps the kernel vectors integral
-    common = lcm(*(row[pc] for row, pc in zip(mat, pivots)))
+def _four_lines_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Canonical integer kernel basis of a 4 x 6 matrix of rank 4, by Cramer's rule.
+
+    The pivot columns T are the first column set, in lexicographic order,
+    with a nonzero 4 x 4 minor, as in the reduced row echelon form.  Each
+    free column j gives U = sorted(T + (j,)) and the generalized cross
+    product v[U[k]] = (-1)^k minor(U without U[k]), which annihilates every
+    row and vanishes on the other free column.  Empty below rank 4.
+    """
+    r0, r1, r2, r3 = rows
+    top = {(i, j): r0[i] * r1[j] - r0[j] * r1[i] for i, j in combinations(range(6), 2)}
+    low = {(i, j): r2[i] * r3[j] - r2[j] * r3[i] for i, j in combinations(range(6), 2)}
+
+    def minor(a: int, b: int, c: int, d: int) -> int:
+        # Laplace expansion along rows {0, 1} and {2, 3}: complementary 2 x 2 minors
+        return (
+            top[a, b] * low[c, d]
+            - top[a, c] * low[b, d]
+            + top[a, d] * low[b, c]
+            + top[b, c] * low[a, d]
+            - top[b, d] * low[a, c]
+            + top[c, d] * low[a, b]
+        )
+
+    pivots = next((cols for cols in combinations(range(6), 4) if minor(*cols)), None)
+    if pivots is None:
+        return []
     basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        v = [0] * ncols
-        v[j] = common
-        for row, pc in zip(mat, pivots):
-            v[pc] = -row[j] * (common // row[pc])
+    for j in sorted(set(range(6)) - set(pivots)):
+        cols = sorted(pivots + (j,))
+        v = [0] * 6
+        for k, col in enumerate(cols):
+            v[col] = (-1) ** k * minor(*cols[:k], *cols[k + 1 :])
         basis.append(_canonical_int_vector(v))
     return basis
+
+
+def _plane_kernel(dual: Sequence[int]) -> list[tuple[int, ...]]:
+    """Canonical basis dual[p]*e_j - dual[j]*e_p, j != p ascending, of the plane dual.x = 0.
+
+    p is the first column where dual is nonzero, so each vector is zero on
+    the other free columns.
+    """
+    p = next(j for j, x in enumerate(dual) if x)
+    return [
+        _canonical_int_vector([dual[p] if i == j else -dual[j] if i == p else 0 for i in range(4)])
+        for j in range(4)
+        if j != p
+    ]
 
 
 def lines_meeting_four(
@@ -369,7 +407,7 @@ def lines_meeting_four(
         raise ValueError("the four lines must be pairwise distinct")
     # the pairing with a line is the dot product with its swapped halves
     rows = [line.coords[3:] + line.coords[:3] for line in lines]
-    kernel = _rational_kernel(rows, 6)
+    kernel = _four_lines_kernel(rows)
     if len(kernel) != 2:
         return SolutionSet.infinite_family()
     va, vb = kernel
@@ -485,10 +523,11 @@ def _plane_frame(
     v = point.coords
     if sum(d * x for d, x in zip(dual, v)) != 0:
         raise ValueError("the vertex must lie on the plane")
-    # one kernel vector per free column, zero on the other free columns; V
-    # lies on the plane, so it is nonzero on some free column, and dropping
-    # the kernel vector of the last such column leaves a completion of V
-    kernel = _rational_kernel([dual], 4)
+    # one kernel vector dual[p]*e_j - dual[j]*e_p per free column j, zero on
+    # the other free columns; V lies on the plane, so it is nonzero on some
+    # free column, and dropping the kernel vector of the last such column
+    # leaves a completion of V
+    kernel = _plane_kernel(dual)
     pivot = next(j for j, x in enumerate(dual) if x)
     free = [j for j in range(4) if j != pivot]
     drop = max(i for i, col in enumerate(free) if v[col])
@@ -546,6 +585,49 @@ def _line_section(f: SurfaceForm, v: Sequence[int], w: Sequence[int]) -> list[in
         digits.append(digit)
         value = (value - digit) >> k
     return digits[::-1]
+
+
+def resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Resultant of two integer polynomials: the determinant of their Sylvester matrix.
+
+    a and b are descending coefficient lists with nonzero leading
+    coefficients.  The subresultant remainder sequence (Collins 1967;
+    Brown-Traub 1971; Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 3.3.7) replaces each a by the pseudo-remainder of a by b,
+    divided exactly by g*h^delta, which keeps every entry the size of a
+    subresultant.  Res(a, b) = (-1)^(deg a deg b) Res(b, a), a zero
+    remainder means a common factor and resultant 0, and the last step
+    reads the resultant off the leading coefficient of the constant b.
+    """
+    if not a or not b or not a[0] or not b[0]:
+        raise ValueError("both polynomials need a nonzero leading coefficient")
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    g = h = 1
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        delta = m - n
+        if m * n % 2:
+            sign = -sign
+        # pseudo-remainder: b[0]^(delta+1) * a mod b
+        lead, tail = b[0], b[1:]
+        r = list(a)
+        for _ in range(delta + 1):
+            q = r[0]
+            r = [lead * x - q * y for x, y in zip(r[1:], tail)] + [lead * x for x in r[n + 1 :]]
+        top = next((i for i, c in enumerate(r) if c), None)
+        if top is None:
+            return 0
+        divisor = g * h**delta
+        a, b = b, [c // divisor for c in r[top:]]
+        g = a[0]
+        # h^(1 - delta) * g^delta, written so that delta = 0 stays integral
+        h = g**delta * h // h**delta
+    m = len(a) - 1
+    return sign * (b[0] ** m * h // h**m)
 
 
 def pencil_tangency_count(
@@ -644,7 +726,7 @@ def random_pencil_instance(
         plane = [rng.randint(-5, 5) for _ in range(4)]
         if not any(plane):
             continue
-        basis = _rational_kernel([_canonical_int_vector(plane)], 4)
+        basis = _plane_kernel(plane)
         weights = [rng.randint(-3, 3) for _ in basis]
         coords = [sum(w * b[i] for w, b in zip(weights, basis)) for i in range(4)]
         if not any(coords):

@@ -9,14 +9,13 @@ slice.
 """
 
 from fractions import Fraction
-import math
 import random
 import re
 
 import pytest
 
 import reference
-from schubert3 import coincidence, linalg, spaces
+from schubert3 import coincidence, spaces
 from schubert3.coincidence import (
     bitangent_derivation,
     blowup_ring,
@@ -47,35 +46,6 @@ def free_relation_ideal():
         (0, 4, 0): 1, (0, 3, 1): 1, (0, 2, 2): 1, (0, 1, 3): 1, (0, 0, 4): 1,
     }
     return [{(1, 1, 0): 1, (1, 0, 1): -1}, rel3, rel4, {(0, 4, 0): 1}, {(0, 0, 4): 1}]
-
-
-def random_integer_matrix(rng, nrows, ncols, rank):
-    """Product of random nrows x rank and rank x ncols integer matrices."""
-    left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(nrows)]
-    right = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rank)]
-    return [
-        [sum(row[k] * right[k][j] for k in range(rank)) for j in range(ncols)] for row in left
-    ]
-
-
-def test_fraction_free_rref_matches_rational_reference():
-    """linalg.rref is the reference rational rref, each row scaled to primitive integers."""
-    rng = random.Random(20)
-    deficient = 0
-    for _ in range(300):
-        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
-        matrix = random_integer_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
-        rows, pivots = linalg.rref(matrix, ncols)
-        ref_rows, ref_pivots = reference.rref(matrix, ncols)
-        assert pivots == ref_pivots
-        deficient += len(pivots) < nrows
-        for row, pc, ref_row in zip(rows, pivots, ref_rows):
-            assert all(type(x) is int for x in row)
-            assert math.gcd(*row) == 1
-            assert row[pc] > 0
-            assert all(row[other] == 0 for other in pivots if other != pc)
-            assert [Fraction(x, row[pc]) for x in row] == ref_row
-    assert deficient > 50
 
 
 def test_canonical_form_rules():

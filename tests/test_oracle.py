@@ -22,13 +22,13 @@ from reference import (
     bareiss_det,
     canonical_int_vector,
     rank,
+    rref,
     surd_mul,
     surd_pairing,
     surd_quadric,
     surd_sub,
 )
 from schubert3 import checks, linalg, oracle
-from schubert3.linalg import resultant
 from schubert3.oracle import (
     DegeneratePencil,
     PlueckerLine,
@@ -45,6 +45,7 @@ from schubert3.oracle import (
     random_pencil_instance,
     random_projective_point,
     random_surface_form,
+    resultant,
 )
 
 
@@ -360,20 +361,64 @@ def test_oracle_refuses_inexact_numbers(bad):
     assert QNum("1/2").a == Fraction(1, 2) and ProjectivePoint(["2", 4, 0, 0]) == point(1, 2, 0, 0)
 
 
+def random_integer_matrix(rng, nrows, ncols, rank):
+    """Product of random nrows x rank and rank x ncols integer matrices."""
+    left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rank)]
+    return [
+        [sum(row[k] * right[k][j] for k in range(rank)) for j in range(ncols)] for row in left
+    ]
+
+
+def reference_kernel(rows, ncols):
+    """Canonical kernel basis read off the reference rref, one vector per free column."""
+    echelon, pivots = rref(rows, ncols)
+    basis = []
+    for j in range(ncols):
+        if j not in pivots:
+            v = [0] * ncols
+            v[j] = 1
+            for row, pc in zip(echelon, pivots):
+                v[pc] = -row[j]
+            basis.append(canonical_int_vector(v))
+    return basis
+
+
 def test_rational_kernel_annihilates_its_rows():
+    # Cramer's rule on 4 x 6 matrices of every rank 0-4, some with zeroed
+    # columns so that the pivot columns are not (0, 1, 2, 3), and the plane
+    # kernel of one row, each equal to the kernel of the reference rref;
+    # below rank 4 the four-lines kernel is empty (an infinite family)
     rng = random.Random(8)
+    cases = []
+    for r in range(5):
+        for _ in range(80):
+            rows = random_integer_matrix(rng, 4, 6, r)
+            for col in rng.sample(range(6), rng.randint(0, 2)):
+                for row in rows:
+                    row[col] = 0
+            cases.append((rows, 6, oracle._four_lines_kernel))
     for _ in range(200):
-        ncols = rng.randint(2, 7)
-        rows = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(rng.randint(1, ncols))]
-        if rng.random() < 0.3:
-            rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
-        kernel = oracle._rational_kernel(rows, ncols)
-        assert len(kernel) == ncols - rank(rows)
-        if kernel:
-            assert rank(kernel) == len(kernel)
+        row = [rng.choice([0, 0, rng.randint(-6, 6)]) for _ in range(4)]
+        if any(row):
+            cases.append(([row], 4, lambda rows: oracle._plane_kernel(rows[0])))
+    ranks, pivots = set(), set()
+    for rows, ncols, kernel_of in cases:
+        kernel = kernel_of(rows)
+        r = rank(rows)
+        ranks.add((ncols, r))
+        if ncols == 6 and r < 4:
+            assert kernel == []
+            continue
+        pivots.add(tuple(rref(rows, ncols)[1]))
+        assert kernel == reference_kernel(rows, ncols)
+        assert len(kernel) == ncols - r
+        assert rank(kernel) == len(kernel)
         for v in kernel:
             assert all(type(x) is int for x in v)
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    assert ranks == {(6, r) for r in range(5)} | {(4, 1)}
+    assert len(pivots) > 10
 
 
 def test_four_lines_tetrahedron():
@@ -890,32 +935,28 @@ def test_generators_reject_nonpositive_degree():
         random_pencil_instance(random.Random(0), 0)
 
 
-def test_oracle_imports_no_symbolic_ring():
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    relative = {
-        node.module
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level
-    }
-    assert relative == {"linalg"}
+def test_oracle_and_rings_share_no_import():
+    # the oracle imports nothing from the package and no ring imports the
+    # oracle, so a count and its check share no routine; linalg keeps only
+    # the rings' elimination
+    package = Path(oracle.__file__).parent
 
+    def imported(name):
+        """Each import of a module, as (level, dotted parts of module and name)."""
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield 0, alias.name.split(".")
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    yield node.level, [*(node.module or "").split("."), alias.name]
 
-def test_linalg_routines_stay_on_their_side():
-    # only the oracle eliminates with rref and resultant, and it never uses
-    # the rings' integer echelon: a count and its check share no routine;
-    # every routine in linalg belongs to one side, so none lacks a caller
-    oracle_side = {"rref", "resultant"}
-    ring_side = {"int_echelon", "reduce_mod_echelon"}
-    assert set(linalg.__all__) == oracle_side | ring_side
-    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
-        imported = {
-            alias.name
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.ImportFrom) and node.level and node.module == "linalg"
-            for alias in node.names
-        }
-        forbidden = ring_side if path.stem == "oracle" else oracle_side
-        assert not imported & forbidden, path.name
+    for level, parts in imported("oracle"):
+        assert not level and parts[0] != "schubert3", parts
+    for ring in ("graded_ring", "spaces", "dsl", "linalg", "coincidence"):
+        for _, parts in imported(ring):
+            assert "oracle" not in parts, (ring, parts)
+    assert linalg.__all__ == ["int_echelon", "reduce_mod_echelon"]
 
 
 def test_tests_check_the_rings_eliminations_only_through_the_reference():

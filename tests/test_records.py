@@ -4,6 +4,7 @@ import ast
 from fractions import Fraction
 import random
 from pathlib import Path
+import re
 
 import pytest
 
@@ -136,3 +137,16 @@ def test_records_validate_their_fields():
         SolutionSet(False, ((line, True), (line, 1.0)))
     with pytest.raises(ValueError, match=r"^an infinite family carries no solution list$"):
         SolutionSet(infinite=True, solutions=((line, 1),))
+
+
+def test_solution_set_refuses_a_non_line():
+    # strings, None and bare coordinates would count toward total_multiplicity
+    line = random_four_lines(random.Random(3))[0]
+    for bad in ("not a line", None, line.coords):
+        refusal = f"^a solution is a PlueckerLine, not {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=refusal):
+            SolutionSet(False, ((line, 1), (bad, 1)))
+    with pytest.raises(ValueError, match=r"^a solution is a PlueckerLine, not 'not a line'$"):
+        SolutionSet(False, (("not a line", 1), (None, 1)))
+    with pytest.raises(ValueError, match=r"^a solution is a PlueckerLine, not None$"):
+        SolutionSet.finite([(None, 2)])
