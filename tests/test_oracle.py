@@ -935,26 +935,30 @@ def test_generators_reject_nonpositive_degree():
         random_pencil_instance(random.Random(0), 0)
 
 
-def test_oracle_and_rings_share_no_import():
-    # the oracle imports nothing from the package and no ring imports the
-    # oracle, so a count and its check share no routine; linalg keeps only
-    # the rings' elimination
-    package = Path(oracle.__file__).parent
+def imported_names(module):
+    """Each import of a package module, as (level, dotted parts of module and name)."""
+    path = Path(oracle.__file__).parent / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield 0, alias.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.level, [*(node.module or "").split("."), alias.name]
 
-    def imported(name):
-        """Each import of a module, as (level, dotted parts of module and name)."""
-        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    yield 0, alias.name.split(".")
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    yield node.level, [*(node.module or "").split("."), alias.name]
 
-    for level, parts in imported("oracle"):
+def test_oracle_imports_no_symbolic_ring():
+    # the oracle imports nothing from the package, so a count and its check
+    # share no routine
+    for level, parts in imported_names("oracle"):
         assert not level and parts[0] != "schubert3", parts
+
+
+def test_linalg_routines_stay_on_their_side():
+    # linalg keeps only the rings' elimination, and no ring imports the
+    # oracle, so each side eliminates with its own routines
     for ring in ("graded_ring", "spaces", "dsl", "linalg", "coincidence"):
-        for _, parts in imported(ring):
+        for _, parts in imported_names(ring):
             assert "oracle" not in parts, (ring, parts)
     assert linalg.__all__ == ["int_echelon", "reduce_mod_echelon"]
 
