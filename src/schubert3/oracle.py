@@ -4,11 +4,14 @@ Everything runs over the rationals (or a quadratic extension when a
 discriminant is not a perfect square): points and lines carry canonical
 integer coordinates, incidence is the polarized Pluecker pairing, and the
 four-lines problem is solved by Cramer's rule on the 4 x 4 minors of the
-incidence rows, each a Laplace expansion in 2 x 2 minors, plus one binary
-quadratic.  A line a + b*sqrt(d) is validated, paired and checked on its
-two integer parts a and b: QNum never holds a square radicand, so
-x + y*sqrt(d) vanishes exactly when x and y both do.  A QNum is the exact
-value of one coordinate, for printing and comparing only.
+incidence rows plus one binary quadratic.  Tables built once at import
+list the 15 column pairs, the six Laplace terms of each 4 x 4 minor in the
+two row pairs' 2 x 2 minors, and the two Cramer vectors of each pivot set.
+Every line, given or derived, is built by one core from its integer parts
+a and b and radicand d, which it canonicalizes, checks on the quadric and
+stores: QNum never holds a square radicand, so x + y*sqrt(d) vanishes
+exactly when x and y both do.  A QNum is the exact value of one
+coordinate, for printing and comparing only.
 
 Tangency counting for pencils restricts the surface to one
 line of the pencil at a time, by one Horner walk over the sorted terms of
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 import random
@@ -187,6 +190,8 @@ class ProjectivePoint:
 
 
 _COORD_NAMES = ("p01", "p02", "p03", "p23", "p31", "p12")
+# the b part of a rational line
+_NO_PARTS = (0,) * 6
 
 
 def _quadric_on(vec: Sequence[int]) -> int:
@@ -209,14 +214,18 @@ class PlueckerLine:
 
     Coordinates are canonical coprime integers when rational; solutions of
     a four-lines problem with irrational discriminant carry a QNum
-    a + b*sqrt(d) in every entry, over one radicand d, instead.
-    Construction rejects vectors off the Pluecker quadric, a quadratic one
-    on its two integer parts: Q(a) + d*Q(b) and the polar pairing of a and
-    b must both vanish, which is exact because QNum never holds a square
-    radicand.
+    a + b*sqrt(d) in every entry, over one radicand d, instead.  Every line
+    is built by one core, `_set_parts`, from its integer parts a and b and
+    its radicand d (0 for a rational line): it canonicalizes the interleaved
+    vector a0, b0, a1, b1, ..., rejects parts off the Pluecker quadric
+    (Q(a) + d*Q(b) and polar(a, b) must both vanish, which is exact because
+    d is never a square) and stores the parts for `incidence_form` and the
+    solver.  The constructor validates and converts user input and ends in
+    that core; `plucker_from_points`, the solver and `conjugate` call it
+    with ints.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_parts")
 
     def __init__(self, coords: Iterable[Union[Rational, QNum]]) -> None:
         raw = list(coords)
@@ -227,32 +236,54 @@ class PlueckerLine:
             d, *others = {x.d for x in qnums if x.d}
             if others:
                 raise ValueError("cannot mix different quadratic extensions")
-            # a0, b0, a1, b1, ...: its first nonzero entry is positive exactly
-            # when the first nonzero (a, b) pair is
-            ints = _canonical_int_vector([c for x in qnums for c in (x.a, x.b)])
-            a, b = ints[::2], ints[1::2]
-            # sqrt(d) is irrational, so Q(a + b*sqrt(d)) splits into two integers
-            q = QNum._trusted(_quadric_on(a) + d * _quadric_on(b), _polar_on(a, b), d)
-            vec = tuple(QNum._trusted(x, y, d) for x, y in zip(a, b))
+            self._set_parts([x.a for x in qnums], [x.b for x in qnums], d)
         else:
             exact = [x.a if isinstance(x, QNum) else _rational(x) for x in raw]
             if not any(exact):
                 raise ValueError("Pluecker coordinates must not all vanish")
-            vec = _canonical_int_vector(exact)
-            q = _quadric_on(vec)
-        if q != 0:
-            raise ValueError(f"coordinates violate the Pluecker quadric: {q}")
-        object.__setattr__(self, "coords", vec)
+            self._set_parts(exact, _NO_PARTS, 0)
+
+    @classmethod
+    def _from_parts(
+        cls, a: Sequence[int], b: Sequence[int] = _NO_PARTS, d: int = 0
+    ) -> "PlueckerLine":
+        line = object.__new__(cls)
+        line._set_parts(a, b, d)
+        return line
+
+    def _set_parts(self, a: Sequence[Rational], b: Sequence[Rational], d: int) -> None:
+        """Store the line a + b*sqrt(d), not all zero; d is 0 (b unused) or not a square.
+
+        The parts are scaled to coprime integers with the first nonzero
+        interleaved entry positive, so a conjugate's sign is fixed here too.
+        """
+        if d:
+            # a0, b0, a1, b1, ...: its first nonzero entry is positive exactly
+            # when the first nonzero (a, b) pair is
+            ints = _canonical_int_vector([c for pair in zip(a, b) for c in pair])
+            a, b = ints[::2], ints[1::2]
+            # sqrt(d) is irrational, so Q(a + b*sqrt(d)) splits into two integers
+            q, r = _quadric_on(a) + d * _quadric_on(b), _polar_on(a, b)
+            coords = tuple(map(QNum._trusted, a, b, repeat(d)))
+        else:
+            a = coords = _canonical_int_vector(a)
+            b, q, r = _NO_PARTS, _quadric_on(a), 0
+        if q or r:
+            raise ValueError(f"coordinates violate the Pluecker quadric: {QNum._trusted(q, r, d)}")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_parts", (a, b, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlueckerLine is immutable")
 
     @property
     def is_rational(self) -> bool:
-        return not isinstance(self.coords[0], QNum)
+        return not self._parts[2]
 
     def conjugate(self) -> "PlueckerLine":
-        return self if self.is_rational else PlueckerLine([x.conjugate() for x in self.coords])
+        """The line a - b*sqrt(d); the core moves the sign when b leads."""
+        a, b, d = self._parts
+        return self if not d else PlueckerLine._from_parts(a, [-y for y in b], d)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PlueckerLine) and self.coords == other.coords
@@ -275,24 +306,17 @@ def plucker_from_points(p: ProjectivePoint, q: ProjectivePoint) -> PlueckerLine:
     wedge = [x[i] * y[j] - x[j] * y[i] for i, j in pairs]
     if not any(wedge):
         raise ValueError("coincident points span no line")
-    return PlueckerLine(wedge)
-
-
-def _integer_parts(line: PlueckerLine) -> tuple[Sequence[int], Sequence[int], int]:
-    """(a, b, d) with coordinates a + b*sqrt(d); a rational line has b = 0 and d = 0."""
-    coords = line.coords
-    if line.is_rational:
-        return coords, (0,) * 6, 0
-    return [x.a for x in coords], [x.b for x in coords], next(x.d for x in coords if x.d)
+    return PlueckerLine._from_parts(wedge)
 
 
 def incidence_form(l1: PlueckerLine, l2: PlueckerLine):
     """Polarized quadric pairing; zero exactly when the lines meet.
 
     An int for two rational lines; otherwise a1 + b1*sqrt(d) and a2 + b2*sqrt(d)
-    pair to polar(a1, a2) + d*polar(b1, b2) + (polar(a1, b2) + polar(b1, a2))*sqrt(d).
+    pair to polar(a1, a2) + d*polar(b1, b2) + (polar(a1, b2) + polar(b1, a2))*sqrt(d),
+    on the integer parts each line stores.
     """
-    (a1, b1, d1), (a2, b2, d2) = _integer_parts(l1), _integer_parts(l2)
+    (a1, b1, d1), (a2, b2, d2) = l1._parts, l2._parts
     if not (d1 or d2):
         return _polar_on(a1, a2)
     if d1 and d2 and d1 != d2:
@@ -335,39 +359,75 @@ class SolutionSet(namedtuple("SolutionSet", "infinite solutions")):
         return sum(mult for _, mult in self.solutions)
 
 
+# Tables of the four-lines kernel, built once.  A 2 x 2 minor of two rows
+# is the entry of its column pair's index in _PAIRS, so the minors of rows
+# {0, 1} and of rows {2, 3} are two flat lists.
+_PAIRS = tuple(combinations(range(6), 2))
+
+
+def _laplace_terms(cols: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(top index, low index, sign) terms of the 4 x 4 minor on cols.
+
+    The Laplace expansion along rows {0, 1}: columns cols[p], cols[q] of the
+    top minor, the complementary two of the low one, sign (-1)^(p + q + 1).
+    """
+    terms = []
+    for p, q in combinations(range(4), 2):
+        rest = tuple(c for k, c in enumerate(cols) if k not in (p, q))
+        terms.append((_PAIRS.index((cols[p], cols[q])), _PAIRS.index(rest), (-1) ** (p + q + 1)))
+    return tuple(terms)
+
+
+_MINOR_TERMS = {cols: _laplace_terms(cols) for cols in combinations(range(6), 4)}
+# each 4-column set in combinations(range(6), 4) order: its minor's terms
+# and, per free column j ascending, the Cramer vector over U = sorted(T + (j,))
+# as (U[k], (-1)^k, terms of the minor on U without U[k])
+_PIVOT_SETS = tuple(
+    (
+        terms,
+        tuple(
+            tuple((u[k], (-1) ** k, _MINOR_TERMS[u[:k] + u[k + 1 :]]) for k in range(5))
+            for u in (tuple(sorted(cols + (j,))) for j in range(6) if j not in cols)
+        ),
+    )
+    for cols, terms in _MINOR_TERMS.items()
+)
+
+
+def _laplace(terms: Sequence[tuple[int, int, int]], top: list[int], low: list[int]) -> int:
+    """The 4 x 4 minor whose Laplace terms are given, from the two rows' 2 x 2 minors."""
+    minor = 0
+    for t, u, sign in terms:
+        minor += sign * top[t] * low[u]
+    return minor
+
+
 def _four_lines_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Canonical integer kernel basis of a 4 x 6 matrix of rank 4, by Cramer's rule.
 
-    The pivot columns T are the first column set, in lexicographic order,
-    with a nonzero 4 x 4 minor, as in the reduced row echelon form.  Each
-    free column j gives U = sorted(T + (j,)) and the generalized cross
-    product v[U[k]] = (-1)^k minor(U without U[k]), which annihilates every
-    row and vanishes on the other free column.  Empty below rank 4.
+    The 2 x 2 minors of rows {0, 1} and {2, 3} are two flat lists over
+    _PAIRS, and each 4 x 4 minor is the six-term Laplace expansion that
+    _PIVOT_SETS lists for its columns.  The pivot columns T are the first
+    column set, in lexicographic order, with a nonzero 4 x 4 minor, as in
+    the reduced row echelon form.  Each free column j gives
+    U = sorted(T + (j,)) and the generalized cross product
+    v[U[k]] = (-1)^k minor(U without U[k]), which annihilates every row and
+    vanishes on the other free column; the table holds both vectors of each
+    pivot set.  Empty below rank 4.
     """
     r0, r1, r2, r3 = rows
-    top = {(i, j): r0[i] * r1[j] - r0[j] * r1[i] for i, j in combinations(range(6), 2)}
-    low = {(i, j): r2[i] * r3[j] - r2[j] * r3[i] for i, j in combinations(range(6), 2)}
-
-    def minor(a: int, b: int, c: int, d: int) -> int:
-        # Laplace expansion along rows {0, 1} and {2, 3}: complementary 2 x 2 minors
-        return (
-            top[a, b] * low[c, d]
-            - top[a, c] * low[b, d]
-            + top[a, d] * low[b, c]
-            + top[b, c] * low[a, d]
-            - top[b, d] * low[a, c]
-            + top[c, d] * low[a, b]
-        )
-
-    pivots = next((cols for cols in combinations(range(6), 4) if minor(*cols)), None)
-    if pivots is None:
+    top = [r0[i] * r1[j] - r0[j] * r1[i] for i, j in _PAIRS]
+    low = [r2[i] * r3[j] - r2[j] * r3[i] for i, j in _PAIRS]
+    for terms, vectors in _PIVOT_SETS:
+        if _laplace(terms, top, low):
+            break
+    else:
         return []
     basis = []
-    for j in sorted(set(range(6)) - set(pivots)):
-        cols = sorted(pivots + (j,))
+    for entries in vectors:
         v = [0] * 6
-        for k, col in enumerate(cols):
-            v[col] = (-1) ** k * minor(*cols[:k], *cols[k + 1 :])
+        for col, sign, terms in entries:
+            v[col] = sign * _laplace(terms, top, low)
         basis.append(_canonical_int_vector(v))
     return basis
 
@@ -417,31 +477,32 @@ def lines_meeting_four(
     if a == 0 and b == 0 and c == 0:
         return SolutionSet.infinite_family()
 
+    line_of = PlueckerLine._from_parts
     pairs: list[tuple[PlueckerLine, int]]
     if a == 0 and b == 0:
-        pairs = [(PlueckerLine(va), 2)]
+        pairs = [(line_of(va), 2)]
     elif a == 0:
         second = [-c * x + b * y for x, y in zip(va, vb)]
-        pairs = [(PlueckerLine(va), 1), (PlueckerLine(second), 1)]
+        pairs = [(line_of(va), 1), (line_of(second), 1)]
     else:
         disc = b * b - 4 * a * c
         if disc == 0:
             coords = [-b * x + 2 * a * y for x, y in zip(va, vb)]
-            pairs = [(PlueckerLine(coords), 2)]
+            pairs = [(line_of(coords), 2)]
         else:
             root = isqrt(disc) if disc > 0 else None
             if root is not None and root * root == disc:
                 plus = [(-b + root) * x + 2 * a * y for x, y in zip(va, vb)]
                 minus = [(-b - root) * x + 2 * a * y for x, y in zip(va, vb)]
-                pairs = [(PlueckerLine(plus), 1), (PlueckerLine(minus), 1)]
+                pairs = [(line_of(plus), 1), (line_of(minus), 1)]
             else:
-                # disc is not a square, so the radicand needs no folding
-                plus = [QNum._trusted(-b * x + 2 * a * y, x, disc) for x, y in zip(va, vb)]
-                line = PlueckerLine(plus)
+                # (-b + sqrt(disc))*va + 2a*vb, and disc is not a square
+                plus = [-b * x + 2 * a * y for x, y in zip(va, vb)]
+                line = line_of(plus, va, disc)
                 pairs = [(line, 1), (line.conjugate(), 1)]
 
     for solution, _ in pairs:
-        parts = _integer_parts(solution)[:2]
+        parts = solution._parts[:2]
         if any(_polar_on(part, line.coords) for part in parts for line in lines):
             raise AssertionError("solver produced a line missing an input line")
     result = SolutionSet.finite(pairs)

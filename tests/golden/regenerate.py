@@ -1,0 +1,133 @@
+"""Regenerate the recorded `oracle four-lines` answers in this directory.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+It writes each input file of INPUTS to inputs/, runs every argv of
+`records()` through `run_cli` with this directory as the working
+directory, and writes four_lines.json: one record of argv, the SHA-256
+digest of stdout, stderr and exit code per invocation.  The records pin
+the command's output byte for byte; regenerate them only when that output
+is meant to change, and say why in the change that does.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+RECORDS = HERE / "four_lines.json"
+SEEDS = range(200)
+
+_TETRAHEDRON = [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]]
+_SEED_3 = [
+    [35, 22, 24, -100, 134, 23],
+    [24, 11, 26, 43, -4, -38],
+    [33, 75, 11, 112, -44, -36],
+    [10, 36, 3, 78, -10, -140],
+]
+
+
+def _lines(lines) -> str:
+    return json.dumps({"lines": lines})
+
+
+def _with_entry(line: int, entry: int, value) -> str:
+    lines = json.loads(json.dumps(_TETRAHEDRON))
+    lines[line][entry] = value
+    return _lines(lines)
+
+
+# file name -> text; refusals first, then answers of every solver branch
+INPUTS = {
+    "unreadable.json": '{"lines": [[1, 0, 0, 0, 0, 0]',
+    "no_lines_key.json": json.dumps({"points": _TETRAHEDRON}),
+    "not_an_object.json": json.dumps(_TETRAHEDRON),
+    "three_lines.json": _lines(_TETRAHEDRON[:3]),
+    "five_entries.json": _lines(_TETRAHEDRON[:3] + [[0, 0, 1, 0, 0]]),
+    "float.json": _with_entry(2, 4, 0.5),
+    "long_coordinate.json": _with_entry(1, 5, "1" + "0" * 5000),
+    "zero_denominator.json": _with_entry(2, 4, "2/0"),
+    "off_quadric.json": _with_entry(0, 3, 1),
+    "all_zero.json": _lines(_TETRAHEDRON[:3] + [[0] * 6]),
+    "equal_lines.json": _lines(_TETRAHEDRON[:3] + [[0, 0, 0, "1/3", 0, 0]]),
+    # the lines.json of the README's command lines: a kernel pencil inside the quadric
+    "readme.json": _lines(
+        [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]
+    ),
+    # four lines through the point [1 : 1 : 1 : 1]: incidence rows of rank 3
+    "common_point.json": _lines(
+        [[1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 1, -1], [0, 1, 0, -1, 0, 1], [0, 0, 1, 1, -1, 0]]
+    ),
+    "scaled_fractions.json": _lines(
+        [["1/2", 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, "3"], [0, 0, 0, "2/3", 0, 0], [0, 0, 1, 0, 0, 0]]
+    ),
+    # edges of the coordinate tetrahedron: two rational transversals, the
+    # first kernel vector on the quadric
+    "tetrahedron.json": _lines(_TETRAHEDRON),
+    "seed_3_over_7.json": _lines([[f"{x}/7" for x in line] for line in _SEED_3]),
+    # three rulings of x0*x3 = x1*x2 and a tangent line: a double root
+    "tangent_double.json": _lines(
+        [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [1, 0, 1, 1, 0, -1], [1, -2, 0, 4, 2, -4]]
+    ),
+    # the same configuration moved so that the double line is the first kernel vector
+    "moved_double.json": _lines(
+        [[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 1, 1, 0, -1, 1], [2, 1, 2, 0, -4, 2]]
+    ),
+    # a perfect-square discriminant: two rational solutions
+    "square_discriminant.json": _lines(
+        [
+            [102, -72, -75, -40, -90, 32],
+            [18, 29, -19, 102, -5, 89],
+            [48, -1, -49, -78, -20, -76],
+            [73, -8, -10, 4, -81, 94],
+        ]
+    ),
+}
+
+
+def records() -> list[list[str]]:
+    argvs = [["oracle", "four-lines", "--seed", str(seed)] for seed in SEEDS]
+    argvs += [["oracle", "four-lines", "--input", f"inputs/{name}"] for name in INPUTS]
+    argvs.append(["oracle", "four-lines", "--input", "inputs/missing.json"])
+    return argvs
+
+
+def replay(argv: list[str]) -> dict:
+    """One record: run argv in this directory and digest what it printed."""
+    from schubert3.cli import run_cli
+
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    finally:
+        os.chdir(cwd)
+    return {
+        "argv": argv,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr": err.getvalue(),
+        "exit": code,
+    }
+
+
+def main() -> None:
+    inputs = HERE / "inputs"
+    inputs.mkdir(exist_ok=True)
+    for name, text in INPUTS.items():
+        (inputs / name).write_text(text + "\n", encoding="utf-8")
+    recorded = [replay(argv) for argv in records()]
+    RECORDS.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(recorded)} records to {RECORDS}")
+
+
+if __name__ == "__main__":
+    main()

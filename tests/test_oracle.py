@@ -384,11 +384,32 @@ def reference_kernel(rows, ncols):
     return basis
 
 
+def echelon_combination(rng, pivots, ncols):
+    """Random invertible mix of an echelon matrix with the given pivot columns.
+
+    Every free entry right of a pivot is nonzero, so that no kernel entry
+    vanishes by accident and a wrong sign in any Cramer entry shows.
+    """
+    nonzero = (-3, -2, -1, 1, 2, 3)
+    echelon = [
+        [int(j == p) if j in pivots or j <= p else rng.choice(nonzero) for j in range(ncols)]
+        for p in pivots
+    ]
+    while True:
+        mix = [[rng.randint(-3, 3) for _ in pivots] for _ in pivots]
+        if rank(mix) == len(pivots):
+            return [
+                [sum(m * row[j] for m, row in zip(coeffs, echelon)) for j in range(ncols)]
+                for coeffs in mix
+            ]
+
+
 def test_rational_kernel_annihilates_its_rows():
     # Cramer's rule on 4 x 6 matrices of every rank 0-4, some with zeroed
-    # columns so that the pivot columns are not (0, 1, 2, 3), and the plane
-    # kernel of one row, each equal to the kernel of the reference rref;
-    # below rank 4 the four-lines kernel is empty (an infinite family)
+    # columns so that the pivot columns are not (0, 1, 2, 3), one of rank 4
+    # for each pivot set, and the plane kernel of one row, each equal to the
+    # kernel of the reference rref; below rank 4 the four-lines kernel is
+    # empty (an infinite family)
     rng = random.Random(8)
     cases = []
     for r in range(5):
@@ -398,6 +419,8 @@ def test_rational_kernel_annihilates_its_rows():
                 for row in rows:
                     row[col] = 0
             cases.append((rows, 6, oracle._four_lines_kernel))
+    for pivots in combinations(range(6), 4):
+        cases.append((echelon_combination(rng, pivots, 6), 6, oracle._four_lines_kernel))
     for _ in range(200):
         row = [rng.choice([0, 0, rng.randint(-6, 6)]) for _ in range(4)]
         if any(row):
@@ -418,7 +441,7 @@ def test_rational_kernel_annihilates_its_rows():
             assert all(type(x) is int for x in v)
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
     assert ranks == {(6, r) for r in range(5)} | {(4, 1)}
-    assert len(pivots) > 10
+    assert {p for p in pivots if len(p) == 4} == set(combinations(range(6), 4))
 
 
 def test_four_lines_tetrahedron():
@@ -567,6 +590,27 @@ def test_incidence_form_pairs_quadratic_lines_on_integer_parts():
             for value in (incidence_form(line, other), incidence_form(other, line)):
                 assert type(value) is QNum
                 assert (value.a, value.b, value.d) == (a, b, d if b else 0)
+
+
+def test_conjugate_is_the_entrywise_conjugate():
+    # the line through [1 : 0 : 0 : 1] and [0 : sqrt(2) : 1 : 3]: its first
+    # nonzero interleaved entry is a b part, so conjugating moves the sign
+    root2 = QNum(0, 1, 2)
+    hand_built = PlueckerLine([root2, 1, 3, -1, root2, 0])
+    assert hand_built.conjugate().coords == (root2, -1, -3, 1, root2, 0)
+    lines = [hand_built]
+    rng = random.Random(3406)
+    while len(lines) < 41:
+        result = lines_meeting_four(*random_four_lines(rng))
+        if not result.infinite and not result.solutions[0][0].is_rational:
+            lines += [line for line, _ in result.solutions]
+    for line in lines:
+        assert line.conjugate() == PlueckerLine([x.conjugate() for x in line.coords])
+        assert repr(line.conjugate()) == repr(PlueckerLine([x.conjugate() for x in line.coords]))
+        assert line.conjugate() != line
+        assert line.conjugate().conjugate() == line
+    rational = ruling(1, 2)
+    assert rational.conjugate() is rational
 
 
 def test_four_lines_tangent_gives_double_line():
