@@ -1,15 +1,17 @@
-"""Regenerate the recorded `oracle four-lines` answers in this directory.
+"""Regenerate the recorded CLI answers in this directory.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-It writes each input file of INPUTS to inputs/, runs every argv of
-`records()` through `run_cli` with this directory as the working
-directory, and writes four_lines.json: one record of argv, the SHA-256
-digest of stdout, stderr and exit code per invocation.  The records pin
-the command's output byte for byte; regenerate them only when that output
-is meant to change, and say why in the change that does.
+It writes each input file of INPUTS to inputs/, runs every argv of each
+corpus in CORPORA through `run_cli` with this directory as the working
+directory, and writes the corpus file: one record of argv, the SHA-256
+digest of stdout, stderr and exit code per invocation.  four_lines.json
+holds `oracle four-lines`, pencil.json `oracle pencil` and selftest.json
+`selftest`.  The records pin the output byte for byte; regenerate them
+only when that output is meant to change, and say why in the change that
+does.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import os
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-RECORDS = HERE / "four_lines.json"
 SEEDS = range(200)
+# degree 0 and 41 lie just outside `oracle pencil`'s domain of 1 to 40
+PENCIL_DEGREES = (*range(9), 41)
+PENCIL_SEEDS = range(4)
 
 _TETRAHEDRON = [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]]
 _SEED_3 = [
@@ -93,10 +97,28 @@ INPUTS = {
 
 
 def records() -> list[list[str]]:
+    """The argvs of four_lines.json."""
     argvs = [["oracle", "four-lines", "--seed", str(seed)] for seed in SEEDS]
     argvs += [["oracle", "four-lines", "--input", f"inputs/{name}"] for name in INPUTS]
     argvs.append(["oracle", "four-lines", "--input", "inputs/missing.json"])
     return argvs
+
+
+def pencil_records() -> list[list[str]]:
+    """The argvs of pencil.json."""
+    return [
+        ["oracle", "pencil", "--degree", str(degree), "--seed", str(seed)]
+        for degree in PENCIL_DEGREES
+        for seed in PENCIL_SEEDS
+    ]
+
+
+# corpus file name -> the argvs it records
+CORPORA = {
+    "four_lines.json": records,
+    "pencil.json": pencil_records,
+    "selftest.json": lambda: [["selftest"]],
+}
 
 
 def replay(argv: list[str]) -> dict:
@@ -124,9 +146,10 @@ def main() -> None:
     inputs.mkdir(exist_ok=True)
     for name, text in INPUTS.items():
         (inputs / name).write_text(text + "\n", encoding="utf-8")
-    recorded = [replay(argv) for argv in records()]
-    RECORDS.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(recorded)} records to {RECORDS}")
+    for name, argvs in CORPORA.items():
+        recorded = [replay(argv) for argv in argvs()]
+        (HERE / name).write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(recorded)} records to {HERE / name}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Recorded `oracle four-lines` answers replay byte for byte (see regenerate.py)."""
+"""Recorded CLI answers replay byte for byte (see regenerate.py)."""
 
 import hashlib
 import json
@@ -9,13 +9,12 @@ from schubert3.cli import run_cli
 HERE = Path(__file__).resolve().parent
 
 
-def test_four_lines_output_is_the_recorded_output(capsys, monkeypatch):
-    records = json.loads((HERE / "four_lines.json").read_text(encoding="utf-8"))
-    argvs = [record["argv"] for record in records]
-    assert [argv[3] for argv in argvs[:200]] == [str(seed) for seed in range(200)]
-    files = sorted(argv[3] for argv in argvs if argv[2] == "--input")
-    inputs = [f"inputs/{path.name}" for path in (HERE / "inputs").iterdir()]
-    assert files == sorted(inputs + ["inputs/missing.json"])
+def _load(name: str) -> list[dict]:
+    return json.loads((HERE / name).read_text(encoding="utf-8"))
+
+
+def _changed(records: list[dict], capsys, monkeypatch) -> list:
+    """The records whose exit code, stderr or stdout digest differ on replay."""
     monkeypatch.chdir(HERE)
     changed = []
     for record in records:
@@ -24,4 +23,37 @@ def test_four_lines_output_is_the_recorded_output(capsys, monkeypatch):
         digest = hashlib.sha256(out.encode()).hexdigest()
         if (code, err, digest) != (record["exit"], record["stderr"], record["stdout_sha256"]):
             changed.append((record["argv"], code, err, out[:200]))
+    return changed
+
+
+def test_four_lines_output_is_the_recorded_output(capsys, monkeypatch):
+    records = _load("four_lines.json")
+    argvs = [record["argv"] for record in records]
+    assert [argv[3] for argv in argvs[:200]] == [str(seed) for seed in range(200)]
+    files = sorted(argv[3] for argv in argvs if argv[2] == "--input")
+    inputs = [f"inputs/{path.name}" for path in (HERE / "inputs").iterdir()]
+    assert files == sorted(inputs + ["inputs/missing.json"])
+    changed = _changed(records, capsys, monkeypatch)
+    assert not changed, changed
+
+
+def test_pencil_output_is_the_recorded_output(capsys, monkeypatch):
+    records = _load("pencil.json")
+    argvs = [record["argv"] for record in records]
+    assert argvs == [
+        ["oracle", "pencil", "--degree", str(degree), "--seed", str(seed)]
+        for degree in (*range(9), 41)
+        for seed in range(4)
+    ]
+    # degrees 0 and 41 are refused, every degree in the domain is answered
+    assert [record["exit"] for record in records] == [2] * 4 + [0] * 32 + [2] * 4
+    changed = _changed(records, capsys, monkeypatch)
+    assert not changed, changed
+
+
+def test_selftest_output_is_the_recorded_output(capsys, monkeypatch):
+    records = _load("selftest.json")
+    assert [record["argv"] for record in records] == [["selftest"]]
+    assert records[0]["exit"] == 0
+    changed = _changed(records, capsys, monkeypatch)
     assert not changed, changed
