@@ -59,17 +59,11 @@ def _surface_source(f: oracle.SurfaceForm) -> str:
     )
 
 
-def _coord_json(value):
-    if isinstance(value, int):
-        return value
-    return str(value)
-
-
 def _solution_payload(result: oracle.SolutionSet) -> dict:
     return {
         "infinite": result.infinite,
         "solutions": [
-            {"coords": [_coord_json(c) for c in line.coords], "multiplicity": mult}
+            {"coords": list(line.coords), "multiplicity": mult}
             for line, mult in result.solutions
         ],
         "total_multiplicity": result.total_multiplicity,
@@ -197,7 +191,7 @@ def _cmd_oracle_four_lines(args: argparse.Namespace) -> int:
     else:
         payload["seed"] = args.seed
         lines = list(oracle.random_four_lines(random.Random(args.seed)))
-    payload["lines"] = [[_coord_json(c) for c in line.coords] for line in lines]
+    payload["lines"] = [list(line.coords) for line in lines]
     payload.update(_solution_payload(oracle.lines_meeting_four(*lines)))
     print(json.dumps(payload))
     return 0

@@ -9,9 +9,9 @@ list the 15 column pairs, the six Laplace terms of each 4 x 4 minor in the
 two row pairs' 2 x 2 minors, and the two Cramer vectors of each pivot set.
 Every line, given or derived, is built by one core from its integer parts
 a and b and radicand d, which it canonicalizes, checks on the quadric and
-stores: QNum never holds a square radicand, so x + y*sqrt(d) vanishes
-exactly when x and y both do.  A QNum is the exact value of one
-coordinate, for printing and comparing only.
+stores, and it stores nothing else: d is never a square, so x + y*sqrt(d)
+vanishes exactly when x and y both do.  A quadratic line's coordinates are
+printed from those parts when read.
 
 Tangency counting for pencils restricts the surface to one
 line of the pencil at a time, by one Horner walk over the sorted terms of
@@ -39,7 +39,6 @@ __all__ = [
     "DegeneratePencil",
     "PlueckerLine",
     "ProjectivePoint",
-    "QNum",
     "RANDOM_BOUND",
     "SolutionSet",
     "SurfaceForm",
@@ -71,74 +70,14 @@ def _rational(x) -> Rational:
     return x.numerator if x.denominator == 1 else x
 
 
-class QNum:
-    """Exact value a + b*sqrt(d) of a coordinate in a quadratic extension of Q.
-
-    It prints and compares but has no arithmetic: lines compute on their
-    integer parts.  d may be negative.  Equality and hashing hold across
-    radicands and with ints and Fractions.  a and b are ints when integral,
-    and a perfect-square radicand folds into a, so QNum(0, 1, 4) is 2.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: Rational, b: Rational = 0, d: int = 0) -> None:
-        a, b = _rational(a), _rational(b)
-        if type(d) is not int:
-            raise ValueError(f"a radicand is an int, not {d!r}")
-        if b and d > 0:
-            root = isqrt(d)
-            if root * root == d:  # a perfect square folds into the rational part
-                a, b = _rational(a + b * root), 0
-        if not b or not d:
-            b, d = 0, 0
-        self.a, self.b, self.d = a, b, d
-
-    @classmethod
-    def _trusted(cls, a: Rational, b: Rational, d: int) -> "QNum":
-        """A QNum from canonical parts, unchecked: d is 0 or already not a square."""
-        q = object.__new__(cls)
-        if not b or not d:
-            b, d = 0, 0
-        q.a, q.b, q.d = a, b, d
-        return q
-
-    def conjugate(self) -> "QNum":
-        return QNum._trusted(self.a, -self.b, self.d)
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __eq__(self, other) -> bool:
-        # total across radicands: b*sqrt(d) is fixed by b^2*d and the sign of b
-        if isinstance(other, (int, Fraction)):
-            return not self.b and self.a == other
-        if not isinstance(other, QNum):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b * self.b * self.d == other.b * other.b * other.d
-            and (self.b > 0) == (other.b > 0)
-        )
-
-    def __hash__(self) -> int:
-        if not self.b:
-            return hash(self.a)
-        return hash((self.a, self.b * self.b * self.d, self.b > 0))
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        root = f"sqrt({self.d})"
-        if abs(self.b) != 1:
-            root = f"{abs(self.b)}*{root}"
-        sign = "-" if self.b < 0 else "+"
-        if self.a == 0:
-            return root if self.b > 0 else f"-{root}"
-        return f"{self.a} {sign} {root}"
-
-    def __repr__(self) -> str:
-        return f"QNum({self.a!r}, {self.b!r}, {self.d!r})"
+def _surd(x: int, y: int, d: int) -> str:
+    """x + y*sqrt(d) as printed: "x", "x + y*sqrt(d)", "-sqrt(d)", ...; no "1*"."""
+    if not y:
+        return str(x)
+    root = f"sqrt({d})" if abs(y) == 1 else f"{abs(y)}*sqrt({d})"
+    if not x:
+        return root if y > 0 else f"-{root}"
+    return f"{x} {'-' if y < 0 else '+'} {root}"
 
 
 def _wrong_count(expected: str, vec: Sequence) -> ValueError:
@@ -176,6 +115,9 @@ class ProjectivePoint:
     def __setattr__(self, name, value):
         raise AttributeError("ProjectivePoint is immutable")
 
+    def __reduce__(self):
+        return ProjectivePoint, (self.coords,)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, ProjectivePoint) and self.coords == other.coords
 
@@ -212,41 +154,49 @@ def _polar_on(u: Sequence[int], v: Sequence[int]) -> int:
 class PlueckerLine:
     """Line of projective 3-space in Pluecker coordinates.
 
-    Coordinates are canonical coprime integers when rational; solutions of
-    a four-lines problem with irrational discriminant carry a QNum
-    a + b*sqrt(d) in every entry, over one radicand d, instead.  Every line
-    is built by one core, `_set_parts`, from its integer parts a and b and
-    its radicand d (0 for a rational line): it canonicalizes the interleaved
-    vector a0, b0, a1, b1, ..., rejects parts off the Pluecker quadric
-    (Q(a) + d*Q(b) and polar(a, b) must both vanish, which is exact because
-    d is never a square) and stores the parts for `incidence_form` and the
-    solver.  The constructor validates and converts user input and ends in
-    that core; `plucker_from_points`, the solver and `conjugate` call it
-    with ints.
+    A line stores only its parts (a, b, d): the line a + b*sqrt(d) for
+    integer vectors a and b and an int radicand d that is never a square
+    (d = 0 and b = 0 for a rational line).  One core, `_set_parts`, builds
+    every line: it scales the interleaved vector a0, b0, a1, b1, ... to
+    coprime integers, first nonzero entry positive, and rejects parts off
+    the Pluecker quadric (Q(a) + d*Q(b) and polar(a, b) must both vanish,
+    exact since sqrt(d) is irrational).  `PlueckerLine(coords)` takes six
+    rationals and `quadratic(a, b, d)` a quadratic line's parts; both
+    validate input and end in that core.  `coords` is printed on read: the
+    ints of a rational line, or the entries of a quadratic one as strings.
+    Equality reads the parts, so a line spelled over sqrt(8) never equals
+    one spelled over 2*sqrt(2): no radicand is factored.
     """
 
-    __slots__ = ("coords", "_parts")
+    __slots__ = ("_parts",)
 
-    def __init__(self, coords: Iterable[Union[Rational, QNum]]) -> None:
+    def __init__(self, coords: Iterable[Rational]) -> None:
         raw = list(coords)
         if len(raw) != 6:
             raise _wrong_count("a line has 6 Pluecker coordinates", raw)
-        if any(isinstance(x, QNum) and x.d for x in raw):
-            qnums = [x if isinstance(x, QNum) else QNum(x) for x in raw]
-            d, *others = {x.d for x in qnums if x.d}
-            if others:
-                raise ValueError("cannot mix different quadratic extensions")
-            self._set_parts([x.a for x in qnums], [x.b for x in qnums], d)
-        else:
-            exact = [x.a if isinstance(x, QNum) else _rational(x) for x in raw]
-            if not any(exact):
-                raise ValueError("Pluecker coordinates must not all vanish")
-            self._set_parts(exact, _NO_PARTS, 0)
+        exact = [_rational(x) for x in raw]
+        if not any(exact):
+            raise ValueError("Pluecker coordinates must not all vanish")
+        self._set_parts(exact, _NO_PARTS, 0)
+
+    @classmethod
+    def quadratic(cls, a: Iterable[Rational], b: Iterable[Rational], d: int) -> PlueckerLine:
+        """The line a + b*sqrt(d); a square d folds into a, and d = 0 or b = 0 gives a."""
+        a, b = [_rational(x) for x in a], [_rational(y) for y in b]
+        if len(a) != 6 or len(b) != 6:
+            raise _wrong_count("a line has 6 Pluecker coordinates", a if len(a) != 6 else b)
+        if type(d) is not int:
+            raise ValueError(f"a radicand is an int, not {d!r}")
+        if d > 0 and isqrt(d) ** 2 == d:
+            a, d = [x + y * isqrt(d) for x, y in zip(a, b)], 0
+        if not d or not any(b):
+            return cls(a)
+        return cls._from_parts(a, b, d)
 
     @classmethod
     def _from_parts(
         cls, a: Sequence[int], b: Sequence[int] = _NO_PARTS, d: int = 0
-    ) -> "PlueckerLine":
+    ) -> PlueckerLine:
         line = object.__new__(cls)
         line._set_parts(a, b, d)
         return line
@@ -264,17 +214,24 @@ class PlueckerLine:
             a, b = ints[::2], ints[1::2]
             # sqrt(d) is irrational, so Q(a + b*sqrt(d)) splits into two integers
             q, r = _quadric_on(a) + d * _quadric_on(b), _polar_on(a, b)
-            coords = tuple(map(QNum._trusted, a, b, repeat(d)))
         else:
-            a = coords = _canonical_int_vector(a)
+            a = _canonical_int_vector(a)
             b, q, r = _NO_PARTS, _quadric_on(a), 0
         if q or r:
-            raise ValueError(f"coordinates violate the Pluecker quadric: {QNum._trusted(q, r, d)}")
-        object.__setattr__(self, "coords", coords)
+            raise ValueError(f"coordinates violate the Pluecker quadric: {_surd(q, r, d)}")
         object.__setattr__(self, "_parts", (a, b, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlueckerLine is immutable")
+
+    def __reduce__(self):
+        return PlueckerLine._from_parts, self._parts
+
+    @property
+    def coords(self) -> tuple:
+        """The canonical ints of a rational line; the printed entries of a quadratic one."""
+        a, b, d = self._parts
+        return a if not d else tuple(map(_surd, a, b, repeat(d)))
 
     @property
     def is_rational(self) -> bool:
@@ -286,13 +243,16 @@ class PlueckerLine:
         return self if not d else PlueckerLine._from_parts(a, [-y for y in b], d)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PlueckerLine) and self.coords == other.coords
+        return isinstance(other, PlueckerLine) and self._parts == other._parts
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash(self._parts)
 
     def __repr__(self) -> str:
-        return f"PlueckerLine({list(self.coords)!r})"
+        a, b, d = self._parts
+        if not d:
+            return f"PlueckerLine({list(a)!r})"
+        return f"PlueckerLine.quadratic({list(a)!r}, {list(b)!r}, {d!r})"
 
     def __str__(self) -> str:
         body = ", ".join(f"{n}={c}" for n, c in zip(_COORD_NAMES, self.coords))
@@ -313,8 +273,9 @@ def incidence_form(l1: PlueckerLine, l2: PlueckerLine):
     """Polarized quadric pairing; zero exactly when the lines meet.
 
     An int for two rational lines; otherwise a1 + b1*sqrt(d) and a2 + b2*sqrt(d)
-    pair to polar(a1, a2) + d*polar(b1, b2) + (polar(a1, b2) + polar(b1, a2))*sqrt(d),
-    on the integer parts each line stores.
+    pair to x + y*sqrt(d) with x = polar(a1, a2) + d*polar(b1, b2) and
+    y = polar(a1, b2) + polar(b1, a2), returned as the int pair (x, y); the
+    lines meet exactly when it is (0, 0).
     """
     (a1, b1, d1), (a2, b2, d2) = l1._parts, l2._parts
     if not (d1 or d2):
@@ -322,9 +283,7 @@ def incidence_form(l1: PlueckerLine, l2: PlueckerLine):
     if d1 and d2 and d1 != d2:
         raise ValueError("cannot mix different quadratic extensions")
     d = d1 or d2
-    return QNum._trusted(
-        _polar_on(a1, a2) + d * _polar_on(b1, b2), _polar_on(a1, b2) + _polar_on(b1, a2), d
-    )
+    return _polar_on(a1, a2) + d * _polar_on(b1, b2), _polar_on(a1, b2) + _polar_on(b1, a2)
 
 
 class SolutionSet(namedtuple("SolutionSet", "infinite solutions")):
@@ -457,7 +416,8 @@ def lines_meeting_four(
     infinite family; otherwise the binary quadratic has exactly two roots
     counted with multiplicity, possibly conjugate over a square root.
     Each returned line a + b*sqrt(d) is checked on its integer parts: it
-    meets an input exactly when a and b both do (QNum's d is never a square).
+    meets an input exactly when a and b both do, since a stored d is never
+    a square.
     """
     lines = (l1, l2, l3, l4)
     for line in lines:
@@ -466,7 +426,8 @@ def lines_meeting_four(
     if len(set(lines)) < 4:
         raise ValueError("the four lines must be pairwise distinct")
     # the pairing with a line is the dot product with its swapped halves
-    rows = [line.coords[3:] + line.coords[:3] for line in lines]
+    given = [line._parts[0] for line in lines]
+    rows = [v[3:] + v[:3] for v in given]
     kernel = _four_lines_kernel(rows)
     if len(kernel) != 2:
         return SolutionSet.infinite_family()
@@ -503,7 +464,7 @@ def lines_meeting_four(
 
     for solution, _ in pairs:
         parts = solution._parts[:2]
-        if any(_polar_on(part, line.coords) for part in parts for line in lines):
+        if any(_polar_on(part, x) for part in parts for x in given):
             raise AssertionError("solver produced a line missing an input line")
     result = SolutionSet.finite(pairs)
     if result.total_multiplicity != 2:
@@ -551,6 +512,9 @@ class SurfaceForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceForm is immutable")
+
+    def __reduce__(self):
+        return SurfaceForm, (self.terms,)
 
     def value(self, point: Union[ProjectivePoint, Sequence[Rational]]):
         coords = point.coords if isinstance(point, ProjectivePoint) else [*map(_rational, point)]

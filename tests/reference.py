@@ -1,8 +1,9 @@
 """Plain exact references the tests recompute against: stdlib only.
 
 Rational elimination, canonical integer vectors, a fraction-free
-determinant, the graded ideal slice, integer ideal membership and the
-Pluecker quadric and pairing over Q(sqrt(d)), written the straightforward
+determinant, the graded ideal slice, integer ideal membership, the
+Pluecker quadric and pairing over Q(sqrt(d)) and a reader of printed
+coordinates a + b*sqrt(d), written the straightforward
 way over Fractions, ints, (a, b) pairs and plain {exponents: coefficient}
 dicts.  Nothing here imports schubert3, so a bug in the
 package's linear algebra or rings cannot agree with itself here.
@@ -11,6 +12,7 @@ package's linear algebra or rings cannot agree with itself here.
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+import re
 
 
 def rref(rows, ncols):
@@ -82,6 +84,36 @@ def surd_quadric(u, d):
     for i, j in ((0, 3), (1, 4), (2, 5)):
         total = surd_add(total, surd_mul(u[i], u[j], d))
     return total
+
+
+_RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
+_SURD = re.compile(r"(?:(-?\d+(?:/\d+)?) ([+-]) |(-))?(?:(\d+(?:/\d+)?)\*)?sqrt\((-?\d+)\)")
+
+
+def read_surd(text):
+    """(a, b, d) for the value a + b*sqrt(d) of a printed coordinate.
+
+    text is an int, "p/q", or "a + b*sqrt(d)" with the rational part, the
+    sign and the factor b optional, as in "-sqrt(-11)" and "2*sqrt(5)".
+    A rational coordinate reads as (a, 0, 0).
+    """
+    if isinstance(text, int) or _RATIONAL.fullmatch(text):
+        return Fraction(text), Fraction(0), 0
+    match = _SURD.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a printed coordinate: {text!r}")
+    a, sign, minus, b, d = match.groups()
+    b = Fraction(b or 1)
+    return Fraction(a or 0), -b if sign == "-" or minus else b, int(d)
+
+
+def read_surd_line(coords):
+    """A printed line's (a, b) pairs and its one radicand d, 0 when every entry is rational."""
+    parsed = [read_surd(c) for c in coords]
+    radicands = {d for _, _, d in parsed if d}
+    if len(radicands) > 1:
+        raise ValueError(f"a line over two radicands: {coords!r}")
+    return [(a, b) for a, b, _ in parsed], next(iter(radicands), 0)
 
 
 def reduce_vector(vec, rows, pivots):

@@ -18,6 +18,8 @@ from reference import (
     ideal_slice,
     in_ideal,
     rank,
+    read_surd,
+    read_surd_line,
     reduce_vector,
     rref,
     surd_add,
@@ -188,3 +190,43 @@ def test_surd_pairing_and_quadric_on_hand_worked_lines():
         v = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(6)]
         assert surd_pairing(v, v, d) == surd_add(surd_quadric(v, d), surd_quadric(v, d))
         assert surd_pairing(v, w, d) == surd_pairing(w, v, d)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (7, (7, 0, 0)),
+        ("-3/4", (Fraction(-3, 4), 0, 0)),
+        ("0", (0, 0, 0)),
+        ("sqrt(2)", (0, 1, 2)),
+        ("-sqrt(-11)", (0, -1, -11)),
+        ("2*sqrt(5)", (0, 2, 5)),
+        ("1 + 2*sqrt(5)", (1, 2, 5)),
+        ("-4 - 3*sqrt(7)", (-4, -3, 7)),
+        ("7 - sqrt(-3)", (7, -1, -3)),
+        ("1/2 - 1/3*sqrt(2)", (Fraction(1, 2), Fraction(-1, 3), 2)),
+    ],
+)
+def test_read_surd_on_hand_written_values(text, value):
+    assert read_surd(text) == value
+
+
+def test_read_surd_refuses_what_it_cannot_read():
+    for text in ("", "sqrt", "1 + sqrt(2", "1 +sqrt(2)", "sqrt(2) + 1", "1.5", "1 + sqrt(x)"):
+        with pytest.raises(ValueError, match="^not a printed coordinate: "):
+            read_surd(text)
+    with pytest.raises(ValueError, match="^a line over two radicands: "):
+        read_surd_line(["sqrt(2)", "sqrt(3)", 0, 0, 0, 0])
+
+
+def test_read_surd_line_round_trips_a_plain_spelling():
+    rng = random.Random(3408)
+    for _ in range(200):
+        d = rng.choice([-7, -3, 2, 3, 5, 6, 10])
+        pairs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)]
+        text = [
+            f"{a} {'-' if b < 0 else '+'} {abs(b)}*sqrt({d})" if b else str(a) for a, b in pairs
+        ]
+        assert read_surd_line(text) == (pairs, d if any(b for _, b in pairs) else 0)
+    rational = ([(1, 0), (Fraction(2, 3), 0)] + [(0, 0)] * 4, 0)
+    assert read_surd_line([1, "2/3", 0, 0, 0, 0]) == rational
