@@ -8,10 +8,12 @@ It writes each input file of INPUTS to inputs/, runs every argv of each
 corpus in CORPORA through `run_cli` with this directory as the working
 directory, and writes the corpus file: one record of argv, the SHA-256
 digest of stdout, stderr and exit code per invocation.  four_lines.json
-holds `oracle four-lines`, pencil.json `oracle pencil` and selftest.json
-`selftest`.  The records pin the output byte for byte; regenerate them
-only when that output is meant to change, and say why in the change that
-does.
+holds `oracle four-lines`, pencil.json `oracle pencil`, selftest.json
+`selftest`, and eval.json `eval`, `verify-formulas`, `tangent-count` and
+`bitangent-count`.  The records pin the output byte for byte; regenerate
+them only when that output is meant to change, and say why in the change
+that does.  COLUMNS is pinned, because argparse wraps its usage lines to
+the terminal width.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import random
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -28,6 +31,32 @@ SEEDS = range(200)
 # degree 0 and 41 lie just outside `oracle pencil`'s domain of 1 to 40
 PENCIL_DEGREES = (*range(9), 41)
 PENCIL_SEEDS = range(4)
+COLUMNS = "80"
+
+# each space's vocabulary, restated so that the argvs do not depend on the code they test
+VOCABULARY = {
+    "P3": ("P", "p", "p_g", "t"),
+    "P3dual": ("E", "e", "e_g"),
+    "G": ("G", "c1", "c2", "g", "g_e", "g_p", "g_s"),
+    "PS": ("G", "c1", "c2", "g", "g_e", "g_p", "g_s", "p", "p_g", "t"),
+}
+EXPRESSIONS_PER_SPACE = 40
+COUNT_NS = (-1, 0, 1, 2, 3, 4, 7, 12)
+# one input per refusal class of `eval`, all on G
+EVAL_REFUSALS = (
+    "g $ 2",  # a bad character, with its position
+    "g + \u0663",  # a non-ASCII digit
+    "2 g",  # a trailing token
+    "(g + 1",  # a missing ')'
+    "(" * 100 + "g" + ")" * 100,  # depth 101
+    "+".join(["g"] * 101),  # depth 101 in a flat sum
+    "g^1001",
+    "1" + "0" * 1000,  # a literal of 1001 digits
+    "(2^1000)^11",  # past the coefficient-bit limit
+    "0*(" + " + ".join(["(2^1000)^9*2^998"] * 4) + ")",  # a zero factor and a 10001-bit one
+    "g + q",
+    "",
+)
 
 _TETRAHEDRON = [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]]
 _SEED_3 = [
@@ -113,11 +142,52 @@ def pencil_records() -> list[list[str]]:
     ]
 
 
+def _expression(rng: random.Random, names: tuple[str, ...], depth: int) -> tuple[str, int]:
+    """Random source text and how tightly it binds: 1 a sum, 2 a product, 3 a power, 4 the rest."""
+    if depth == 0 or rng.random() < 0.2:
+        return (str(rng.randrange(12)) if rng.random() < 0.25 else rng.choice(names)), 4
+    kind = rng.choice("+-*^n")
+    if kind == "n":
+        return "-" + _operand(rng, names, depth, 4), 4
+    if kind == "^":
+        return f"{_operand(rng, names, depth, 4)}^{rng.randrange(7)}", 3
+    bind = 2 if kind == "*" else 1
+    left, right = _operand(rng, names, depth, bind), _operand(rng, names, depth, bind + 1)
+    space = rng.choice(("", " "))
+    return f"{left}{space}{kind}{space}{right}", bind
+
+
+def _operand(rng: random.Random, names: tuple[str, ...], depth: int, needs: int) -> str:
+    # parenthesised when it binds less tightly than its slot needs, and now and then anyway
+    text, binds = _expression(rng, names, depth - 1)
+    return f"({text})" if binds < needs or rng.random() < 0.1 else text
+
+
+def eval_records() -> list[list[str]]:
+    """The argvs of eval.json."""
+    argvs = []
+    for name, names in VOCABULARY.items():
+        rng = random.Random(f"eval {name}")
+        for _ in range(EXPRESSIONS_PER_SPACE):
+            text, _ = _expression(rng, names, 4)
+            argvs.append(["eval", "--space", name, "--", text])
+            argvs.append(["eval", "--space", name, "--json", "--", text])
+    argvs += [["eval", "--space", "G", "--", text] for text in EVAL_REFUSALS]
+    argvs += [["eval", "--space", name, "unknown"] for name in VOCABULARY]
+    argvs.append(["verify-formulas"])
+    argvs += [["verify-formulas", "--space", name] for name in (*VOCABULARY, "P4")]
+    for command in ("tangent-count", "bitangent-count"):
+        for n in COUNT_NS:
+            argvs += [[command, str(n)], [command, str(n), "--trace"], [command, str(n), "--json"]]
+    return argvs
+
+
 # corpus file name -> the argvs it records
 CORPORA = {
     "four_lines.json": records,
     "pencil.json": pencil_records,
     "selftest.json": lambda: [["selftest"]],
+    "eval.json": eval_records,
 }
 
 
@@ -142,6 +212,7 @@ def replay(argv: list[str]) -> dict:
 
 
 def main() -> None:
+    os.environ["COLUMNS"] = COLUMNS
     inputs = HERE / "inputs"
     inputs.mkdir(exist_ok=True)
     for name, text in INPUTS.items():

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from regenerate import COLUMNS, EVAL_REFUSALS, eval_records
 from schubert3.cli import run_cli
 
 HERE = Path(__file__).resolve().parent
@@ -16,6 +17,7 @@ def _load(name: str) -> list[dict]:
 def _changed(records: list[dict], capsys, monkeypatch) -> list:
     """The records whose exit code, stderr or stdout digest differ on replay."""
     monkeypatch.chdir(HERE)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     changed = []
     for record in records:
         code = run_cli(record["argv"])
@@ -55,5 +57,23 @@ def test_selftest_output_is_the_recorded_output(capsys, monkeypatch):
     records = _load("selftest.json")
     assert [record["argv"] for record in records] == [["selftest"]]
     assert records[0]["exit"] == 0
+    changed = _changed(records, capsys, monkeypatch)
+    assert not changed, changed
+
+
+def test_eval_output_is_the_recorded_output(capsys, monkeypatch):
+    records = _load("eval.json")
+    argvs = [record["argv"] for record in records]
+    assert argvs == eval_records()
+    refused = [
+        argv
+        for argv in argvs
+        if argv[-1] in EVAL_REFUSALS + ("unknown", "P4")
+        or argv[0].endswith("-count") and int(argv[1]) < (1 if argv[0] == "tangent-count" else 2)
+    ]
+    assert len(refused) == len(EVAL_REFUSALS) + 4 + 1 + 2 * 3 + 3 * 3
+    # every seeded expression is answered, every refusal class exits 2
+    assert [argv for argv, record in zip(argvs, records) if record["exit"]] == refused
+    assert {record["exit"] for record in records if record["argv"] in refused} == {2}
     changed = _changed(records, capsys, monkeypatch)
     assert not changed, changed
