@@ -10,6 +10,7 @@ Grammar, with insignificant whitespace:
 One table, `_BINARY`, gives each binary operator its node, binding power and
 printed form.  The parser climbs precedence over it (Pratt, POPL 1973), and the
 printer parenthesises an operand only when it binds less tightly than its slot.
+Evaluation goes through one table keyed by node type, `_EVALUATE`.
 
 Multiplication is always spelled '*'; juxtaposition is a syntax error.
 Exponents are literal non-negative integers up to MAX_EXPONENT, integer
@@ -25,6 +26,7 @@ written "-(g^2)".
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from typing import Iterator, Union
 
 from .graded_ring import power
@@ -120,21 +122,19 @@ Expr = Union[IntLit, Sym, Neg, Add, Sub, Mul, Pow]
 
 # Each binary operator once: its node, its binding power and its printed form.
 # A power binds at 3, and a number, a name or a negation at 4.
-_BINARY = {
-    "+": (Add, 1, " + "),
-    "-": (Sub, 1, " - "),
-    "*": (Mul, 2, "*"),
-}
+_BINARY = {"+": (Add, 1, " + "), "-": (Sub, 1, " - "), "*": (Mul, 2, "*")}
 _INFIX = {cls: (bind, shown) for cls, bind, shown in _BINARY.values()}
 _OPS = {*_BINARY, *"^()"}
 
 # Deepest expression `parse` accepts.  A number or a name has depth 1, and
 # every unary minus, binary operator, power and pair of parentheses adds one
 # level above its deepest operand, so a flat chain g+g+...+g of k terms has
-# depth k.  Per level the parser recurses about 3 frames for parentheses,
-# `to_source` 2 and `evaluate` 1, so a recursion limit of 3*MAX_DEPTH + 50
-# holds every accepted expression, far inside Python's default of 1000.
+# depth k.  Per level the parser recurses about 3 frames for parentheses, and
+# `to_source` and `evaluate` (a node's rule, then `evaluate` of its operand) 2,
+# so a recursion limit of 3*MAX_DEPTH + 50 holds every accepted expression,
+# far inside Python's default of 1000.
 MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
 
 # Largest exponent `parse` accepts.  A power is evaluated by square-and-multiply,
 # at most 2*log2(exponent) ring products, each held to MAX_COEFFICIENT_BITS.
@@ -188,26 +188,19 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     yield ("end", "end of input", n)  # its text is what error messages show
 
 
+# Nodes are built with `tuple.__new__`, past the IntLit and Pow checks: the
+# parser makes only the literals and exponents that `literal` has read.
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.groups = 0  # parentheses and unary minus signs open at the cursor
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def literal(self, value: str, at: int) -> int:
         digits = value.lstrip("0") or "0"
         if len(digits) > MAX_LITERAL_DIGITS:
             raise ParseError(f"literal of {len(digits)} digits exceeds the limit {MAX_LITERAL_DIGITS}", at)
         return int(digits)
-
-    def check_depth(self, depth: int, at: int) -> None:
-        if self.groups + depth > MAX_DEPTH:
-            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", at)
 
     # Each method returns (node, depth of the node's subtree); a subtree inside
     # `groups` open groups sits that many levels deeper in the whole tree.
@@ -222,41 +215,45 @@ class _Parser:
             cls, bind, _ = op
             self.pos += 1
             rhs, rdepth = self.expr(bind + 1)  # bind + 1: every operator is left-associative
-            node = cls(node, rhs)
+            node = tuple.__new__(cls, (node, rhs))
             depth = (depth if depth > rdepth else rdepth) + 1
-            self.check_depth(depth, at)
+            if self.groups + depth > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP, at)
 
     def factor(self) -> tuple[Expr, int]:
         node, depth = self.base()
-        kind, value, _ = self.tokens[self.pos]
-        if kind == "op" and value == "^":
-            self.pos += 1
-            kind, value, at = self.advance()
+        if self.tokens[self.pos][1] == "^":  # only an operator token reads "^"
+            kind, value, at = self.tokens[self.pos + 1]
+            self.pos += 2
             if kind != "int":
                 raise ParseError(f"exponent must be a non-negative integer literal, found {value!r}", at)
             exp = self.literal(value, at)
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {value} exceeds the limit {MAX_EXPONENT}", at)
-            node = Pow(node, exp)
+            node = tuple.__new__(Pow, (node, exp))
             depth += 1
-            self.check_depth(depth, at)
+            if self.groups + depth > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP, at)
         return node, depth
 
     def base(self) -> tuple[Expr, int]:
-        kind, value, at = self.advance()
+        kind, value, at = self.tokens[self.pos]
+        self.pos += 1
         if kind == "int":
-            return IntLit(self.literal(value, at)), 1
+            return tuple.__new__(IntLit, (self.literal(value, at),)), 1
         if kind == "ident":
-            return Sym(value), 1
-        if kind == "op" and value in "-(":
+            return tuple.__new__(Sym, (value,)), 1
+        if value == "-" or value == "(":  # the end token reads "end of input"
             self.groups += 1
-            self.check_depth(1, at)
+            if self.groups >= MAX_DEPTH:  # the group is a level above its operand
+                raise ParseError(_TOO_DEEP, at)
             if value == "-":
                 node, depth = self.base()
-                node = Neg(node)
+                node = tuple.__new__(Neg, (node,))
             else:
                 node, depth = self.expr()
-                _, value, at = self.advance()
+                _, value, at = self.tokens[self.pos]
+                self.pos += 1
                 if value != ")":
                     raise ParseError(f"expected ')', found {value!r}", at)
             self.groups -= 1
@@ -305,43 +302,41 @@ def evaluate(node: Expr, space):
     elements; unknown names report the available vocabulary, and a product
     or power past MAX_COEFFICIENT_BITS raises EvaluationError.
     """
-    symbols = space.symbols
-    if isinstance(node, IntLit):
-        return node.value * space.ring.one()
-    if isinstance(node, Sym):
-        if node.name not in symbols:
-            raise EvaluationError(
-                f"unknown symbol {node.name!r} in {space.name}; "
-                f"available: {', '.join(sorted(symbols))}"
-            )
-        return symbols[node.name]
-    if isinstance(node, Neg):
-        return -evaluate(node.op, space)
-    if isinstance(node, Add):
-        return evaluate(node.left, space) + evaluate(node.right, space)
-    if isinstance(node, Sub):
-        return evaluate(node.left, space) - evaluate(node.right, space)
-    if isinstance(node, Mul):
-        return _checked_product(node)(evaluate(node.left, space), evaluate(node.right, space))
-    if isinstance(node, Pow):
-        return power(evaluate(node.base, space), node.exp, _checked_product(node))
-    raise TypeError(f"not an expression node: {node!r}")
+    rule = _EVALUATE.get(type(node))
+    if rule is None:
+        raise TypeError(f"not an expression node: {node!r}")
+    return rule(node, space)
 
 
-def _coefficient_bits(e) -> int:
-    return max(map(int.bit_length, e.terms.values()), default=0)
+def _symbol(node: Sym, space):
+    try:
+        return space.symbols[node.name]
+    except KeyError:
+        raise EvaluationError(
+            f"unknown symbol {node.name!r} in {space.name}; "
+            f"available: {', '.join(sorted(space.symbols))}"
+        ) from None
 
 
-def _checked_product(node: Expr):
-    """Multiplication for `node` that refuses factors past MAX_COEFFICIENT_BITS."""
+def _checked(node: Expr, a, b):
+    """a*b for `node`, refused when its factors' coefficients could pass MAX_COEFFICIENT_BITS."""
+    # a zero factor counts as 0 bits; `or (0,)` is about twice as fast as max's default=0
+    a_bits = max(map(int.bit_length, a.terms.values() or (0,)))
+    b_bits = max(map(int.bit_length, b.terms.values() or (0,)))
+    if a_bits + b_bits > MAX_COEFFICIENT_BITS:
+        raise EvaluationError(
+            f"evaluation of {to_source(node)} stopped: factors with {a_bits}- and "
+            f"{b_bits}-bit coefficients pass the limit of {MAX_COEFFICIENT_BITS} bits"
+        )
+    return a * b
 
-    def product(a, b):
-        a_bits, b_bits = _coefficient_bits(a), _coefficient_bits(b)
-        if a_bits + b_bits > MAX_COEFFICIENT_BITS:
-            raise EvaluationError(
-                f"evaluation of {to_source(node)} stopped: factors with {a_bits}- and "
-                f"{b_bits}-bit coefficients pass the limit of {MAX_COEFFICIENT_BITS} bits"
-            )
-        return a * b
 
-    return product
+_EVALUATE = {
+    IntLit: lambda node, space: space.ring._constant(node.value),
+    Sym: _symbol,
+    Neg: lambda node, space: -evaluate(node.op, space),
+    Add: lambda node, space: evaluate(node.left, space) + evaluate(node.right, space),
+    Sub: lambda node, space: evaluate(node.left, space) - evaluate(node.right, space),
+    Mul: lambda node, space: _checked(node, evaluate(node.left, space), evaluate(node.right, space)),
+    Pow: lambda node, space: power(evaluate(node.base, space), node.exp, partial(_checked, node)),
+}

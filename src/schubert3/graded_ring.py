@@ -221,9 +221,10 @@ class RingElement:
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RingElement or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.ring._product(self.terms, other.terms)
 
     __rmul__ = __mul__

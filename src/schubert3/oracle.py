@@ -61,12 +61,16 @@ def _rational(x) -> Rational:
     """Exact value of x: an int when it is integral, otherwise a Fraction.
 
     bool and float are refused: True is not a coordinate, and 0.1 is not 1/10.
+    So is anything Fraction cannot read, such as None or "1 + sqrt(2)".
     """
     if type(x) is int:
         return x
     if isinstance(x, (bool, float)):
         raise ValueError(f"not an exact number: {x!r}")
-    x = Fraction(x)
+    try:
+        x = Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact number: {x!r}") from None
     return x.numerator if x.denominator == 1 else x
 
 

@@ -65,14 +65,17 @@ def test_eval_output_is_the_recorded_output(capsys, monkeypatch):
     records = _load("eval.json")
     argvs = [record["argv"] for record in records]
     assert argvs == eval_records()
+    # the refusal classes, an unknown symbol on each space, the unknown space,
+    # and each count below the first n of its domain, plain, --trace and --json
+    first_n = {"tangent-count": 1, "bitangent-count": 2}
     refused = [
         argv
         for argv in argvs
-        if argv[-1] in EVAL_REFUSALS + ("unknown", "P4")
-        or argv[0].endswith("-count") and int(argv[1]) < (1 if argv[0] == "tangent-count" else 2)
+        if argv[-1] in (*EVAL_REFUSALS, "unknown", "P4")
+        or argv[0] in first_n and int(argv[1]) < first_n[argv[0]]
     ]
     assert len(refused) == len(EVAL_REFUSALS) + 4 + 1 + 2 * 3 + 3 * 3
-    # every seeded expression is answered, every refusal class exits 2
+    # every seeded expression and every count in its domain is answered
     assert [argv for argv, record in zip(argvs, records) if record["exit"]] == refused
     assert {record["exit"] for record in records if record["argv"] in refused} == {2}
     changed = _changed(records, capsys, monkeypatch)

@@ -1,13 +1,16 @@
 """Parser, printer and evaluator for the expression language."""
 
+from collections import namedtuple
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import schubert3
 from schubert3.dsl import (
@@ -29,7 +32,7 @@ from schubert3.dsl import (
     to_source,
 )
 from schubert3.graded_ring import PolyRing
-from schubert3.spaces import space
+from schubert3.spaces import SPACE_NAMES, space
 
 
 def test_parse_shapes_frozen():
@@ -178,10 +181,10 @@ def test_printer_prints_the_fewest_parentheses():
                     pass
 
 
-_names = st.sampled_from(["g", "g_e", "g_p", "g_s", "G", "p", "e", "t", "c1", "x_0"])
+NAMES = ["g", "g_e", "g_p", "g_s", "G", "p", "e", "t", "c1", "x_0"]
 _atoms = st.one_of(
     st.integers(0, 99).map(IntLit),
-    _names.map(Sym),
+    st.sampled_from(NAMES).map(Sym),
 )
 
 
@@ -218,6 +221,61 @@ def test_evaluate_basics():
     assert evaluate(parse("-x*(x + 3)"), sp) == -(x**2) - 3 * x
     assert evaluate(parse("7"), sp) == 7 * sp.ring.one()
     assert evaluate(parse("-x^2"), sp) == x**2
+
+
+def _direct(node, symbols, one):
+    """The value of an expression by +, -, *, ** and the symbols map, with no limit."""
+    if isinstance(node, IntLit):
+        return node.value * one
+    if isinstance(node, Sym):
+        return symbols[node.name]
+    if isinstance(node, Neg):
+        return -_direct(node.op, symbols, one)
+    if isinstance(node, Pow):
+        return _direct(node.base, symbols, one) ** node.exp
+    left, right = _direct(node.left, symbols, one), _direct(node.right, symbols, one)
+    return {Add: left + right, Sub: left - right, Mul: left * right}[type(node)]
+
+
+def _degree(node) -> int:
+    """A bound on the degree of an expression in its names and numbers."""
+    if isinstance(node, (IntLit, Sym)):
+        return 1
+    if isinstance(node, Neg):
+        return _degree(node.op)
+    if isinstance(node, Pow):
+        return node.exp * _degree(node.base)
+    if isinstance(node, Mul):
+        return _degree(node.left) + _degree(node.right)
+    return max(_degree(node.left), _degree(node.right))
+
+
+@pytest.mark.parametrize("name", ["F", *SPACE_NAMES])
+@given(expressions)
+def test_evaluate_agrees_with_direct_arithmetic(name, expr):
+    # up to degree 16 no coefficient comes near MAX_COEFFICIENT_BITS, and the
+    # free ring of the fake space stays small
+    assume(_degree(expr) <= 16)
+    sp = _FakeSpace() if name == "F" else space(name)
+    vocabulary = sorted(sp.symbols)
+    # every name of the strategy stands for one of the space's classes
+    renamed = SimpleNamespace(
+        name=sp.name,
+        ring=sp.ring,
+        symbols={n: sp.symbols[vocabulary[i % len(vocabulary)]] for i, n in enumerate(NAMES)},
+    )
+    assert evaluate(expr, renamed) == _direct(expr, renamed.symbols, sp.ring.one())
+
+
+# a plain tuple or a look-alike with a node's fields is no node either
+@pytest.mark.parametrize("bad", [3, "x", None, ("x",), namedtuple("Sym", "name")("x"), Add(Sym("x"), 3)])
+def test_a_non_node_is_refused_by_type(bad):
+    inner = 3 if isinstance(bad, Add) else bad  # a node with a non-node operand names the operand
+    message = f"^{re.escape(f'not an expression node: {inner!r}')}$"
+    with pytest.raises(TypeError, match=message):
+        evaluate(bad, _FakeSpace())
+    with pytest.raises(TypeError, match=message):
+        to_source(bad)
 
 
 def test_evaluate_unknown_symbol_lists_vocabulary():
@@ -261,6 +319,23 @@ def test_evaluate_coefficient_limit():
     past = f"({power_of_two(rest)}*g)^2"
     with pytest.raises(EvaluationError, match=rf"^evaluation of \(2\^1000\*.*\*g\)\^2 stopped"):
         evaluate(parse(past), G)
+
+
+def test_evaluate_limit_counts_a_zero_factor():
+    # X is 2^10000, 10001 bits, built by sums from the longest product allowed
+    G = space("G")
+    X = "(" + " + ".join([power_of_two(9998)] * 4) + ")"
+    assert evaluate(parse(X), G) == 2**10000 * G.ring.one()
+    for text, bits in ((f"0*{X}", (0, 10001)), (f"{X}*0", (10001, 0)), (f"(g - g)*{X}", (0, 10001))):
+        with pytest.raises(EvaluationError) as err:
+            evaluate(parse(text), G)
+        assert str(err.value) == (
+            f"evaluation of {to_source(parse(text))} stopped: factors with {bits[0]}- and "
+            f"{bits[1]}-bit coefficients pass the limit of {MAX_COEFFICIENT_BITS} bits"
+        )
+    # a power with no product is never refused
+    assert evaluate(parse(f"{X}^0"), G) == G.ring.one()
+    assert evaluate(parse(f"{X}^1"), G) == 2**10000 * G.ring.one()
 
 
 def test_evaluate_refuses_nested_powers_at_once():

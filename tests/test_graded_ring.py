@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add, mul, sub
 from pathlib import Path
 
 import pytest
@@ -421,8 +422,11 @@ def test_element_operations(G):
 
 
 def test_cross_ring_arithmetic_rejected(P3, G):
-    with pytest.raises(ValueError):
-        P3.gen("t") + G.gen("c1")
+    t, c1 = P3.gen("t"), G.gen("c1")
+    for combine in (add, sub, mul):
+        for a, b in ((t, c1), (c1, t)):
+            with pytest.raises(ValueError, match="^elements belong to different rings$"):
+                combine(a, b)
 
 
 def test_rendering_frozen(G):

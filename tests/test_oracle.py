@@ -378,18 +378,22 @@ def test_qnum_folds_a_perfect_square_radicand():
     assert not over_minus_4.is_rational and over_minus_4.coords[1] == "sqrt(-4)"
 
 
-@pytest.mark.parametrize("bad", [True, False, 0.5, 0.1, 1.0])
+# bool and float, and values that Fraction cannot read or that divide by zero
+@pytest.mark.parametrize("bad", [True, False, 0.5, 0.1, 1.0, None, "1 + sqrt(2)", "1/0", 1j])
 def test_oracle_refuses_inexact_numbers(bad):
-    def refused(build):
-        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+    def refused(build, wording="not an exact number:"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{wording} {bad!r}')}$"):
             build()
 
     refused(lambda: ProjectivePoint([bad, 0, 0, 1]))
     refused(lambda: PlueckerLine([bad, 0, 0, 0, 0, 1]))
     refused(lambda: PlueckerLine.quadratic([bad, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0], 2))
     refused(lambda: PlueckerLine.quadratic([1, 0, 0, 0, 0, 0], [bad, 0, 0, 0, 0, 0], 2))
-    refused(lambda: PlueckerLine.quadratic([1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], bad))
-    refused(lambda: SolutionSet(False, ((ruling(1, 0), bad),)))
+    refused(
+        lambda: PlueckerLine.quadratic([1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], bad),
+        "a radicand is an int, not",
+    )
+    refused(lambda: SolutionSet(False, ((ruling(1, 0), bad),)), "a multiplicity is an int, not")
     refused(lambda: SurfaceForm({(1, 0, 0, 0): bad, (0, 1, 0, 0): 1}))
     f = SurfaceForm({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1})
     refused(lambda: f.value([bad, 0, 0, 1]))
