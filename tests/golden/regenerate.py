@@ -9,10 +9,11 @@ corpus in CORPORA through `run_cli` with this directory as the working
 directory, and writes the corpus file: one record of argv, the SHA-256
 digest of stdout, stderr and exit code per invocation.  four_lines.json
 holds `oracle four-lines`, pencil.json `oracle pencil`, selftest.json
-`selftest`, and eval.json `eval`, `verify-formulas`, `tangent-count` and
-`bitangent-count`.  The records pin the output byte for byte; regenerate
-them only when that output is meant to change, and say why in the change
-that does.  COLUMNS is pinned, because argparse wraps its usage lines to
+`selftest`, eval.json `eval`, `verify-formulas`, `tangent-count` and
+`bitangent-count`, and readme.json the README's command lines, with
+inputs/readme.json for their lines.json.  The records pin the output byte
+for byte; regenerate them only when that output is meant to change, and
+say why in the change that does.  COLUMNS is pinned, because argparse wraps its usage lines to
 the terminal width.
 """
 
@@ -24,9 +25,12 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+README = HERE.parent.parent / "README.md"
 SEEDS = range(200)
 # degree 0 and 41 lie just outside `oracle pencil`'s domain of 1 to 40
 PENCIL_DEGREES = (*range(9), 41)
@@ -182,12 +186,25 @@ def eval_records() -> list[list[str]]:
     return argvs
 
 
+def readme_records() -> list[list[str]]:
+    """The argvs of readme.json: every `schubert3 ...` line of the README's ```sh blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("schubert3 ")
+    ]
+    return [["inputs/readme.json" if a == "lines.json" else a for a in argv] for argv in commands]
+
+
 # corpus file name -> the argvs it records
 CORPORA = {
     "four_lines.json": records,
     "pencil.json": pencil_records,
     "selftest.json": lambda: [["selftest"]],
     "eval.json": eval_records,
+    "readme.json": readme_records,
 }
 
 

@@ -4,7 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from regenerate import COLUMNS, EVAL_REFUSALS, eval_records
+from regenerate import COLUMNS, EVAL_REFUSALS, eval_records, readme_records
 from schubert3.cli import run_cli
 
 HERE = Path(__file__).resolve().parent
@@ -78,5 +78,16 @@ def test_eval_output_is_the_recorded_output(capsys, monkeypatch):
     # every seeded expression and every count in its domain is answered
     assert [argv for argv, record in zip(argvs, records) if record["exit"]] == refused
     assert {record["exit"] for record in records if record["argv"] in refused} == {2}
+    changed = _changed(records, capsys, monkeypatch)
+    assert not changed, changed
+
+
+def test_readme_output_is_the_recorded_output(capsys, monkeypatch):
+    records = _load("readme.json")
+    argvs = [record["argv"] for record in records]
+    assert argvs == readme_records()
+    assert len(argvs) == 13
+    assert ["oracle", "four-lines", "--input", "inputs/readme.json"] in argvs
+    assert {record["exit"] for record in records} == {0}
     changed = _changed(records, capsys, monkeypatch)
     assert not changed, changed

@@ -1,7 +1,6 @@
 """The README's Python examples and command lines run as written."""
 
 import doctest
-import json
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +8,7 @@ from pathlib import Path
 from schubert3.cli import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+LINES_JSON = Path(__file__).resolve().parent / "golden" / "inputs" / "readme.json"
 
 
 def test_readme_python_examples():
@@ -34,8 +34,8 @@ def test_readme_command_lines(tmp_path, monkeypatch, capsys):
         if line.startswith("schubert3 ")
     ]
     assert len(commands) == 13
-    lines = [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]
-    (tmp_path / "lines.json").write_text(json.dumps({"lines": lines}))
+    # the golden corpus replays these lines with the same file
+    (tmp_path / "lines.json").write_text(LINES_JSON.read_text())
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         code = run_cli(argv)
