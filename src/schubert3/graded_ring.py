@@ -4,13 +4,15 @@ Everything here is exact.  Coefficients are arbitrary-precision integers.  A
 quotient is given as `GradedRingPresentation(relations, top_class)`, both
 elements of one free `PolyRing`: the generators are that ring's, and the top
 degree is the top class's.  It is computed one degree at a time: the relation
-multiples of each degree are put into a unit-pivot integer echelon form, and
-the surviving monomials form the canonical basis of that graded piece.
-Reduction is linear, so each degree's echelon is used once, at construction,
-to tabulate the normal form of every monomial of that degree; reducing an
-element is then a lookup per term.  Monomials inside a degree are ordered by
-descending lexicographic order on exponent vectors, so every normal form is
-canonical for a fixed generator order.
+multiples of each degree are put into reduced Hermite normal form by
+`hermite_form`, every pivot must be 1, and the monomials without a pivot form
+the canonical basis of that graded piece.  Reduction is linear, so each
+degree's normal forms are read off the reduced rows once, at construction: a
+pivot monomial is minus the rest of its row, and a basis monomial is itself.
+Reducing an element is then a lookup per term.  Monomials inside a degree are
+ordered by descending lexicographic order on exponent vectors, and the reduced
+form of a lattice is unique, so every normal form is canonical for a fixed
+generator order.
 
 Terms are validated and reduced only where they enter from outside:
 `RingElement(ring, terms)`, `element` and `monomial`.  Arithmetic starts from
@@ -30,8 +32,6 @@ from collections import namedtuple
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .linalg import int_echelon, reduce_mod_echelon
-
 __all__ = [
     "GeneratorSpec",
     "GradedRingPresentation",
@@ -39,6 +39,7 @@ __all__ = [
     "PolyRing",
     "RingElement",
     "TorsionError",
+    "hermite_form",
     "power",
     "series_inverse",
     "substitute",
@@ -324,8 +325,8 @@ def series_inverse(u: RingElement, bound: int) -> RingElement:
     Solves u*v = 1 degree by degree: v_0 = 1 and v_d = -sum_{i=1}^{d} u_i*v_(d-i).
     The unit constant term means no division ever happens, so v stays integral.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be non-negative, not {bound}")
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"bound must be a non-negative integer, not {bound!r}")
     parts = u.homogeneous_components()
     if parts.get(0, 0) != 1:
         raise ValueError(f"series_inverse needs degree-0 part 1, not {parts.get(0, 0)}")
@@ -381,8 +382,10 @@ class GradedRingPresentation(PolyRing):
     do not vanish above the top degree.
     """
 
-    def __init__(self, relations: Sequence[RingElement], top_class: RingElement) -> None:
+    def __init__(self, relations: Iterable[RingElement], top_class: RingElement) -> None:
+        # one pass over `relations`, which may be an iterator
         elements = [top_class, *relations]
+        relations = elements[1:]
         if not all(isinstance(e, RingElement) and e.ring is top_class.ring for e in elements):
             raise ValueError("relations and the top class must live in one free ring")
         super().__init__(top_class.ring.generators)
@@ -434,14 +437,17 @@ class GradedRingPresentation(PolyRing):
                     "or no unit monomial basis"
                 )
         pivot_cols = {col for col, _ in echelon}
-        self._bases[d] = tuple(m for i, m in enumerate(monos) if i not in pivot_cols)
+        basis = self._bases[d] = tuple(m for i, m in enumerate(monos) if i not in pivot_cols)
         if d > self.top_degree:
             return
-        # Every pivot is a unit, so reducing a unit vector clears every pivot
-        # column and leaves the monomial's normal form; basis monomials stay put.
-        for i, m in enumerate(monos):
-            nf = reduce_mod_echelon([int(j == i) for j in range(len(monos))], echelon)
-            self._normal_forms[m] = tuple((monos[j], c) for j, c in enumerate(nf) if c)
+        # Every pivot is 1 and the form is reduced, so a pivot row is zero at
+        # every other pivot: its monomial is minus the rest of the row.
+        for m in basis:
+            self._normal_forms[m] = ((m, 1),)
+        for col, row in echelon:
+            self._normal_forms[monos[col]] = tuple(
+                (monos[j], -c) for j, c in enumerate(row) if c and j != col
+            )
 
     def _reduce(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
         # A monomial missing from the table lies above the top degree, where
@@ -509,10 +515,63 @@ def substitute(
     return out
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def hermite_form(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, list[int]]]:
+    """Reduced Hermite normal form of the integer row lattice of `rows`.
+
+    Returns (pivot column, row) pairs with strictly increasing pivot columns:
+    every row is zero left of its pivot, every pivot is positive, and every
+    entry above a pivot lies in [0, pivot).  Each step replaces the pivot row
+    p and a row r by x*p + y*r and a*r - b*p, where g = x*p[col] + y*r[col]
+    is the gcd of their entries and a, b are those entries over g; the change
+    has determinant 1, so the lattice stays the same.  The reduced form of a
+    lattice is unique, so it does not depend on the order of the rows.
+    """
+    work = [list(r) for r in rows if any(r)]
+    result: list[tuple[int, list[int]]] = []
+    for col in range(ncols):
+        src = [r for r in work if r[col]]
+        if not src:
+            continue
+        piv = src[0]
+        for r in src[1:]:
+            g, x, y = _xgcd(piv[col], r[col])
+            a, b = piv[col] // g, r[col] // g
+            for j in range(col, ncols):
+                pj, rj = piv[j], r[j]
+                piv[j] = x * pj + y * rj
+                r[j] = a * rj - b * pj
+        work = [r for r in work if r is not piv and any(r)]
+        if piv[col] < 0:
+            piv[:] = [-v for v in piv]
+        p = piv[col]
+        for _, row in result:
+            q = row[col] // p
+            if q:
+                for j in range(col, ncols):
+                    row[j] -= q * piv[j]
+        result.append((col, piv))
+    return result
+
+
 def _relation_echelon(
     ring: PolyRing, relations: Sequence[RingElement], d: int
 ) -> list[tuple[int, list[int]]]:
-    """Integer echelon of the ideal's degree-d slice, columns in monomial order.
+    """Reduced Hermite form of the ideal's degree-d slice, columns in monomial order.
 
     The slice is spanned by every monomial multiple of a homogeneous relation
     that lands in degree d.
@@ -526,5 +585,5 @@ def _relation_echelon(
             for m, c in rel.terms.items():
                 vec[index[tuple(a + b for a, b in zip(mult, m))]] += c
             rows.append(vec)
-    return int_echelon(rows, len(monos))
+    return hermite_form(rows, len(monos))
 

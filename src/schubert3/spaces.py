@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import dsl
-from .graded_ring import GradedRingPresentation, PolyRing, RingElement, format_signed_sum, series_inverse
-from .linalg import int_echelon, reduce_mod_echelon
+from .graded_ring import GradedRingPresentation, PolyRing, RingElement
+from .graded_ring import format_signed_sum, hermite_form, series_inverse
 
 __all__ = [
     "EvalResult",
@@ -100,22 +100,19 @@ class SchubertSpace:
             for lbl, e in entries:
                 if e.is_zero() or e.degree() != d:
                     raise ValueError(f"{self.name}: render class {lbl!r} is not of degree {d}")
-            # The echelon of [M | I], M the render classes in the monomial
-            # basis, has unit pivots in columns 0..rank-1 exactly when M is
-            # unimodular; clearing above those pivots leaves [I | M^-1].
+            # The reduced Hermite form of [M | I], M the render classes in the
+            # monomial basis, has unit pivots in columns 0..rank-1 exactly when
+            # M is unimodular, and is then [I | M^-1]: M^-1 is its right half.
             rows = [
                 self._degree_vector(e, d) + [int(i == j) for j in range(rank)]
                 for i, (_, e) in enumerate(entries)
             ]
-            echelon = int_echelon(rows, 2 * rank)
-            if [(col, row[col]) for col, row in echelon] != [(i, 1) for i in range(rank)]:
+            form = hermite_form(rows, 2 * rank)
+            if [(col, row[col]) for col, row in form] != [(i, 1) for i in range(rank)]:
                 raise ValueError(
                     f"{self.name}: degree-{d} render basis is not a unimodular basis"
                 )
-            self._render_inverse[d] = [
-                reduce_mod_echelon(row, echelon[i + 1 :])[rank:]
-                for i, (_, row) in enumerate(echelon)
-            ]
+            self._render_inverse[d] = [row[rank:] for _, row in form]
 
     def symbol_class(self, name: str) -> RingElement:
         """The class a symbol stands for; unknown names list the vocabulary."""

@@ -146,3 +146,10 @@ def test_validation_errors(free2):
     with pytest.raises(ValueError, match="bound"):
         series_inverse(1 + x1, -1)
     assert series_inverse(1 + x1, 0) == 1
+
+
+def test_bound_must_be_a_non_negative_int(free2):
+    x1 = free2.gen("x1")
+    for bound in (True, False, 2.0, -1):
+        with pytest.raises(ValueError, match=f"bound must be a non-negative integer, not {bound!r}"):
+            series_inverse(1 + x1, bound)

@@ -478,7 +478,6 @@ RING_MODULES = [
     "schubert3",
     "schubert3.dsl",
     "schubert3.graded_ring",
-    "schubert3.linalg",
     "schubert3.spaces",
 ]
 

@@ -2,7 +2,7 @@
 
 Every graded piece is recomputed independently by `reference.py`, with
 Fraction Gaussian elimination and its own monomial enumeration, so the
-engine's unit-pivot integer echelon path is checked against plain linear
+engine's reduced Hermite form path is checked against plain linear
 algebra over Q.
 """
 
@@ -66,6 +66,14 @@ def make_flag_space():
     return GradedRingPresentation([y3, y4, incidence], t * c2**2)
 
 
+def make_gcd_ring():
+    # neither degree-1 pivot, 2 or 3 in the x column, divides the other, so
+    # x's unit pivot comes only from the gcd step
+    free = PolyRing([("x", 1), ("y", 1), ("z", 1)])
+    x, y, z = free.gens()
+    return GradedRingPresentation([2 * x + y + z, 3 * x + y, z**3], z**2)
+
+
 @pytest.fixture(scope="module")
 def P3():
     return make_point_space()
@@ -87,6 +95,7 @@ ALL_RINGS = {
     "G": make_line_space,
     "PS": make_flag_space,
     "blowup": blowup_ring,
+    "gcd": make_gcd_ring,
 }
 
 EXPECTED_RANKS = {
@@ -95,6 +104,7 @@ EXPECTED_RANKS = {
     "G": (1, 1, 2, 1, 1),
     "PS": (1, 2, 3, 3, 2, 1),
     "blowup": (1, 3, 5, 6, 5, 3, 1),
+    "gcd": (1, 1, 1),
 }
 
 
@@ -210,6 +220,19 @@ def test_every_monomial_normal_form_is_a_basis_combination_mod_the_ideal(name):
                 assert nf == {m: 1}, (name, m)
             difference = [(mono == m) - nf.get(mono, 0) for mono in monos]
             assert reference.rank(rows + [difference]) == rank, (name, m)
+
+
+def test_gcd_step_normal_forms_differ_from_their_monomials_by_the_ideal():
+    ring = make_gcd_ring()
+    x, y, z = ring.gens()
+    assert (x, y) == (z, -3 * z)
+    relations = [r.terms for r in ring.relations]
+    for d in range(ring.top_degree + 1):
+        for m in ring.monomials_of_degree(d):
+            difference = {m: 1}
+            for b, c in ring.monomial(m).terms.items():
+                difference[b] = difference.get(b, 0) - c
+            assert reference.in_ideal(ring.degrees, difference, relations), m
 
 
 @pytest.mark.parametrize("name", sorted(ALL_RINGS))
@@ -511,6 +534,19 @@ def test_constant_relation_rejected():
     t = free.gen("t")
     with pytest.raises(ValueError, match="constant relation would collapse the ring"):
         GradedRingPresentation([t**4, free.one()], t**3)
+
+
+def test_relations_may_be_any_iterable():
+    free = PolyRing([("c1", 1), ("c2", 2)])
+    c1, c2 = free.gens()
+    relations = [2 * c1 * c2 - c1**3, c1**4 - 3 * c1**2 * c2 + c2**2]
+    from_list = GradedRingPresentation(relations, c2**2)
+    from_generator = GradedRingPresentation((r for r in relations), c2**2)
+    assert from_generator.relations == from_list.relations
+    assert from_generator.graded_ranks() == from_list.graded_ranks() == (1, 1, 2, 1, 1)
+    for d in range(5):
+        for m in free.monomials_of_degree(d):
+            assert from_generator.monomial(m).terms == from_list.monomial(m).terms
 
 
 def test_relations_and_top_class_share_one_free_ring():

@@ -31,7 +31,7 @@ from reference import (
     surd_quadric,
     surd_sub,
 )
-from schubert3 import checks, linalg, oracle
+from schubert3 import checks, graded_ring, oracle
 from schubert3.oracle import (
     DegeneratePencil,
     PlueckerLine,
@@ -1066,18 +1066,19 @@ def test_oracle_imports_no_symbolic_ring():
 
 
 def test_linalg_routines_stay_on_their_side():
-    # linalg keeps only the rings' elimination, and no ring imports the
-    # oracle, so each side eliminates with its own routines
-    for ring in ("graded_ring", "spaces", "dsl", "linalg", "coincidence"):
+    # the rings eliminate with graded_ring's Hermite form, and no ring imports
+    # the oracle, so each side eliminates with its own routines
+    for ring in ("graded_ring", "spaces", "dsl", "coincidence"):
         for _, parts in imported_names(ring):
             assert "oracle" not in parts, (ring, parts)
-    assert linalg.__all__ == ["int_echelon", "reduce_mod_echelon"]
+    assert not (Path(oracle.__file__).parent / "linalg.py").exists()
+    assert "hermite_form" in graded_ring.__all__
 
 
 def test_tests_check_the_rings_eliminations_only_through_the_reference():
     # a test that reduced with the rings' own echelon would agree with a bug
     # in it, so no test module imports or reaches for those routines
-    forbidden = {"int_echelon", "reduce_mod_echelon", "_relation_echelon"}
+    forbidden = {"hermite_form", "int_echelon", "reduce_mod_echelon", "_relation_echelon"}
     for path in sorted(Path(__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         named = {

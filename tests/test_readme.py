@@ -7,7 +7,8 @@ from pathlib import Path
 
 from schubert3.cli import run_cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 LINES_JSON = Path(__file__).resolve().parent / "golden" / "inputs" / "readme.json"
 
 
@@ -40,3 +41,12 @@ def test_readme_command_lines(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code = run_cli(argv)
         assert code == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_layout_names_every_module():
+    # the src/schubert3/ part of the Layout block: its header and the indented lines under it
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```$", README.read_text(), re.M | re.S).group(1)
+    package = re.search(r"^src/schubert3/\n((?:[ \t].*\n)*)", layout, re.M).group(1)
+    named = set(re.findall(r"\b\w+\.py\b", package))
+    modules = {path.name for path in (ROOT / "src" / "schubert3").glob("*.py")} - {"__init__.py"}
+    assert named == modules
