@@ -9,7 +9,7 @@ from schubert3.cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-LINES_JSON = Path(__file__).resolve().parent / "golden" / "inputs" / "readme.json"
+LINES_JSON = ROOT / "tests" / "golden" / "inputs" / "readme.json"
 
 
 def test_readme_python_examples():
