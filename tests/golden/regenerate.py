@@ -46,6 +46,8 @@ VOCABULARY = {
 }
 EXPRESSIONS_PER_SPACE = 40
 COUNT_NS = (-1, 0, 1, 2, 3, 4, 7, 12)
+# an n of 1001 digits, one past the count commands' digit limit
+LONG_N = "1" + "0" * 1000
 # one input per refusal class of `eval`, all on G
 EVAL_REFUSALS = (
     "g $ 2",  # a bad character, with its position
@@ -117,6 +119,10 @@ INPUTS = {
     "moved_double.json": _lines(
         [[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 1, 1, 0, -1, 1], [2, 1, 2, 0, -4, 2]]
     ),
+    # coordinates with no rational part, 5*sqrt(384) and -sqrt(384)
+    "pure_surd.json": _lines(
+        [[1, -2, 0, 2, 1, 0], [1, -1, -3, -5, -5, 0], [1, 0, -1, 0, -1, 0], [2, -1, 1, 1, 0, -2]]
+    ),
     # a perfect-square discriminant: two rational solutions
     "square_discriminant.json": _lines(
         [
@@ -183,6 +189,7 @@ def eval_records() -> list[list[str]]:
     for command in ("tangent-count", "bitangent-count"):
         for n in COUNT_NS:
             argvs += [[command, str(n)], [command, str(n), "--trace"], [command, str(n), "--json"]]
+        argvs.append([command, LONG_N])
     return argvs
 
 

@@ -4,7 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from regenerate import COLUMNS, EVAL_REFUSALS, eval_records, readme_records
+from regenerate import COLUMNS, EVAL_REFUSALS, LONG_N, eval_records, readme_records
 from schubert3.cli import run_cli
 
 HERE = Path(__file__).resolve().parent
@@ -66,15 +66,16 @@ def test_eval_output_is_the_recorded_output(capsys, monkeypatch):
     argvs = [record["argv"] for record in records]
     assert argvs == eval_records()
     # the refusal classes, an unknown symbol on each space, the unknown space,
-    # and each count below the first n of its domain, plain, --trace and --json
+    # each count below the first n of its domain, plain, --trace and --json,
+    # and each count at an n one digit past the limit
     first_n = {"tangent-count": 1, "bitangent-count": 2}
     refused = [
         argv
         for argv in argvs
-        if argv[-1] in (*EVAL_REFUSALS, "unknown", "P4")
+        if argv[-1] in (*EVAL_REFUSALS, "unknown", "P4", LONG_N)
         or argv[0] in first_n and int(argv[1]) < first_n[argv[0]]
     ]
-    assert len(refused) == len(EVAL_REFUSALS) + 4 + 1 + 2 * 3 + 3 * 3
+    assert len(refused) == len(EVAL_REFUSALS) + 4 + 1 + 2 * 3 + 3 * 3 + 2
     # every seeded expression and every count in its domain is answered
     assert [argv for argv, record in zip(argvs, records) if record["exit"]] == refused
     assert {record["exit"] for record in records if record["argv"] in refused} == {2}
