@@ -6,7 +6,9 @@ ones the acceptance tests call, and defines none of its own.  Exit codes:
 0 on success, 1 when a verification fails, 2 on usage or input errors.
 
 Each handler imports what only it uses (the oracle, the blow-up calculus,
-the checks, json), so a process loads just the modules its subcommand runs.
+the checks, json).  The module itself imports `spaces`, `dsl` and
+`graded_ring` at the top, so every process loads the rings, the oracle
+subcommands too, although they never call them.
 """
 
 from __future__ import annotations

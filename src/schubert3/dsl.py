@@ -328,6 +328,12 @@ def _checked(node: Expr, a, b):
             f"evaluation of {to_source(node)} stopped: factors with {a_bits}- and "
             f"{b_bits}-bit coefficients pass the limit of {MAX_COEFFICIENT_BITS} bits"
         )
+    # a zero factor is the product, without a walk of the product table; this
+    # comes after the bit check, so 0 times a factor past the limit is refused
+    if not a.terms:
+        return a
+    if not b.terms:
+        return b
     return a * b
 
 

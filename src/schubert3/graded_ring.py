@@ -14,6 +14,12 @@ ordered by descending lexicographic order on exponent vectors, and the reduced
 form of a lattice is unique, so every normal form is canonical for a fixed
 generator order.
 
+A quotient also fixes, at construction, one table over its monomials of
+degree <= top: each one's degree, its (degree, descending-lex) sort key and
+its printed source.  `monomial_degree` and `format_terms` read it, so
+rendering an element and splitting it by degree cost a lookup per term.  The
+free ring has no such bound, and computes each entry when it is asked for.
+
 Terms are validated and reduced only where they enter from outside:
 `RingElement(ring, terms)`, `element` and `monomial`.  Arithmetic starts from
 normal forms and produces normal forms, so sums, products, powers and the
@@ -77,6 +83,7 @@ class PolyRing:
         self.degrees: tuple[int, ...] = tuple(g.degree for g in specs)
         self.index: dict[str, int] = {g.name: i for i, g in enumerate(specs)}
         self._mono_cache: dict[int, tuple[Monomial, ...]] = {}
+        self._monomials = _MonomialTable(self.degrees, names)
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
@@ -134,6 +141,27 @@ class PolyRing:
 
     def gens(self) -> tuple["RingElement", ...]:
         return tuple(self.gen(g.name) for g in self.generators)
+
+
+class _MonomialTable(dict):
+    """Monomial -> (degree, negated exponents, printed source), as `format_terms` reads it.
+
+    The first two fields sort monomials by degree, then descending lex order.
+    A quotient stores the entries of its monomials of degree <= top at
+    construction; any other lookup, and every lookup in a free ring, computes
+    the entry afresh and stores nothing.
+    """
+
+    __slots__ = ("degrees", "names")
+
+    def __init__(self, degrees: Sequence[int], names: Sequence[str]) -> None:
+        super().__init__()
+        self.degrees = degrees
+        self.names = names
+
+    def __missing__(self, mono: Monomial) -> tuple[int, Monomial, str]:
+        degree = sum(e * d for e, d in zip(mono, self.degrees))
+        return degree, tuple(-e for e in mono), monomial_source(self.names, mono)
 
 
 def _enumerate_monomials(degrees: Sequence[int], d: int) -> Iterator[Monomial]:
@@ -281,13 +309,11 @@ class RingElement:
 
 
 def format_terms(ring: PolyRing, terms: Mapping[Monomial, int]) -> str:
-    """Render a term dict with explicit signs, sorted by (degree, lex order)."""
-    monos = sorted(
-        terms,
-        key=lambda m: (ring.monomial_degree(m), tuple(-e for e in m)),
-    )
-    names = [g.name for g in ring.generators]
-    return format_signed_sum((terms[m], monomial_source(names, m)) for m in monos)
+    """Render a term dict with explicit signs, sorted by degree, then descending lex order."""
+    table = ring._monomials
+    # each monomial has its own entry, so no two rows tie before the coefficient
+    rows = sorted((table[m], c) for m, c in terms.items())
+    return format_signed_sum((c, source) for (_, _, source), c in rows)
 
 
 def monomial_source(names: Sequence[str], mono: Monomial) -> str:
@@ -425,6 +451,11 @@ class GradedRingPresentation(PolyRing):
         if set(nf_top) != {self._top_monomial} or unit not in (1, -1):
             raise ValueError("top_class does not generate the top graded piece")
         self._top_unit = sign * unit
+        table = self._monomials
+        table.update((m, table[m]) for d in range(top_degree + 1) for m in self.monomials_of_degree(d))
+
+    def monomial_degree(self, mono: Monomial) -> int:
+        return self._monomials[mono][0]
 
     def _build_degree(self, d: int) -> None:
         monos = self.monomials_of_degree(d)
@@ -461,8 +492,9 @@ class GradedRingPresentation(PolyRing):
     def _product(self, a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> RingElement:
         # Both factors are normal forms, so every term is a basis monomial.  A
         # pair past the top degree has no normal form and tabulates to ().
-        # Summing exponents and calling `_reduce` instead measured about 10%
-        # fewer `symbolic` benchmark ops/s (Python 3.11, 2-core Xeon).
+        # Summing exponents and calling `_reduce` instead took about 15% more
+        # time per operation of the `symbolic` benchmark mix, run in process
+        # (Python 3.11, shared 2-core host, best of 7 repetitions of 5,000).
         out: dict[Monomial, int] = {}
         for m1, c1 in a.items():
             row = self._products.get(m1)

@@ -312,6 +312,11 @@ class FormulaCheck(NamedTuple):
     holds: bool
 
 
+# Parse tree of a formula side, keyed by its source text: each source is
+# parsed once per process, and a tree is immutable, so it is shared safely.
+_parsed_side = lru_cache(maxsize=None)(dsl.parse)
+
+
 def _formula_checks(sp: SchubertSpace) -> list[FormulaCheck]:
     """Evaluate both sides of each labeled formula of `sp`'s space in `sp`."""
     checks: list[FormulaCheck] = []
@@ -319,8 +324,8 @@ def _formula_checks(sp: SchubertSpace) -> list[FormulaCheck]:
         if f.space != sp.name:
             continue
         for lhs, rhs in f.equations:
-            left = dsl.evaluate(dsl.parse(lhs), sp)
-            right = dsl.evaluate(dsl.parse(rhs), sp)
+            left = dsl.evaluate(_parsed_side(lhs), sp)
+            right = dsl.evaluate(_parsed_side(rhs), sp)
             checks.append(FormulaCheck(f.label, f.space, lhs, rhs, left == right))
     return checks
 
@@ -328,8 +333,9 @@ def _formula_checks(sp: SchubertSpace) -> list[FormulaCheck]:
 def verify_formula_suite(name: Optional[str] = None) -> list[FormulaCheck]:
     """Recheck every labeled incidence formula inside its ring, or those of one space.
 
-    Each call evaluates the identities afresh.  A false one is returned as a
-    check that does not hold; it never raises.
+    Each source is parsed once per process, and every call evaluates the
+    identities afresh.  A false one is returned as a check that does not
+    hold; it never raises.
     """
     names = SPACE_NAMES if name is None else (name,)
     return [c for n in names for c in _formula_checks(_build_space(n))]

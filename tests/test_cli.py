@@ -1,5 +1,6 @@
 """Exit codes, output formats and determinism of the command line interface."""
 
+import ast
 import importlib
 import io
 import json
@@ -548,6 +549,36 @@ def test_selftest_reports_a_failing_check(capsys, monkeypatch):
     assert out.splitlines() == expected + ["1 of 10 checks failed"]
 
 
+def test_src_states_no_invariant_as_a_bare_assert():
+    # `python -O` strips assert statements, so a check stated as one would pass
+    # a broken build; every invariant in the package raises explicitly
+    package = Path(schubert3.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_selftest_fails_on_a_wrong_count_with_and_without_optimization(flags):
+    wrong = (
+        "import sys\n"
+        "from schubert3 import coincidence\n"
+        "from schubert3.cli import run_cli\n"
+        "right = coincidence.tangent_count\n"
+        "coincidence.tangent_count = lambda n: 8 if n == 4 else right(n)\n"
+        "sys.exit(run_cli(['selftest']))\n"
+    )
+    done = _python(*flags, "-c", wrong)
+    assert (done.returncode, done.stderr) == (1, "")
+    expected = [f"ok {name}" for name in SELFTEST_NAMES]
+    expected[4] = "FAIL tangent and bitangent counts: tangent_count(4) = 8, expected 12"
+    assert done.stdout.splitlines() == expected + ["1 of 10 checks failed"]
+
+
 def test_verify_formulas_reports_a_false_identity(capsys, monkeypatch):
     false = spaces.Formula("F", "G", (("g^2", "g_p"),))
     monkeypatch.setattr(spaces, "FORMULAS", spaces.FORMULAS + (false,))
@@ -556,6 +587,19 @@ def test_verify_formulas_reports_a_false_identity(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[-2] == " F  G  g^2 = g_p  FAIL"
     assert lines[-1] == "1 of 14 identities failed"
+
+
+def test_formula_sources_are_parsed_by_text_not_by_position(capsys, monkeypatch):
+    # every source is parsed once and kept by its text: a false identity put in
+    # the place of a true one is evaluated from its own text and reported
+    assert all(c.holds for c in spaces.verify_formula_suite())
+    false_1 = spaces.Formula("1", "P3", (("p^2", "p"),))
+    monkeypatch.setattr(spaces, "FORMULAS", (false_1, *spaces.FORMULAS[1:]))
+    failed = [c for c in spaces.verify_formula_suite() if not c.holds]
+    assert failed == [spaces.FormulaCheck("1", "P3", "p^2", "p", False)]
+    code, out, _ = run(capsys, "verify-formulas")
+    assert code == 1
+    assert out.splitlines()[-1] == "1 of 27 identities failed"
 
 
 def _cli_after(setup, *argv):

@@ -338,6 +338,18 @@ def test_evaluate_limit_counts_a_zero_factor():
     assert evaluate(parse(f"{X}^1"), G) == 2**10000 * G.ring.one()
 
 
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_a_zero_factor_is_the_product_without_the_product_table(name, monkeypatch):
+    # past the bit check a zero factor is returned as it is: the zero of the
+    # space's own ring, with no walk of the product table
+    sp = space(name)
+    x = sp.ring.generators[0].name
+    monkeypatch.setattr(sp.ring, "_product", lambda a, b: pytest.fail("walked the product table"))
+    for text in (f"0*{x}", f"{x}*0", f"({x} - {x})*{x}", f"0*3*{x}*{x}", f"(0*{x})^5"):
+        value = evaluate(parse(text), sp)
+        assert value.is_zero() and value.ring is sp.ring, text
+
+
 def test_evaluate_refuses_nested_powers_at_once():
     G = space("G")
     start = time.perf_counter()

@@ -467,6 +467,88 @@ def test_rendering_frozen(G):
     assert str(f2 - 2 * f1**2) == "-2*c1^2 + c2"
 
 
+def reference_render(ring, terms):
+    """Terms as printed: degree, then descending lex; signs between the terms."""
+    def weight(m):
+        return sum(e * g for e, g in zip(m, ring.degrees))
+
+    text = ""
+    for m in sorted(terms, key=lambda m: (weight(m), [-e for e in m])):
+        c = terms[m]
+        names = [g.name for g in ring.generators]
+        body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e)
+        piece = str(abs(c)) if not body else body if abs(c) == 1 else f"{abs(c)}*{body}"
+        if text:
+            text += (" + " if c > 0 else " - ") + piece
+        elif c > 0:
+            text = piece
+        else:
+            # a leading minus before a power would be read back as the power's base
+            text = f"-({piece})" if "^" in piece.split("*")[0] else "-" + piece
+    return text or "0"
+
+
+@pytest.mark.parametrize("name", [*SPACE_NAMES, "blowup"])
+def test_monomial_table_holds_degree_order_and_source(name):
+    ring = blowup_ring() if name == "blowup" else space(name).ring
+    names = [g.name for g in ring.generators]
+    table = ring._monomials
+    expected = [m for d in range(ring.top_degree + 1) for m in reference.monomials(ring.degrees, d)]
+    assert sorted(table) == sorted(expected)
+    # the first two fields of an entry are its sort key: degree, then descending lex
+    assert sorted(table, key=lambda m: table[m][:2]) == expected
+    for m in expected:
+        degree, _, source = table[m]
+        assert degree == sum(e * g for e, g in zip(m, ring.degrees)) == ring.monomial_degree(m)
+        assert source == graded_ring.monomial_source(names, m)
+    rng = random.Random(f"render {name}")
+    basis = [m for d in range(ring.top_degree + 1) for m in ring.graded_basis(d)]
+    for _ in range(50):
+        terms = {m: rng.randint(-3, 3) for m in rng.sample(basis, rng.randint(0, len(basis)))}
+        e = ring.element(terms)
+        assert str(e) == reference_render(ring, e.terms)
+
+
+def test_a_free_ring_computes_each_monomial_entry_afresh():
+    free = PolyRing([("t", 1), ("c1", 1), ("c2", 2)])
+    t, c1, c2 = free.gens()
+    e = 3 * t**2 * c2 - c1**5 + 7 - t * c1 * c2**4
+    assert str(e) == reference_render(free, e.terms) == "7 + 3*t^2*c2 - c1^5 - t*c1*c2^4"
+    e = t * c2 - c1**2
+    assert str(e) == reference_render(free, e.terms) == "-(c1^2) + t*c2"
+    assert free.monomial_degree((1, 1, 4)) == 10
+    assert len(free._monomials) == 0
+
+
+def test_hermite_form_is_reduced_and_keeps_the_lattice():
+    # rows whose pivots are not 1, which no ring construction produces: the
+    # form is checked for its shape, and for its lattice against the reference
+    rng = random.Random("hermite")
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        scale = [rng.choice((1, 2, 3, 4, 6)) for _ in range(ncols)]
+        rows = [[rng.randint(-9, 9) * k for k in scale] for _ in range(nrows)]
+        form = graded_ring.hermite_form(rows, ncols)
+        cols = [col for col, _ in form]
+        assert cols == sorted(set(cols))
+        for i, (col, row) in enumerate(form):
+            assert not any(row[:col]) and row[col] > 0
+            assert all(0 <= above[col] < row[col] for _, above in form[:i])
+        # the pivots of an echelon basis are invariants of the lattice
+        reference_pivots = [(col, row[col]) for col, row in reference.hermite_echelon(rows, ncols)]
+        assert [(col, row[col]) for col, row in form] == reference_pivots
+        # each column a degree-1 generator, each row a linear form: the ideal's
+        # degree-1 slice is the row lattice, so each basis lies in the other's
+        degrees = (1,) * ncols
+
+        def form_of(vec):
+            return {tuple(int(i == j) for i in range(ncols)): c for j, c in enumerate(vec) if c}
+
+        given, reduced = [form_of(r) for r in rows], [form_of(r) for _, r in form]
+        assert all(reference.in_ideal(degrees, v, given) for v in reduced)
+        assert all(reference.in_ideal(degrees, v, reduced) for v in given)
+
+
 # ---------------------------------------------------------------------------
 # construction failure modes
 
