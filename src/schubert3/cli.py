@@ -7,8 +7,8 @@ ones the acceptance tests call, and defines none of its own.  Exit codes:
 
 Each handler imports what only it uses (the oracle, the blow-up calculus,
 the checks, json).  The module itself imports `spaces`, `dsl` and
-`graded_ring` at the top, so every process loads the rings, the oracle
-subcommands too, although they never call them.
+`graded_ring` at the top, so every process loads the rings and the DSL,
+also for the `oracle` subcommands, which never call them.
 """
 
 from __future__ import annotations

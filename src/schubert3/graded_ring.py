@@ -492,9 +492,10 @@ class GradedRingPresentation(PolyRing):
     def _product(self, a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> RingElement:
         # Both factors are normal forms, so every term is a basis monomial.  A
         # pair past the top degree has no normal form and tabulates to ().
-        # Summing exponents and calling `_reduce` instead took about 15% more
-        # time per operation of the `symbolic` benchmark mix, run in process
-        # (Python 3.11, shared 2-core host, best of 7 repetitions of 5,000).
+        # Summing exponents and calling `_reduce` instead took 8% to 17% more
+        # time per operation of the `symbolic` benchmark mix, seed 111, run in
+        # process (Python 3.11, shared 2-core host, best of 7 passes over
+        # 5,250 operations, three runs).
         out: dict[Monomial, int] = {}
         for m1, c1 in a.items():
             row = self._products.get(m1)
