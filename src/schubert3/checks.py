@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from . import coincidence, dsl, oracle, spaces
+from . import coincidence, oracle, spaces
 
 __all__ = ["CHECKS"]
 
@@ -128,9 +128,9 @@ def _check_roundtrip() -> None:
         for _ in range(12):
             picks = [rng.choice(names) for _ in range(3)]
             source = f"{picks[0]}*{picks[1]} + {picks[2]}^2 - {picks[0]}"
-            first = dsl.evaluate(dsl.parse(source), sp)
+            first = sp.read(source)
             rendered = spaces.render_in_classes(sp, first)
-            again = dsl.evaluate(dsl.parse(rendered), sp)
+            again = sp.read(rendered)
             _expect(f"{name}: {rendered!r}, the rendering of {source!r},", again, first)
 
 

@@ -20,17 +20,17 @@ proven in those spaces, and count reads each fully constrained
 configuration as its count in n.  Nothing in that chain depends on n, so
 it runs once per process and each n evaluates the polynomial it ends in.
 
-Each count refuses an n outside its domain with a `ValueError`: n >= 1
-for tangents, and n >= 2 for bitangents, since a degree-1 section is a line.
+Each count refuses an n outside its domain with a `ValueError`: an int
+n >= 1 for tangents, and n >= 2 for bitangents, since a degree-1 section is
+a line.  An n whose type is not int, such as 4.0 or True, is refused too.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
-from . import dsl, spaces
+from . import spaces
 from .graded_ring import GradedRingPresentation, Monomial, PolyRing, RingElement, substitute
 
 __all__ = [
@@ -109,6 +109,9 @@ class CountDerivation(NamedTuple):
 
 
 def _check_domain(n: int, least: int) -> None:
+    # `type(n) is int` also refuses bool, as in `RingElement`
+    if type(n) is not int:
+        raise ValueError(f"n = {n!r} is not an integer; the domain is integers n >= {least}")
     if n < least:
         raise ValueError(f"n = {n} is outside the domain n >= {least}")
 
@@ -155,12 +158,8 @@ def tangent_count(n: int) -> int:
     return tangent_derivation(n).count
 
 
-def _parse(source: str, scope) -> RingElement:
-    return dsl.evaluate(dsl.parse(source), scope)
-
-
 @lru_cache(maxsize=None)
-def _config_scope() -> SimpleNamespace:
+def _config_scope() -> spaces.Scope:
     """Free ring of bitangency configurations, as a scope.
 
     p1..p4 are point conditions on the four tangency points (the flag-space
@@ -176,9 +175,9 @@ def _config_scope() -> SimpleNamespace:
         + [(name, e.degree()) for name, e in G.symbols.items() if name not in generators]
         + [("n", 1)]
     )
-    symbols = {spec.name: ring.gen(spec.name) for spec in ring.generators}
-    symbols["p"] = symbols["p1"]
-    return SimpleNamespace(name="bitangency-configurations", ring=ring, symbols=symbols)
+    scope = spaces.Scope("bitangency-configurations", ring)
+    scope.symbols["p"] = scope.symbols["p1"]
+    return scope
 
 
 def _rewrite(e: RingElement, rules: Sequence[tuple[Monomial, RingElement]]) -> RingElement:
@@ -244,10 +243,10 @@ def _rules(kind: str) -> tuple[tuple[Monomial, RingElement], ...]:
             continue
         if name in spaces.SPACE_NAMES:
             sp = spaces.space(name)
-            if _parse(lhs, sp) != _parse(rhs, sp):
+            if sp.read(lhs) != sp.read(rhs):
                 raise AssertionError(f"rewrite rule {lhs} -> {rhs} does not hold in {name}")
-        (pattern,) = _parse(lhs, scope).terms
-        rules.append((pattern, _parse(rhs, scope)))
+        (pattern,) = scope.read(lhs).terms
+        rules.append((pattern, scope.read(rhs)))
     return tuple(rules)
 
 
@@ -265,20 +264,20 @@ def _doubled_count() -> RingElement:
     depends on n, so the chain runs once per process.
     """
     scope = _config_scope()
-    expect = [_parse(src, scope) for src in _STEP_SOURCES]
+    expect = [scope.read(src) for src in _STEP_SOURCES]
     push = _rules("G")
 
     doubled = _rewrite(_rewrite(expect[0], _rules("sym")), push)
     if doubled != expect[1]:
         raise AssertionError("symmetrized product drifted from its printed form")
     mid = _rewrite(doubled * scope.symbols["g_e"], push)
-    if mid != _parse(_MID_SOURCE, scope):
+    if mid != scope.read(_MID_SOURCE):
         raise AssertionError("pencil push drifted from the expected intermediate")
     final = _rewrite(mid, _rules("PS"))
     if final != expect[2]:
         raise AssertionError("point-condition form drifted from its printed form")
     doubled_poly = _rewrite(final, _rules("count"))
-    if doubled_poly != _parse(_DOUBLED_SOURCE, scope):
+    if doubled_poly != scope.read(_DOUBLED_SOURCE):
         raise AssertionError("collected count polynomial drifted from its printed form")
     return doubled_poly
 

@@ -14,11 +14,11 @@ ordered by descending lexicographic order on exponent vectors, and the reduced
 form of a lattice is unique, so every normal form is canonical for a fixed
 generator order.
 
-A quotient also fixes, at construction, one table over its monomials of
-degree <= top: each one's degree, its (degree, descending-lex) sort key and
-its printed source.  `monomial_degree` and `format_terms` read it, so
-rendering an element and splitting it by degree cost a lookup per term.  The
-free ring has no such bound, and computes each entry when it is asked for.
+Every ring keeps one table over the monomials it has met: each one's degree,
+its (degree, descending-lex) sort key and its printed source, computed on the
+first lookup and stored.  `monomial_degree` and `format_terms` read it, so
+rendering an element and splitting it by degree cost a lookup per term once
+its monomials have been seen, and building a quotient renders none of its own.
 
 Terms are validated and reduced only where they enter from outside:
 `RingElement(ring, terms)`, `element` and `monomial`.  Arithmetic starts from
@@ -94,7 +94,7 @@ class PolyRing:
         return len(self.generators)
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return self._monomials[mono][0]
 
     def monomials_of_degree(self, d: int) -> tuple[Monomial, ...]:
         """All exponent vectors of weighted degree d, descending lex order."""
@@ -147,9 +147,8 @@ class _MonomialTable(dict):
     """Monomial -> (degree, negated exponents, printed source), as `format_terms` reads it.
 
     The first two fields sort monomials by degree, then descending lex order.
-    A quotient stores the entries of its monomials of degree <= top at
-    construction; any other lookup, and every lookup in a free ring, computes
-    the entry afresh and stores nothing.
+    An entry is computed on its first lookup and stored, so a ring holds the
+    entries of the monomials it has been asked about and no others.
     """
 
     __slots__ = ("degrees", "names")
@@ -161,7 +160,8 @@ class _MonomialTable(dict):
 
     def __missing__(self, mono: Monomial) -> tuple[int, Monomial, str]:
         degree = sum(e * d for e, d in zip(mono, self.degrees))
-        return degree, tuple(-e for e in mono), monomial_source(self.names, mono)
+        entry = self[mono] = degree, tuple(-e for e in mono), monomial_source(self.names, mono)
+        return entry
 
 
 def _enumerate_monomials(degrees: Sequence[int], d: int) -> Iterator[Monomial]:
@@ -451,11 +451,6 @@ class GradedRingPresentation(PolyRing):
         if set(nf_top) != {self._top_monomial} or unit not in (1, -1):
             raise ValueError("top_class does not generate the top graded piece")
         self._top_unit = sign * unit
-        table = self._monomials
-        table.update((m, table[m]) for d in range(top_degree + 1) for m in self.monomials_of_degree(d))
-
-    def monomial_degree(self, mono: Monomial) -> int:
-        return self._monomials[mono][0]
 
     def _build_degree(self, d: int) -> None:
         monos = self.monomials_of_degree(d)
@@ -511,6 +506,8 @@ class GradedRingPresentation(PolyRing):
         return RingElement._trusted(self, {m: c for m, c in out.items() if c})
 
     def graded_basis(self, d: int) -> tuple[Monomial, ...]:
+        if type(d) is not int:
+            raise ValueError(f"degree must be an integer, not {d!r}")
         if not 0 <= d <= self.top_degree:
             raise ValueError(f"degree {d} outside 0..{self.top_degree}")
         return self._bases[d]

@@ -2,9 +2,12 @@
 
 Points of projective 3-space (P3), planes (P3dual), lines (G) and
 point-on-line flags (PS) each carry an integer graded ring presented by
-generators and relations.  The relations of the line space are the inverse
-total class components of 1 + c1 + c2 in degrees 3 and 4; the flag space adds
-the incidence relation t^2 - t*c1 + c2 = 0 tying the point to its line.
+generators and relations.  Each space is one row of `_SPACES`: generators
+and degrees, then relations, top class, named classes and render labels, all
+as sources of the expression language.  The relations of the line space,
+named s3 and s4, are the inverse total class components of 1 + c1 + c2 in
+degrees 3 and 4; the flag space adds the incidence relation t^2 - t*c1 + c2 = 0
+tying the point to its line.
 
 Named classes follow the classical dictionary: on G, g is lines meeting a
 fixed line, g_p lines through a point, g_e lines in a plane, g_s lines
@@ -16,7 +19,7 @@ from the monomial one), so any element can be rendered geometrically.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import dsl
 from .graded_ring import GradedRingPresentation, PolyRing, RingElement
@@ -30,14 +33,13 @@ __all__ = [
     "SPACE_NAMES",
     "SchubertCombination",
     "SchubertSpace",
+    "Scope",
     "evaluate_expression",
     "pushforward_PS_to_G",
     "render_in_classes",
     "space",
     "verify_formula_suite",
 ]
-
-SPACE_NAMES = ("P3", "P3dual", "G", "PS")
 
 
 class SchubertCombination(NamedTuple):
@@ -51,34 +53,42 @@ class SchubertCombination(NamedTuple):
         return format_signed_sum(self.entries)
 
 
-class SchubertSpace:
+class Scope:
+    """A ring and the names that `dsl.evaluate` reads in it, its generators first."""
+
+    def __init__(self, name: str, ring: PolyRing) -> None:
+        self.name = name
+        self.ring = ring
+        self.symbols = {g.name: ring.gen(g.name) for g in ring.generators}
+
+    def read(self, source: str) -> RingElement:
+        """The value of an expression-language source in this scope."""
+        return dsl.evaluate(dsl.parse(source), self)
+
+
+class SchubertSpace(Scope):
     """A space together with its ring, named classes and geometric basis.
 
-    `symbols` maps names usable in the expression language to ring elements;
-    it always contains the ring generators.
+    `classes` maps each named class to its source, read in order after the
+    ring generators, as the render labels are; `symbols` then holds both.
     """
 
     def __init__(
         self,
         name: str,
         ring: GradedRingPresentation,
-        symbols: dict[str, RingElement],
-        render_labels: list[list[str]],
+        classes: Mapping[str, str],
+        render_labels: Sequence[Sequence[str]],
     ) -> None:
-        self.name = name
-        self.ring = ring
+        super().__init__(name, ring)
         self.dim = ring.top_degree
-        self.symbols: dict[str, RingElement] = {
-            g.name: ring.gen(g.name) for g in ring.generators
-        }
-        self.symbols.update(symbols)
+        for label, source in classes.items():
+            self.symbols[label] = self.read(source)
         if len(render_labels) != self.dim + 1:
             raise ValueError(f"{name}: need a render basis for each degree 0..{self.dim}")
         self.render_basis: dict[int, tuple[tuple[str, RingElement], ...]] = {}
         for d, labels in enumerate(render_labels):
-            self.render_basis[d] = tuple(
-                (lbl, dsl.evaluate(dsl.parse(lbl), self)) for lbl in labels
-            )
+            self.render_basis[d] = tuple((lbl, self.read(lbl)) for lbl in labels)
         # rows of the integer inverse of each degree's render basis matrix
         self._render_inverse: dict[int, list[list[int]]] = {}
         self._validate_render_basis()
@@ -154,73 +164,64 @@ def render_in_classes(sp: SchubertSpace, e: RingElement) -> str:
     )
 
 
-def _dual_segre_components(free: PolyRing) -> list[RingElement]:
-    """Degrees 3 and 4 of (1 + c1 + c2)^-1: the relations of the line space."""
-    s = series_inverse(1 + free.gen("c1") + free.gen("c2"), 4)
-    return [s.homogeneous_component(d) for d in (3, 4)]
+class _Row(NamedTuple):
+    """One space in sources: generators, relations, top class, named classes, labels."""
+
+    generators: tuple[tuple[str, int], ...]
+    relations: tuple[str, ...]
+    top: str
+    classes: dict[str, str]
+    labels: tuple[tuple[str, ...], ...]
 
 
-def _build_point_space(dual: bool) -> SchubertSpace:
-    gen = "e" if dual else "t"
-    x = PolyRing([(gen, 1)]).gen(gen)
-    ring = GradedRingPresentation([x**4], x**3)
-    v = ring.gen(gen)
-    if dual:
-        # e: planes through a point, e_g: planes through a line, E: fixed plane
-        symbols = {"e_g": v**2, "E": v**3}
-        labels = [["1"], ["e"], ["e_g"], ["E"]]
-        return SchubertSpace("P3dual", ring, symbols, labels)
-    # p: points in a plane, p_g: points on a line, P: fixed point
-    symbols = {"p": v, "p_g": v**2, "P": v**3}
-    labels = [["1"], ["p"], ["p_g"], ["P"]]
-    return SchubertSpace("P3", ring, symbols, labels)
+_LINE_CLASSES = {"g": "-c1", "g_p": "c1^2 - c2", "g_e": "c2", "g_s": "-c1*c2", "G": "c2^2"}
 
+_SPACES = {
+    # p: points in a plane, p_g: points on a line, P: a fixed point
+    "P3": _Row(
+        (("t", 1),), ("t^4",), "t^3", {"p": "t", "p_g": "t^2", "P": "t^3"},
+        (("1",), ("p",), ("p_g",), ("P",)),
+    ),
+    # e: planes through a point, e_g: planes through a line, E: a fixed plane
+    "P3dual": _Row(
+        (("e", 1),), ("e^4",), "e^3", {"e_g": "e^2", "E": "e^3"},
+        (("1",), ("e",), ("e_g",), ("E",)),
+    ),
+    "G": _Row(
+        (("c1", 1), ("c2", 2)), ("s3", "s4"), "c2^2", _LINE_CLASSES,
+        (("1",), ("g",), ("g_p", "g_e"), ("g_s",), ("G",)),
+    ),
+    # the top class is p*G, a fixed flag; degree-5 monomials integrate to 0, -1 or -2
+    "PS": _Row(
+        (("t", 1), ("c1", 1), ("c2", 2)), ("s3", "s4", "t^2 - t*c1 + c2"), "-t*c2^2",
+        {"p": "-t", "p_g": "t^2", **_LINE_CLASSES},
+        (
+            ("1",),
+            ("p", "g"),
+            ("p^2", "g_p", "g_e"),
+            ("p^3", "p*g_e", "g_s"),
+            ("G", "p^2*g_e"),
+            ("p*G",),
+        ),
+    ),
+}
 
-def _line_classes(ring: GradedRingPresentation) -> dict[str, RingElement]:
-    """The named line conditions of G, also carried by PS, in c1 and c2."""
-    c1, c2 = ring.gen("c1"), ring.gen("c2")
-    return {"g": -c1, "g_p": c1**2 - c2, "g_e": c2, "g_s": -c1 * c2, "G": c2**2}
-
-
-def _build_line_space() -> SchubertSpace:
-    free = PolyRing([("c1", 1), ("c2", 2)])
-    ring = GradedRingPresentation(_dual_segre_components(free), free.gen("c2") ** 2)
-    labels = [["1"], ["g"], ["g_p", "g_e"], ["g_s"], ["G"]]
-    return SchubertSpace("G", ring, _line_classes(ring), labels)
-
-
-def _build_flag_space() -> SchubertSpace:
-    free = PolyRing([("t", 1), ("c1", 1), ("c2", 2)])
-    t, c1, c2 = free.gens()
-    relations = _dual_segre_components(free)
-    relations.append(t**2 - t * c1 + c2)
-    # the top class is p*G, a fixed flag; every degree-5 monomial integrates to -1 or 0
-    ring = GradedRingPresentation(relations, -(t * c2**2))
-    t = ring.gen("t")
-    symbols = {"p": -t, "p_g": t**2, **_line_classes(ring)}
-    labels = [
-        ["1"],
-        ["p", "g"],
-        ["p^2", "g_p", "g_e"],
-        ["p^3", "p*g_e", "g_s"],
-        ["G", "p^2*g_e"],
-        ["p*G"],
-    ]
-    return SchubertSpace("PS", ring, symbols, labels)
+SPACE_NAMES = tuple(_SPACES)
 
 
 @lru_cache(maxsize=None)
 def _build_space(name: str) -> SchubertSpace:
-    """The named space, its formulas not yet proven."""
-    if name == "P3":
-        return _build_point_space(dual=False)
-    if name == "P3dual":
-        return _build_point_space(dual=True)
-    if name == "G":
-        return _build_line_space()
-    if name == "PS":
-        return _build_flag_space()
-    raise ValueError(f"unknown space {name!r}; available: {', '.join(SPACE_NAMES)}")
+    """The named space, read from its row, its formulas not yet proven."""
+    row = _SPACES.get(name)
+    if row is None:
+        raise ValueError(f"unknown space {name!r}; available: {', '.join(SPACE_NAMES)}")
+    free = Scope(name, PolyRing(row.generators))
+    if "c2" in free.symbols:
+        # s3 and s4, the degree-3 and degree-4 parts of (1 + c1 + c2)^-1
+        s = series_inverse(free.read("1 + c1 + c2"), 4)
+        free.symbols.update(s3=s.homogeneous_component(3), s4=s.homogeneous_component(4))
+    ring = GradedRingPresentation(map(free.read, row.relations), free.read(row.top))
+    return SchubertSpace(name, ring, row.classes, row.labels)
 
 
 @lru_cache(maxsize=None)
@@ -354,7 +355,7 @@ class EvalResult(NamedTuple):
 
 def evaluate_expression(space_name: str, text: str) -> EvalResult:
     sp = space(space_name)
-    element = dsl.evaluate(dsl.parse(text), sp)
+    element = sp.read(text)
     top = None
     if not element.is_zero() and element.is_homogeneous() and element.degree() == sp.dim:
         top = sp.evaluate_top(element)

@@ -298,6 +298,19 @@ def test_counts_refuse_n_outside_their_domain(count, least):
     count(least)
 
 
+@pytest.mark.parametrize(
+    "count, least",
+    [(surface_excess_class, 1), (tangent_derivation, 1), (tangent_count, 1), (bitangent_derivation, 2)],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+@pytest.mark.parametrize("n", [4.0, 4.5, True, False, "4", Fraction(4)], ids=repr)
+def test_counts_refuse_an_n_that_is_not_an_int(count, least, n):
+    # 4.0 once gave 28.0 bitangents, 4.5 an odd doubled count, True a bare TypeError
+    message = f"^n = {re.escape(repr(n))} is not an integer; the domain is integers n >= {least}$"
+    with pytest.raises(ValueError, match=message):
+        count(n)
+
+
 def test_bitangent_trace_frozen():
     derivation = bitangent_derivation(4)
     assert derivation.steps == (

@@ -10,6 +10,7 @@ import ast
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from operator import add, mul, sub
 from pathlib import Path
@@ -153,6 +154,12 @@ def test_graded_basis_bounds(G):
     with pytest.raises(ValueError):
         G.graded_basis(-1)
     assert G.graded_basis(2) == ((2, 0), (0, 1))
+
+
+@pytest.mark.parametrize("degree", [True, 1.0, 2.0, "2", None])
+def test_graded_basis_refuses_a_degree_that_is_not_an_int(G, degree):
+    with pytest.raises(ValueError, match=f"^degree must be an integer, not {re.escape(repr(degree))}$"):
+        G.graded_basis(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -488,36 +495,62 @@ def reference_render(ring, terms):
     return text or "0"
 
 
+def assert_table_entries_are_fresh(ring):
+    """Every stored entry is what a fresh computation gives, and prints as the reference."""
+    names = [g.name for g in ring.generators]
+    for m, entry in ring._monomials.items():
+        degree = sum(e * g for e, g in zip(m, ring.degrees))
+        assert entry == (degree, tuple(-e for e in m), graded_ring.monomial_source(names, m))
+        assert graded_ring.format_terms(ring, {m: 1}) == reference_render(ring, {m: 1})
+
+
 @pytest.mark.parametrize("name", [*SPACE_NAMES, "blowup"])
 def test_monomial_table_holds_degree_order_and_source(name):
     ring = blowup_ring() if name == "blowup" else space(name).ring
     names = [g.name for g in ring.generators]
     table = ring._monomials
-    expected = [m for d in range(ring.top_degree + 1) for m in reference.monomials(ring.degrees, d)]
-    assert sorted(table) == sorted(expected)
-    # the first two fields of an entry are its sort key: degree, then descending lex
-    assert sorted(table, key=lambda m: table[m][:2]) == expected
-    for m in expected:
-        degree, _, source = table[m]
-        assert degree == sum(e * g for e, g in zip(m, ring.degrees)) == ring.monomial_degree(m)
-        assert source == graded_ring.monomial_source(names, m)
     rng = random.Random(f"render {name}")
     basis = [m for d in range(ring.top_degree + 1) for m in ring.graded_basis(d)]
     for _ in range(50):
         terms = {m: rng.randint(-3, 3) for m in rng.sample(basis, rng.randint(0, len(basis)))}
         e = ring.element(terms)
         assert str(e) == reference_render(ring, e.terms)
+    assert_table_entries_are_fresh(ring)
+    expected = [m for d in range(ring.top_degree + 1) for m in reference.monomials(ring.degrees, d)]
+    # the first two fields of an entry are its sort key: degree, then descending lex
+    assert sorted(expected, key=lambda m: table[m][:2]) == expected
+    for m in expected:
+        degree, _, source = table[m]
+        assert degree == sum(e * g for e, g in zip(m, ring.degrees)) == ring.monomial_degree(m)
+        assert source == graded_ring.monomial_source(names, m)
+    assert_table_entries_are_fresh(ring)
 
 
-def test_a_free_ring_computes_each_monomial_entry_afresh():
+@pytest.mark.parametrize("make", [make_point_space, make_line_space, make_flag_space])
+def test_construction_renders_no_monomial(make):
+    ring = make()
+    assert len(ring._monomials) == 0
+    ring.gen(ring.generators[0].name) ** ring.top_degree
+    assert len(ring._monomials) == 0
+    str(ring.one())
+    assert list(ring._monomials) == [(0,) * ring.ngens]
+    assert_table_entries_are_fresh(ring)
+
+
+def test_a_free_ring_stores_each_monomial_entry_on_first_lookup():
     free = PolyRing([("t", 1), ("c1", 1), ("c2", 2)])
+    assert len(free._monomials) == 0
     t, c1, c2 = free.gens()
     e = 3 * t**2 * c2 - c1**5 + 7 - t * c1 * c2**4
     assert str(e) == reference_render(free, e.terms) == "7 + 3*t^2*c2 - c1^5 - t*c1*c2^4"
+    assert sorted(free._monomials) == sorted(e.terms)
     e = t * c2 - c1**2
     assert str(e) == reference_render(free, e.terms) == "-(c1^2) + t*c2"
     assert free.monomial_degree((1, 1, 4)) == 10
-    assert len(free._monomials) == 0
+    assert len(free._monomials) == 6
+    assert free.monomial_degree((2, 3, 1)) == 7
+    assert len(free._monomials) == 7
+    assert_table_entries_are_fresh(free)
 
 
 def test_hermite_form_is_reduced_and_keeps_the_lattice():

@@ -1,10 +1,11 @@
 """Space construction, named-class rendering, formulas, pushforward."""
 
 import random
+import re
 
 import pytest
 
-from schubert3 import dsl
+from schubert3 import dsl, spaces
 from schubert3.dsl import EvaluationError
 from schubert3.graded_ring import substitute
 from schubert3.spaces import (
@@ -34,9 +35,10 @@ def random_homogeneous(rng, sp, d):
 
 
 def test_space_registry():
-    assert SPACE_NAMES == ("P3", "P3dual", "G", "PS")
+    assert SPACE_NAMES == ("P3", "P3dual", "G", "PS") == tuple(spaces._SPACES)
     assert space("G") is space("G")
-    with pytest.raises(ValueError, match="unknown space"):
+    message = "unknown space 'P2'; available: P3, P3dual, G, PS"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         space("P2")
     dims = {name: space(name).dim for name in SPACE_NAMES}
     assert dims == {"P3": 3, "P3dual": 3, "G": 4, "PS": 5}
@@ -54,6 +56,16 @@ def test_symbol_tables_frozen():
 
 
 def test_named_classes_in_generators():
+    P3 = space("P3")
+    t = P3.ring.gen("t")
+    assert P3.symbols["p"] == t
+    assert P3.symbols["p_g"] == t * t
+    assert P3.symbols["P"] == t * t * t
+    P3dual = space("P3dual")
+    e = P3dual.ring.gen("e")
+    assert P3dual.symbols["e"] == e
+    assert P3dual.symbols["e_g"] == e * e
+    assert P3dual.symbols["E"] == e * e * e
     G = space("G")
     c1, c2 = G.ring.gens()
     assert G.symbols["g"] == -c1
@@ -65,6 +77,23 @@ def test_named_classes_in_generators():
     t = PS.ring.gen("t")
     assert PS.symbols["p"] == -t
     assert PS.symbols["p_g"] == t**2
+    c1, c2 = PS.ring.gen("c1"), PS.ring.gen("c2")
+    assert PS.symbols["g"] == -c1
+    assert PS.symbols["g_s"] == -c1 * c2
+    assert PS.symbols["G"] == c2 * c2
+
+
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_each_space_reads_its_row(name):
+    row = spaces._SPACES[name]
+    sp = space(name)
+    assert [g.name for g in sp.ring.generators] == [g for g, _ in row.generators]
+    assert sp.ring.degrees == tuple(d for _, d in row.generators)
+    assert list(sp.symbols) == [g for g, _ in row.generators] + list(row.classes)
+    labels = tuple(tuple(lbl for lbl, _ in sp.render_basis[d]) for d in range(sp.dim + 1))
+    assert labels == row.labels
+    for lbl, source in row.classes.items():
+        assert sp.symbols[lbl] == eva(name, source)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +221,13 @@ def test_render_guards_only_a_leading_negative_power():
 )
 def test_render_basis_must_be_unimodular(degree_two, renders):
     G = space("G")
+    classes = spaces._SPACES["G"].classes
     labels = [["1"], ["g"], degree_two, ["g_s"], ["G"]]
     if renders is None:
         with pytest.raises(ValueError, match="not a unimodular basis"):
-            SchubertSpace("G", G.ring, dict(G.symbols), labels)
+            SchubertSpace("G", G.ring, classes, labels)
         return
-    sp = SchubertSpace("G", G.ring, dict(G.symbols), labels)
+    sp = SchubertSpace("G", G.ring, classes, labels)
     for text, rendered in renders.items():
         assert render_in_classes(sp, eva("G", text)) == rendered
 
@@ -214,7 +244,7 @@ def test_render_basis_must_be_unimodular(degree_two, renders):
 def test_render_basis_shape_refusals(labels, message):
     G = space("G")
     with pytest.raises(ValueError, match=message):
-        SchubertSpace("G", G.ring, dict(G.symbols), labels)
+        SchubertSpace("G", G.ring, spaces._SPACES["G"].classes, labels)
 
 
 # ---------------------------------------------------------------------------
